@@ -35,12 +35,13 @@ class BosonicBroadcastSpec:
         object.__setattr__(self, "etas", etas)
         if not etas:
             raise QbcError("at least one receiver required")
-        if any(e < 0 for e in etas):
-            raise DomainError("transmission coefficients must be nonnegative")
-        if sum(etas) > 1 + 1e-12:
+        # written so that NaN, for which every comparison is false, fails them
+        if not all(e >= 0 for e in etas):
+            raise DomainError("transmission coefficients must be finite and nonnegative")
+        if not sum(etas) <= 1 + 1e-12:
             raise DomainError("total transmissivity exceeds 1")
-        if self.mean_photon is not None and self.mean_photon < 0:
-            raise DomainError("mean photon number must be nonnegative")
+        if self.mean_photon is not None and not 0 <= self.mean_photon < math.inf:
+            raise DomainError("mean photon number must be finite and nonnegative")
 
     @property
     def eta_total(self) -> float:
@@ -178,11 +179,7 @@ def theorem3_report(
     mirrored arrangement, which is a larger but still valid bound.  Both are
     reported.
     """
-    if eta_b < 0 or eta_c < 0:
-        raise DomainError("transmissivities must be nonnegative")
-    if eta_b + eta_c > 1 + 1e-12:
-        raise DomainError("eta_b + eta_c must not exceed 1")
-    spec = BosonicBroadcastSpec((eta_b, eta_c))
+    spec = BosonicBroadcastSpec((eta_b, eta_c), mean_photon)
     eta = spec.eta_total
     b_cut = _bipartite_cut_bound(eta_b, eta_c)
     c_cut = _bipartite_cut_bound(eta_c, eta_b)
@@ -197,8 +194,6 @@ def theorem3_report(
         tri_printed = asymptotic_bound(spec, eta_star, "esq-tilde")
     finite = None
     if mean_photon is not None and eta < 1.0:
-        ns_spec = BosonicBroadcastSpec((eta_b, eta_c), mean_photon)
-
         def cut_ns(eta_to, eta_away):
             if eta_to == 0:
                 return 0.0
@@ -214,7 +209,7 @@ def theorem3_report(
             "tripartite": (
                 0.0
                 if eta == 0
-                else finite_ns_bound(ns_spec, eta_star, "esq")
+                else finite_ns_bound(spec, eta_star, "esq")
             ),
         }
     return BosonicBoundReport(

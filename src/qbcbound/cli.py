@@ -33,7 +33,7 @@ from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import InputSearchConfig, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
-from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
+from .squash import Measure, SquashConfig, _estimate, esq_exact_pure
 from .states import (
     apply_channel,
     channel_from_json,
@@ -131,13 +131,6 @@ def _cmd_qinfo(args) -> int:
     return 0
 
 
-def _esq_one(state, partition, measure, cfg):
-    if state.is_pure():
-        return esq_exact_pure(state, partition, measure), True
-    res = esq_upper_variational(state, partition, measure, cfg)
-    return res.value_bits, res.converged
-
-
 def _cmd_esq(args) -> int:
     state = state_from_json(_read_text(args.state))
     partition = parse_partition(args.partition)
@@ -150,8 +143,8 @@ def _cmd_esq(args) -> int:
     }[args.measure]
     values = {}
     for m in measures:
-        v, conv = _esq_one(state, partition, m, cfg)
-        values[m.value] = {"value_bits": v, "converged": conv}
+        res = _estimate(state, partition, m, cfg)
+        values[m.value] = {"value_bits": res.value_bits, "converged": res.converged}
     doc = {
         "version": __version__,
         "partition": str(partition),
@@ -171,42 +164,21 @@ def _cmd_bounds_finite(args) -> int:
     channel = channel_from_json(_read_text(args.channel))
     cfg = InputSearchConfig(restarts=args.restarts, seed=args.seed)
     squash_cfg = SquashConfig(restarts=3, max_iters=400, seed=args.seed)
-    if args.partition:
-        partitions = [parse_partition(p) for p in args.partition]
-        constraints = evaluate_bounds(channel, partitions, cfg, squash_cfg)
-        doc = {
-            "version": __version__,
-            "seed": args.seed,
-            "constraints": [
-                {
-                    "partition": str(rc.partition),
-                    "weights": {",".join(m): w for m, w in rc.weights().items()},
-                    "bound_bits": rc.bound_bits,
-                    "measure_used": rc.measure_used,
-                    "metadata": rc.metadata,
-                }
-                for rc in constraints
-            ],
-        }
-    elif len(channel.output_labels) == 2:
-        report = two_receiver_report(channel, cfg, squash_cfg)
-        doc = {"version": __version__, "seed": args.seed, "report": report}
+    doc = {"version": __version__, "seed": args.seed}
+    if not args.partition and len(channel.output_labels) == 2:
+        doc["report"] = two_receiver_report(channel, cfg, squash_cfg)
     else:
-        constraints = evaluate_bounds(channel, None, cfg, squash_cfg)
-        doc = {
-            "version": __version__,
-            "seed": args.seed,
-            "constraints": [
-                {
-                    "partition": str(rc.partition),
-                    "weights": {",".join(m): w for m, w in rc.weights().items()},
-                    "bound_bits": rc.bound_bits,
-                    "measure_used": rc.measure_used,
-                    "metadata": rc.metadata,
-                }
-                for rc in constraints
-            ],
-        }
+        partitions = [parse_partition(p) for p in args.partition] if args.partition else None
+        doc["constraints"] = [
+            {
+                "partition": str(rc.partition),
+                "weights": {",".join(m): w for m, w in rc.weights().items()},
+                "bound_bits": rc.bound_bits,
+                "measure_used": rc.measure_used,
+                "metadata": rc.metadata,
+            }
+            for rc in evaluate_bounds(channel, partitions, cfg, squash_cfg)
+        ]
     _emit(json.dumps(_fmt(doc), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 

@@ -6,6 +6,8 @@ All results are in bits.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,8 @@ from .errors import EmptySubset, LabelCollision, LabelNotFound, SpecError
 from .states import MultipartiteState, partial_trace
 
 _EIG_FLOOR = 1e-12
+# label of a purifying system in _pure_entropy; equal to no subsystem label
+_PURIFIER = object()
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,26 @@ def _h(state: MultipartiteState, subset: set) -> float:
     return _entropy_of_matrix(partial_trace(state, subset).matrix)
 
 
+def _pure_entropy(psi: np.ndarray, labels):
+    """Subset -> entropy, H(empty) = 0, of the pure state with amplitude
+    tensor ``psi``: one axis per label, then unlabeled axes that are never
+    kept.  Each entropy is that of the Gram matrix of the smaller side of
+    the cut, since a marginal and its complement share their spectrum."""
+    axis = {lab: i for i, lab in enumerate(labels)}
+
+    def h(subset) -> float:
+        if not subset:
+            return 0.0
+        keep = sorted(axis[lab] for lab in subset)
+        m = np.moveaxis(psi, keep, range(len(keep)))
+        m = m.reshape(math.prod(m.shape[: len(keep)]), -1)
+        if m.shape[0] > m.shape[1]:
+            m = m.T
+        return _entropy_of_matrix(m @ m.conj().T)
+
+    return h
+
+
 def conditional_entropy(state: MultipartiteState, subset, given) -> float:
     """H(subset | given) = H(subset given) - H(given)."""
     subset, given = set(subset), set(given)
@@ -93,32 +117,40 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     return _h(state, a | e) + _h(state, b | e) - _h(state, e) - _h(state, a | b | e)
 
 
+def _cmi_total(h, blocks, e: set) -> float:
+    """sum_i H(A_i|E) - H(A_1...A_m|E) from the subset -> entropy map ``h``."""
+    he = h(e)
+    total = 0.0
+    allb: set = set()
+    for b in blocks:
+        total += h(set(b) | e) - he
+        allb |= set(b)
+    total -= h(allb | e) - he
+    return total
+
+
+def _cmi_dual(h, blocks, e: set) -> float:
+    """sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) from the entropy map ``h``."""
+    m = len(blocks)
+    if m == 1:
+        return 0.0
+    he = h(e)
+    allb = set().union(*blocks)
+    hall = h(allb | e) - he
+    total = 0.0
+    for b in blocks:
+        total += h((allb - set(b)) | e) - he
+    return total - (m - 1) * hall
+
+
 def cmi_total(state: MultipartiteState, spec: BlockSpec) -> float:
     """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E)."""
     spec.validate_for(state)
-    e = set(spec.conditioning)
-    he = _h(state, e)
-    total = 0.0
-    allb: set = set()
-    for b in spec.blocks:
-        total += _h(state, set(b) | e) - he
-        allb |= set(b)
-    total -= _h(state, allb | e) - he
-    return total
+    return _cmi_total(functools.partial(_h, state), spec.blocks, set(spec.conditioning))
 
 
 def cmi_dual_measure(state: MultipartiteState, spec: BlockSpec) -> float:
     """Dual conditional multipartite information:
     sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E)."""
     spec.validate_for(state)
-    e = set(spec.conditioning)
-    he = _h(state, e)
-    allb = set().union(*spec.blocks)
-    hall = _h(state, allb | e) - he
-    m = len(spec.blocks)
-    if m == 1:
-        return 0.0
-    total = 0.0
-    for b in spec.blocks:
-        total += _h(state, (allb - set(b)) | e) - he
-    return total - (m - 1) * hall
+    return _cmi_dual(functools.partial(_h, state), spec.blocks, set(spec.conditioning))

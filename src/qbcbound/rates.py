@@ -9,10 +9,11 @@ the channel output is pure (isometric channels) and a variational upper
 bound otherwise, so reported numbers for noisy channels are heuristic
 estimates of the sup-inf quantity.
 
-The input search itself evaluates a cheap surrogate (trivial squashing of
-the purifier) at every trial point; the full variational squashing
-optimization runs once at the best input found.  For isometric channels
-the surrogate is already exact.
+The input search itself evaluates a cheap surrogate at every trial point:
+the measure on the pure output vector conditioned on the channel
+environment, which equals trivial squashing of any purification and is
+exact for isometric channels.  The full variational squashing optimization
+runs once at the best input found.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
+from .measures import _PURIFIER, _pure_entropy
 from .partitions import (
     ConstraintCoefficients,
     Partition,
     constraint_coefficients,
     nontrivial_partitions,
 )
-from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
+from .squash import Measure, SquashConfig, _estimate, _half_measure, _unitary
 from .states import MultipartiteState, QuantumChannel, apply_channel
 
 SENDER_LABEL = "R"
@@ -61,32 +63,16 @@ class RateConstraint:
         return {m: c / 2.0 for m, c in self.coefficients.terms}
 
 
-def _pure_input(params: np.ndarray, d: int) -> MultipartiteState:
-    """Pure phi_RA from d Schmidt parameters (softmax) and a parametrized
-    unitary on A; |R| = |A|."""
-    from scipy.linalg import expm
-
+def _schmidt(params: np.ndarray, d: int) -> np.ndarray:
     s = params[:d]
     p = np.exp(s - np.max(s))
-    p = p / p.sum()
-    h = np.zeros((d, d), dtype=complex)
-    k = d
-    for i in range(d):
-        h[i, i] = params[k]
-        k += 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = params[k] + 1j * params[k + 1]
-            h[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
-    u = expm(1j * h)
-    vec = np.zeros(d * d, dtype=complex)
-    eye = np.eye(d)
-    for i in range(d):
-        vec += np.sqrt(p[i]) * np.kron(eye[:, i], u[:, i])
-    return MultipartiteState(
-        np.outer(vec, vec.conj()), (SENDER_LABEL, "A"), (d, d)
-    )
+    return p / p.sum()
+
+
+def _pure_input(params: np.ndarray, d: int) -> np.ndarray:
+    """Amplitudes phi[r, a] of a pure phi_RA from d Schmidt parameters
+    (softmax) and a parametrized unitary on A; |R| = |A|."""
+    return np.sqrt(_schmidt(params, d))[:, None] * _unitary(params[d:], d).T
 
 
 def _input_n_params(d: int) -> int:
@@ -104,35 +90,28 @@ def channel_output_state(
     return apply_channel(channel, input_state, "A")
 
 
-def _estimate(omega, partition, measure, squash_cfg) -> float:
-    if omega.is_pure():
-        return esq_exact_pure(omega, partition, measure)
-    return esq_upper_variational(omega, partition, measure, squash_cfg).value_bits
-
-
-def _cheap_estimate(omega, partition, measure) -> float:
-    """Fast upper bound used inside the input search: exact on pure outputs,
-    trivial-squashing (untouched purifier) otherwise."""
-    if omega.is_pure():
-        return esq_exact_pure(omega, partition, measure)
-    from .squash import _half_measure
-    from .states import purify
-
-    ep = "&E"
-    while ep in omega.labels:
-        ep += "'"
-    return _half_measure(purify(omega, ep), partition, measure, conditioning=(ep,))
-
-
-def _partition_value(omega, partition, squash_cfg, cheap=False) -> tuple[float, str]:
-    if cheap:
-        est = lambda m: _cheap_estimate(omega, partition, m)  # noqa: E731
-    else:
-        est = lambda m: _estimate(omega, partition, m, squash_cfg)  # noqa: E731
+def _partition_value(est, partition) -> tuple[float, str]:
     if len(partition.blocks) == 2:
         # the two measures coincide on bipartitions
         return est(Measure.E_SQ), "esq"
     return min(est(Measure.E_SQ), est(Measure.E_SQ_TILDE)), "min_of_both"
+
+
+def _input_surrogate(channel: QuantumChannel, partition: Partition):
+    """params -> partition value of (1 (x) V)|phi> conditioned on the environment."""
+    d = channel.input_dim
+    # Stinespring isometry V[out, env, a] = K_env[out, a]
+    stinespring = np.stack(channel.kraus_ops, axis=1)
+    shape = (d,) + channel.output_dims + (len(channel.kraus_ops),)
+    labels = (SENDER_LABEL,) + channel.output_labels + (_PURIFIER,)
+
+    def surrogate(params):
+        psi = np.tensordot(_pure_input(params, d), stinespring, axes=(1, 2))
+        h = _pure_entropy(psi.reshape(shape), labels)
+        conditioned = lambda m: _half_measure(h, partition, m, (_PURIFIER,))  # noqa: E731
+        return _partition_value(conditioned, partition)[0]
+
+    return surrogate
 
 
 def evaluate_bounds(
@@ -155,19 +134,14 @@ def evaluate_bounds(
     for partition in partitions:
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
+        surrogate = _input_surrogate(channel, partition)
         rng = np.random.default_rng(cfg.seed)
         best = -math.inf
         best_params = np.zeros(npar)
-        measure_used = "esq"
         for r in range(cfg.restarts):
             theta0 = np.zeros(npar) if r == 0 else rng.uniform(-1.0, 1.0, npar)
-
-            def neg(theta):
-                omega = channel_output_state(channel, _pure_input(theta, d))
-                return -_partition_value(omega, partition, squash_cfg, cheap=True)[0]
-
             res = minimize(
-                neg,
+                lambda theta: -surrogate(theta),
                 theta0,
                 method="Nelder-Mead",
                 options={"maxiter": cfg.max_iters, "xatol": 1e-9, "fatol": cfg.tol},
@@ -175,11 +149,12 @@ def evaluate_bounds(
             if -res.fun > best:
                 best = -float(res.fun)
                 best_params = res.x
-        omega = channel_output_state(channel, _pure_input(best_params, d))
-        value, measure_used = _partition_value(omega, partition, squash_cfg)
-        s = best_params[:d]
-        p = np.exp(s - np.max(s))
-        p = p / p.sum()
+        vec = _pure_input(best_params, d)
+        phi = MultipartiteState(np.outer(vec, vec.conj()), (SENDER_LABEL, "A"), (d, d))
+        omega = channel_output_state(channel, phi)
+        value, measure_used = _partition_value(
+            lambda m: _estimate(omega, partition, m, squash_cfg).value_bits, partition
+        )
         out.append(
             RateConstraint(
                 partition=partition,
@@ -187,7 +162,7 @@ def evaluate_bounds(
                 bound_bits=value,
                 measure_used=measure_used,
                 metadata={
-                    "schmidt": sorted((float(x) for x in p), reverse=True),
+                    "schmidt": sorted((float(x) for x in _schmidt(best_params, d)), reverse=True),
                     "restarts": cfg.restarts,
                     "seed": cfg.seed,
                     "estimate_only": not omega.is_pure(),

@@ -5,6 +5,10 @@ with it, so the infimum is attained without conditioning), and variational
 upper bounds for mixed states obtained by optimizing a parametrized
 squashing channel acting on the purifying system.
 
+The variational objective stays a pure state vector: the state is purified
+once, each trial squashing isometry is applied to the purifier with one
+contraction, and every entropy comes from the reshaped vector.
+
 Variational results are upper bounds only: any feasible squashing channel
 gives one, and we cannot certify convergence to the true infimum.
 """
@@ -20,9 +24,9 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .errors import NotPure, QbcError, TooLarge
-from .measures import BlockSpec, cmi_dual_measure, cmi_total
+from .measures import _PURIFIER, BlockSpec, _cmi_dual, _cmi_total, _h, _pure_entropy
 from .partitions import Partition
-from .states import MultipartiteState, QuantumChannel, apply_channel, purify
+from .states import MultipartiteState, _purifying_amplitudes, _support
 
 
 class Measure(str, Enum):
@@ -54,17 +58,25 @@ class SquashResult:
     extension_description: dict = field(default_factory=dict)
 
 
-def _half_measure(state: MultipartiteState, partition: Partition, measure, conditioning=()):
-    spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset(conditioning))
-    fn = cmi_total if Measure(measure) is Measure.E_SQ else cmi_dual_measure
-    return 0.5 * fn(state, spec)
+def _half_measure(h, partition: Partition, measure, conditioning=()) -> float:
+    """Half the conditional multipartite information of ``measure`` over the
+    blocks of ``partition``, from the subset -> entropy map ``h``."""
+    fn = _cmi_total if Measure(measure) is Measure.E_SQ else _cmi_dual
+    return 0.5 * fn(h, partition.blocks, set(conditioning))
 
 
 def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact squashed entanglement of a pure state for the given grouping."""
     if not state.is_pure():
         raise NotPure("exact evaluation requires a pure state")
-    return _half_measure(state, partition, measure)
+    return _half_measure(lambda s: _h(state, s), partition, measure)
+
+
+def _estimate(state: MultipartiteState, partition: Partition, measure, config) -> SquashResult:
+    """Exact value on pure states, variational upper bound otherwise."""
+    if state.is_pure():
+        return SquashResult(esq_exact_pure(state, partition, measure), Measure(measure), True)
+    return esq_upper_variational(state, partition, measure, config)
 
 
 def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -> float:
@@ -81,31 +93,34 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     return total
 
 
-def _squash_channel_from_params(
-    theta: np.ndarray, d_e: int, d_out: int, d_anc: int, label: str
-) -> QuantumChannel:
-    """Stinespring parametrization: unitary exp(iH(theta)) on E (x) ancilla,
-    ancilla traced out.  At theta = 0 and d_out >= d_e this is the identity."""
-    big = d_out * d_anc
-    h = np.zeros((big, big), dtype=complex)
-    k = 0
-    for i in range(big):
-        h[i, i] = theta[k]
-        k += 1
-    for i in range(big):
-        for j in range(i + 1, big):
-            h[i, j] = theta[k] + 1j * theta[k + 1]
-            h[j, i] = theta[k] - 1j * theta[k + 1]
-            k += 2
-    u = expm(1j * h)
-    # embed |e> as |e mod d_out> (x) |e div d_out> so that e < d_out maps
-    # to |e>|0>; requires d_out * d_anc >= d_e
-    emb = np.zeros((big, d_e))
-    for e in range(d_e):
-        emb[(e % d_out) * d_anc + (e // d_out), e] = 1.0
-    iso = u @ emb
-    kraus = [iso.reshape(d_out, d_anc, d_e)[:, a, :] for a in range(d_anc)]
-    return QuantumChannel(tuple(kraus), d_e, (label,), (d_out,))
+def _unitary(params: np.ndarray, n: int) -> np.ndarray:
+    """exp(iH) for the n x n Hermitian H whose diagonal is params[:n],
+    followed by (Re, Im) pairs of the upper triangle in row-major order."""
+    h = np.diag(params[:n]).astype(complex)
+    h[np.triu_indices(n, 1)] = params[n::2] + 1j * params[n + 1 :: 2]
+    return expm(1j * (h + np.triu(h, 1).conj().T))
+
+
+def _squash_isometry(theta: np.ndarray, d_e: int, d_out: int, d_anc: int) -> np.ndarray:
+    """exp(iH(theta)) on out (x) ancilla after embedding |e> as
+    |e mod d_out>|e div d_out> (so e < d_out maps to |e>|0>; needs
+    d_out * d_anc >= d_e).  At theta = 0 and d_out >= d_e it squashes nothing."""
+    cols = [(e % d_out) * d_anc + e // d_out for e in range(d_e)]
+    return _unitary(theta, d_out * d_anc)[:, cols]
+
+
+def _squash_objective(psi: np.ndarray, state, d_out: int, d_anc: int, partition, measure):
+    """theta -> half the measure of (1 (x) V(theta)) psi[i, e] conditioned on
+    the squash output; the ancilla is traced out."""
+    shape = state.dims + (d_out, d_anc)
+    labels = state.labels + (_PURIFIER,)
+
+    def objective(theta):
+        iso = _squash_isometry(theta, psi.shape[1], d_out, d_anc)
+        out = np.tensordot(psi, iso, axes=(1, 1)).reshape(shape)
+        return _half_measure(_pure_entropy(out, labels), partition, measure, (_PURIFIER,))
+
+    return objective
 
 
 def n_params(d_out: int, d_anc: int) -> int:
@@ -120,34 +135,29 @@ def esq_upper_variational(
 ) -> SquashResult:
     """Variational upper bound on the squashed entanglement of a mixed state.
 
-    The state is purified, a squashing channel on the purifier is
+    The state is purified once, a squashing channel on the purifier is
     parametrized through a Stinespring isometry, and half the conditional
     multipartite information is minimized by multi-restart Nelder-Mead.
     """
     measure = Measure(measure)
-    ep = "&E"
-    while ep in state.labels:
-        ep += "'"
-    epp = ep + "out"
-    phi = purify(state, ep)
-    d_e = phi.dims[-1]
+    BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
+    w, v = _support(state.matrix)
+    d_e = len(w)
     d_out = config.squash_output_dim or d_e
     if state.dim * d_out > config.dim_cap:
         raise TooLarge(
             f"state dim {state.dim} x squash output dim {d_out} exceeds cap "
             f"{config.dim_cap}"
         )
+    psi = _purifying_amplitudes(w, v)
+    identity = _pure_entropy(psi.reshape(state.dims + (d_e,)), state.labels + (_PURIFIER,))
     if d_e == 1:
         # pure input: no extension can lower the objective
-        val = _half_measure(state, partition, measure)
+        val = _half_measure(identity, partition, measure)
         return SquashResult(val, measure, True, {"trivial": True})
 
     d_anc = max(2, math.ceil(d_e / d_out))
-
-    def objective(theta):
-        ch = _squash_channel_from_params(theta, d_e, d_out, d_anc, epp)
-        out = apply_channel(ch, phi, ep)
-        return _half_measure(out, partition, measure, conditioning=(epp,))
+    objective = _squash_objective(psi, state, d_out, d_anc, partition, measure)
 
     rng = np.random.default_rng(config.seed)
     npar = n_params(d_out, d_anc)
@@ -173,7 +183,7 @@ def esq_upper_variational(
             converged = bool(res.success)
     if d_out >= d_e:
         # untouched purifier is a feasible point (identity squashing)
-        baseline = _half_measure(phi, partition, measure, conditioning=(ep,))
+        baseline = _half_measure(identity, partition, measure, (_PURIFIER,))
         if baseline < best_val:
             best_val, best_theta, converged = baseline, None, True
     return SquashResult(

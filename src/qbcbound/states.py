@@ -29,8 +29,11 @@ EIG_TOL = 1e-10
 RANK_TOL = 1e-12
 
 
-def _frozen_array(a) -> np.ndarray:
+def _frozen_array(a, what: str) -> np.ndarray:
     arr = np.array(a, dtype=complex)
+    # every comparison with NaN is false, so the tolerance checks would pass it
+    if not np.all(np.isfinite(arr)):
+        raise QbcError(f"{what} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -51,7 +54,7 @@ class MultipartiteState:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix))
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, "matrix"))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         m = self.matrix
@@ -102,7 +105,7 @@ class QuantumChannel:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "kraus_ops", tuple(_frozen_array(k) for k in self.kraus_ops)
+            self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in self.kraus_ops)
         )
         object.__setattr__(self, "output_labels", tuple(self.output_labels))
         object.__setattr__(self, "output_dims", tuple(int(d) for d in self.output_dims))
@@ -152,7 +155,7 @@ class PrivateStateSpec:
             raise DimMismatch("one shield dimension per party required")
         ds = int(np.prod(self.shield_dims))
         if self.twist_unitaries is not None:
-            tw = tuple(_frozen_array(u) for u in self.twist_unitaries)
+            tw = tuple(_frozen_array(u, "twist unitary") for u in self.twist_unitaries)
             object.__setattr__(self, "twist_unitaries", tw)
             if len(tw) != self.key_dim**self.num_parties:
                 raise DimMismatch("need one twist unitary per key basis tuple")
@@ -162,7 +165,7 @@ class PrivateStateSpec:
                 if np.max(np.abs(u.conj().T @ u - np.eye(ds))) > 1e-10:
                     raise QbcError("twist unitary is not unitary within tolerance")
         if self.shield_state is not None:
-            sh = _frozen_array(self.shield_state)
+            sh = _frozen_array(self.shield_state, "shield state")
             object.__setattr__(self, "shield_state", sh)
             if sh.shape != (ds, ds):
                 raise DimMismatch("shield state has wrong dimension")
@@ -211,22 +214,28 @@ def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     )
 
 
+def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a density matrix on its numerical support."""
+    w, v = np.linalg.eigh(matrix)
+    w = np.clip(w, 0.0, None)
+    sel = w > RANK_TOL
+    return w[sel], v[:, sel]
+
+
+def _purifying_amplitudes(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Standard purification psi[i, k] ~ sqrt(w_k) v[i, k] of a support (w, v)."""
+    psi = v * np.sqrt(w)
+    return psi / np.linalg.norm(psi)
+
+
 def purify(state: MultipartiteState, purifier_label: str) -> MultipartiteState:
     """Standard purification; purifier dimension equals the numerical rank."""
     if purifier_label in state.labels:
         raise LabelCollision(f"purifier label {purifier_label!r} already present")
-    w, v = np.linalg.eigh(state.matrix)
-    w = np.clip(w, 0.0, None)
-    sel = w > RANK_TOL
-    w, v = w[sel], v[:, sel]
-    rank = int(sel.sum())
-    vec = np.zeros(state.dim * rank, dtype=complex)
-    for k in range(rank):
-        vec += np.sqrt(w[k]) * np.kron(v[:, k], np.eye(rank)[:, k])
-    vec /= np.linalg.norm(vec)
-    mat = np.outer(vec, vec.conj())
+    psi = _purifying_amplitudes(*_support(state.matrix))
+    mat = np.outer(psi, psi.conj())
     return MultipartiteState(
-        mat, state.labels + (purifier_label,), state.dims + (rank,)
+        mat, state.labels + (purifier_label,), state.dims + (psi.shape[1],)
     )
 
 
@@ -244,15 +253,13 @@ def apply_channel(
             raise LabelCollision(f"output label {lab!r} collides with spectator")
     dl = int(np.prod(state.dims[:ti], dtype=int))
     dr = int(np.prod(state.dims[ti + 1 :], dtype=int))
-    il, ir = np.eye(dl), np.eye(dr)
-    out = None
-    for k in channel.kraus_ops:
-        op = np.kron(np.kron(il, k), ir)
-        term = op @ state.matrix @ op.conj().T
-        out = term if out is None else out + term
+    t = state.matrix.reshape(dl, channel.input_dim, dr, dl, channel.input_dim, dr)
+    ks = np.stack(channel.kraus_ops)
+    out = np.einsum("kai,lirmjs,kbj->larmbs", ks, t, ks.conj(), optimize=True)
+    dims = state.dims[:ti] + channel.output_dims + state.dims[ti + 1 :]
+    out = out.reshape(int(np.prod(dims)), -1)
     out = (out + out.conj().T) / 2
     labels = state.labels[:ti] + channel.output_labels + state.labels[ti + 1 :]
-    dims = state.dims[:ti] + channel.output_dims + state.dims[ti + 1 :]
     return MultipartiteState(out, labels, dims)
 
 
@@ -328,38 +335,23 @@ def check_private_state(
     is product with the purifying system.  Returns (verdict, deviation).
     """
     key_labels = tuple(key_labels)
-    shield_labels = tuple(shield_labels)
     for lab in key_labels:
         if state.dim_of(lab) != d:
             raise DimMismatch(f"key system {lab!r} does not have dimension {d}")
-    pur = "&E"
-    while pur in state.labels:
-        pur += "'"
-    phi = purify(state, pur)
-    for lab in key_labels:
-        phi = apply_channel(measurement_channel(d, lab), phi, lab)
-    red = partial_trace(phi, set(key_labels) | {pur})
-    # reorder: keys in given order, purifier last
-    order = list(key_labels) + [pur]
-    red = _permute(red, order)
     m = len(key_labels)
-    de = red.dims[-1]
-    t = red.matrix.reshape((d,) * m + (de,) + (d,) * m + (de,))
-    sigma = np.zeros((de, de), dtype=complex)
-    for i in range(d):
-        idx = (i,) * m
-        sigma += t[idx + (slice(None),) + idx + (slice(None),)]
+    psi = _purifying_amplitudes(*_support(state.matrix))
+    de = psi.shape[1]
+    keys = [state.index_of(lab) for lab in key_labels]
+    t = np.moveaxis(psi.reshape(state.dims + (de,)), keys, range(m)).reshape(d**m, -1, de)
+    # dephasing the keys and tracing the shields leaves one purifier block per
+    # key string: the state on (keys, purifier) is block diagonal
+    blocks = np.einsum("ksa,ksb->kab", t, t.conj())
+    correlated = [i * sum(d**j for j in range(m)) for i in range(d)]  # strings i...i
+    sigma = blocks[correlated].sum(axis=0)
     tr = np.trace(sigma).real
-    if tr > 1e-12:
-        sigma = sigma / tr
-    else:
-        sigma = np.eye(de) / de
-    ideal = np.zeros_like(red.matrix).reshape(t.shape)
-    for i in range(d):
-        idx = (i,) * m
-        ideal[idx + (slice(None),) + idx + (slice(None),)] = sigma / d
-    ideal = ideal.reshape(red.matrix.shape)
-    dev = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(red.matrix - ideal))))
+    sigma = sigma / tr if tr > 1e-12 else np.eye(de) / de
+    blocks[correlated] -= sigma / d
+    dev = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(blocks))))
     return dev <= tol, dev
 
 
@@ -400,6 +392,20 @@ def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+def _field(doc, key: str, parse):
+    """``parse(doc[key])``; a missing or malformed field raises QbcError naming it."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise QbcError(f"expected a JSON object with a {key!r} field")
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise QbcError(f"JSON field {key!r} is malformed: {exc}") from None
+
+
+def _dims(values) -> tuple[int, ...]:
+    return tuple(int(d) for d in values)
+
+
 def state_to_json(state: MultipartiteState) -> str:
     return json.dumps(
         {
@@ -413,7 +419,9 @@ def state_to_json(state: MultipartiteState) -> str:
 def state_from_json(text: str) -> MultipartiteState:
     doc = json.loads(text)
     return MultipartiteState(
-        _matrix_from_json(doc["matrix"]), tuple(doc["labels"]), tuple(doc["dims"])
+        _field(doc, "matrix", _matrix_from_json),
+        _field(doc, "labels", tuple),
+        _field(doc, "dims", _dims),
     )
 
 
@@ -431,8 +439,8 @@ def channel_to_json(channel: QuantumChannel) -> str:
 def channel_from_json(text: str) -> QuantumChannel:
     doc = json.loads(text)
     return QuantumChannel(
-        tuple(_matrix_from_json(k) for k in doc["kraus"]),
-        int(doc["input_dim"]),
-        tuple(doc["output_labels"]),
-        tuple(doc["output_dims"]),
+        _field(doc, "kraus", lambda ks: tuple(_matrix_from_json(k) for k in ks)),
+        _field(doc, "input_dim", int),
+        _field(doc, "output_labels", tuple),
+        _field(doc, "output_dims", _dims),
     )

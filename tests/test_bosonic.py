@@ -40,6 +40,20 @@ def test_spec_validation():
         BosonicBroadcastSpec((0.3,), mean_photon=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(DomainError):
+        BosonicBroadcastSpec((bad, 0.1))
+    with pytest.raises(DomainError):
+        BosonicBroadcastSpec((0.3,), mean_photon=bad)
+    with pytest.raises(DomainError):
+        theorem3_report(bad, 0.1)
+    with pytest.raises(DomainError):
+        theorem3_report(0.2, bad)
+    with pytest.raises(DomainError):
+        theorem3_report(0.2, 0.1, mean_photon=bad)
+
+
 def test_finite_ns_vacuum_is_zero():
     spec = BosonicBroadcastSpec((0.25, 0.25), mean_photon=0.0)
     assert finite_ns_bound(spec, 0.5) == 0.0

@@ -102,12 +102,50 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
-def test_malformed_json_exits_2(capsys, tmp_path):
+_STATE = {
+    "labels": ["A"],
+    "dims": [2],
+    "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+}
+_CHANNEL = {"input_dim": 2, "output_labels": ["B"], "output_dims": [2]}
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("qinfo", "{not json", ""),
+        ("bounds-finite", json.dumps(_CHANNEL), "'kraus'"),
+        ("qinfo", json.dumps({**_STATE, "matrix": [[0.5, [0.0, 0.0]]]}), "'matrix'"),
+        ("qinfo", json.dumps([_STATE]), "JSON object"),
+    ],
+    ids=["not-json", "missing-kraus", "bare-number", "top-level-array"],
+)
+def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "qinfo", str(bad))
+    bad.write_text(text)
+    code, _, err = run(capsys, command, str(bad))
     assert code == 2
     assert err.strip()
+    assert named in err
+
+
+def test_non_finite_state_exits_2(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    nan = float("nan")
+    matrix = [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    bad.write_text(json.dumps({**_STATE, "matrix": matrix}))
+    code, out, err = run(capsys, "qinfo", str(bad))
+    assert (code, out) == (2, "")
+    assert "non-finite entries" in err
+
+
+@pytest.mark.parametrize("flag", ["--eta-b", "--eta-c", "--ns"])
+def test_bounds_bosonic_non_finite_exits_2(capsys, flag):
+    argv = {"--eta-b": "0.25", "--eta-c": "0.25", "--ns": "5"}
+    argv[flag] = "nan"
+    code, out, err = run(capsys, "bounds-bosonic", *[x for kv in argv.items() for x in kv])
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_invalid_state_names_invariant(capsys, tmp_path):

@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 from qbcbound import (
+    BlockSpec,
     InputSearchConfig,
+    Measure,
+    MultipartiteState,
     Partition,
     QuantumChannel,
     SpecError,
     SquashConfig,
     channel_output_state,
+    cmi_dual_measure,
+    cmi_total,
+    esq_exact_pure,
     evaluate_bounds,
     make_ghz,
+    nontrivial_partitions,
+    purify,
     trace_distance,
     two_receiver_report,
 )
+from qbcbound.rates import _input_surrogate, _partition_value, _pure_input
+from qbcbound.sampling import random_channel
 
 FAST_SEARCH = InputSearchConfig(restarts=2, max_iters=150)
 FAST_SQUASH = SquashConfig(restarts=2, max_iters=200)
@@ -128,3 +138,42 @@ def test_metadata_reports_exactness():
     (rc,) = evaluate_bounds(copy_channel(), [p], FAST_SEARCH, FAST_SQUASH)
     assert rc.metadata["estimate_only"] is False
     assert abs(sum(rc.metadata["schmidt"]) - 1.0) < 1e-9
+
+
+def _output(channel, params):
+    vec = _pure_input(params, channel.input_dim)
+    d = channel.input_dim
+    phi = MultipartiteState(np.outer(vec, vec.conj()), ("R", "A"), (d, d))
+    return channel_output_state(channel, phi)
+
+
+def _search_points(d, count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.zeros(d + d * d)] + [rng.uniform(-2, 2, d + d * d) for _ in range(count)]
+
+
+def test_surrogate_equals_conditioning_on_rank_purifier():
+    # four Kraus operators: the environment is larger than the purifier rank
+    channel = random_channel(np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=4)
+    for partition in nontrivial_partitions(("R", "B", "C")):
+        surrogate = _input_surrogate(channel, partition)
+        for params in _search_points(2, 4, 0):
+            phi = purify(_output(channel, params), "E")
+            spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"E"}))
+
+            def reference(measure):
+                cmi = cmi_total if measure is Measure.E_SQ else cmi_dual_measure
+                return 0.5 * cmi(phi, spec)
+
+            expect, _ = _partition_value(reference, partition)
+            assert abs(surrogate(params) - expect) < 1e-10
+
+
+def test_surrogate_is_exact_on_copy_channel():
+    channel = copy_channel()
+    for partition in nontrivial_partitions(("R", "B", "C")):
+        surrogate = _input_surrogate(channel, partition)
+        for params in _search_points(2, 4, 1):
+            omega = _output(channel, params)
+            expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
+            assert abs(surrogate(params) - expect) < 1e-10

@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcbound import (
+    BlockSpec,
     Measure,
     MultipartiteState,
     NotPure,
     Partition,
     PrivateStateSpec,
+    QuantumChannel,
     SquashConfig,
     TooLarge,
+    apply_channel,
+    cmi_dual_measure,
+    cmi_total,
     esq_cq_average,
     esq_exact_pure,
     esq_upper_variational,
     make_ghz,
     make_private_state,
     nontrivial_partitions,
+    purify,
     tensor,
 )
-from qbcbound.sampling import random_pure_state
+from qbcbound.sampling import random_pure_state, random_state
+from qbcbound.squash import _squash_isometry, _squash_objective
+from qbcbound.states import _purifying_amplitudes, _support
 
 
 def part(*bs):
@@ -165,3 +175,35 @@ def test_dimension_cap():
         )
     # pure states of any size are fine through the exact path
     assert abs(esq_exact_pure(ghz, part(("A",), ("B",), ("C",))) - 3.0) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_qubits=st.integers(2, 3),
+    rank_fraction=st.floats(0.0, 1.0),
+    choice=st.integers(0, 10**6),
+    measure=st.sampled_from(list(Measure)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, choice, measure, seed):
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C")[:n_qubits]
+    dim = 2**n_qubits
+    rank = 1 + int(rank_fraction * (dim - 1))
+    state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
+    partitions = nontrivial_partitions(labels)
+    partition = partitions[choice % len(partitions)]
+    psi = _purifying_amplitudes(*_support(state.matrix))
+    d_e = psi.shape[1]
+    d_out = 1 + choice % (d_e + 1)
+    d_anc = max(2, -(-d_e // d_out))
+    theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
+    value = _squash_objective(psi, state, d_out, d_anc, partition, measure)(theta)
+
+    iso = _squash_isometry(theta, d_e, d_out, d_anc)
+    kraus = tuple(iso.reshape(d_out, d_anc, d_e)[:, a, :] for a in range(d_anc))
+    squash = QuantumChannel(kraus, d_e, ("Eout",), (d_out,))
+    out = apply_channel(squash, purify(state, "E"), "E")
+    spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"Eout"}))
+    cmi = cmi_total if measure is Measure.E_SQ else cmi_dual_measure
+    assert abs(value - 0.5 * cmi(out, spec)) < 1e-10

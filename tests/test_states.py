@@ -15,6 +15,7 @@ from qbcbound import (
     check_private_state,
     make_ghz,
     make_private_state,
+    measurement_channel,
     partial_trace,
     purify,
     state_from_json,
@@ -42,6 +43,20 @@ def test_state_validation():
         MultipartiteState(np.eye(4) / 4, ("A", "A"), (2, 2))
     with pytest.raises(QbcError):
         MultipartiteState(np.diag([1.5, -0.5]), ("A",), (2,))
+
+
+def test_non_finite_entries_rejected():
+    nan_diag = np.diag([0.5, np.nan])
+    with pytest.raises(QbcError, match="non-finite entries"):
+        MultipartiteState(nan_diag, ("A",), (2,))
+    with pytest.raises(QbcError, match="non-finite entries"):
+        MultipartiteState(np.diag([np.inf, 0.0]), ("A",), (2,))
+    with pytest.raises(QbcError, match="non-finite entries"):
+        QuantumChannel((np.eye(2), nan_diag), 2, ("B",), (2,))
+    with pytest.raises(QbcError, match="non-finite entries"):
+        PrivateStateSpec(2, 2, (2, 1), twist_unitaries=(nan_diag,) + (np.eye(2),) * 3)
+    with pytest.raises(QbcError, match="non-finite entries"):
+        PrivateStateSpec(2, 2, (2, 1), shield_state=nan_diag)
 
 
 def test_tensor_maximally_mixed():
@@ -198,6 +213,38 @@ def test_private_state_check_accepts_construction():
             st = make_private_state(spec, keys, shields)
             ok, dev = check_private_state(st, keys, shields, 2)
             assert ok, dev
+
+
+def _private_state_deviation_reference(state, key_labels, d):
+    """The deviation through density matrices: purify, measure every key,
+    trace the shields, compare with the ideal key product with the purifier."""
+    phi = purify(state, "&E")
+    for lab in key_labels:
+        phi = apply_channel(measurement_channel(d, lab), phi, lab)
+    red = partial_trace(phi, set(key_labels) | {"&E"})
+    de = phi.dims[-1]
+    t = red.matrix.reshape((d,) * len(key_labels) + (de,) + (d,) * len(key_labels) + (de,))
+    diag = [(i,) * len(key_labels) for i in range(d)]
+    sigma = sum(t[k + (slice(None),) + k + (slice(None),)] for k in diag)
+    sigma = sigma / np.trace(sigma).real
+    ideal = np.zeros_like(t)
+    for k in diag:
+        ideal[k + (slice(None),) + k + (slice(None),)] = sigma / d
+    diff = red.matrix - ideal.reshape(red.matrix.shape)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+
+def test_private_state_check_matches_density_reference():
+    rng = np.random.default_rng(5)
+    spec = PrivateStateSpec(2, 2, (2, 1), tuple(random_unitary(rng, 2) for _ in range(4)))
+    states = [
+        make_private_state(spec, ("kA", "kB"), ("sA", "sB")),
+        random_state(rng, ("kA", "sA", "kB"), (2, 2, 2)),
+        random_state(rng, ("kB", "kA"), (2, 2), rank=2),
+    ]
+    for st in states:
+        _, dev = check_private_state(st, ("kA", "kB"), (), 2)
+        assert abs(dev - _private_state_deviation_reference(st, ("kA", "kB"), 2)) < 1e-10
 
 
 def test_private_state_check_rejects_mixed_junk():
