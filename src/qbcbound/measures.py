@@ -16,7 +16,7 @@ from .errors import EmptySubset, LabelCollision, LabelNotFound, SpecError
 from .states import MultipartiteState, partial_trace
 
 _EIG_FLOOR = 1e-12
-# label of a purifying system in _pure_entropy; equal to no subsystem label
+# label of a purifying system in _pure_entropy_sums; equal to no subsystem label
 _PURIFIER = object()
 
 
@@ -74,24 +74,82 @@ def _h(state: MultipartiteState, subset: set) -> float:
     return _entropy_of_matrix(partial_trace(state, subset).matrix)
 
 
-def _pure_entropy(psi: np.ndarray, labels):
-    """Subset -> entropy, H(empty) = 0, of the pure state with amplitude
-    tensor ``psi``: one axis per label, then unlabeled axes that are never
-    kept.  Each entropy is that of the Gram matrix of the smaller side of
-    the cut, since a marginal and its complement share their spectrum."""
+def _entropy_coefficients(form) -> dict[frozenset, float]:
+    """Subset -> coefficient of the signed entropy sum ``form(h)``, which is
+    linear in the subset -> entropy map ``h``; zero coefficients are dropped."""
+    subsets: list[frozenset] = []
+    form(lambda s: subsets.append(frozenset(s)) or 0.0)
+    keys = list(dict.fromkeys(subsets))
+    unit = dict(zip(keys, np.eye(len(keys))))
+    coeffs = np.zeros(len(keys)) + form(lambda s: unit[frozenset(s)])
+    return {k: float(c) for k, c in zip(keys, coeffs) if c}
+
+
+def _pure_entropy_sums(shape, labels, forms):
+    """Compile the signed entropy sums ``forms`` (subset -> coefficient maps)
+    on pure states with amplitude tensor of ``shape``: one axis per label,
+    then unlabeled axes that are never kept.
+
+    Returns ``evaluate(psi) -> (values, grad)``: ``values[k]`` is sum k and
+    ``grad(k)`` its gradient with respect to conj(psi), so a path psi(t)
+    changes sum k at rate 2 Re <grad(k), dpsi/dt>.  Each distinct cut is
+    diagonalized once, from the Gram matrix G = M M^dag of its smaller side
+    (a marginal and its complement share their spectrum); d H / d conj(M) =
+    -(log2 G + 1/ln 2) M, eigenvalues under the floor contributing 0.  A side
+    of dimension 1 has entropy 0 on a pure state and is skipped; the
+    evaluated paths keep psi normalized, so its gradient drops out too.
+    """
     axis = {lab: i for i, lab in enumerate(labels)}
+    every = frozenset(range(len(shape)))
 
-    def h(subset) -> float:
-        if not subset:
-            return 0.0
-        keep = sorted(axis[lab] for lab in subset)
-        m = np.moveaxis(psi, keep, range(len(keep)))
-        m = m.reshape(math.prod(m.shape[: len(keep)]), -1)
-        if m.shape[0] > m.shape[1]:
-            m = m.T
-        return _entropy_of_matrix(m @ m.conj().T)
+    def size(side):
+        return math.prod(shape[i] for i in side)
 
-    return h
+    def cut_of(subset) -> tuple[int, ...]:
+        keep = frozenset(axis[lab] for lab in subset)
+        return min(tuple(sorted(keep)), tuple(sorted(every - keep)), key=lambda s: (size(s), s))
+
+    cuts: dict[tuple[int, ...], int] = {}
+    entries = []
+    for k, form in enumerate(forms):
+        for subset, c in form.items():
+            cut = cut_of(subset)
+            if size(cut) > 1:
+                entries.append((k, cuts.setdefault(cut, len(cuts)), c))
+    coeff = np.zeros((len(forms), len(cuts)))
+    for k, j, c in entries:
+        coeff[k, j] += c
+    # per cut: axis order with its side first, the inverse order, the
+    # transposed shape and the side's dimension
+    perms = [cut + tuple(sorted(every - set(cut))) for cut in cuts]
+    inverses = [tuple(np.argsort(perm)) for perm in perms]
+    moved = [tuple(shape[i] for i in perm) for perm in perms]
+    sides = [size(cut) for cut in cuts]
+
+    def evaluate(psi: np.ndarray):
+        ent = np.zeros(len(perms))
+        spectra = []
+        for j, perm in enumerate(perms):
+            m = psi.transpose(perm).reshape(sides[j], -1)
+            w, v = np.linalg.eigh(m @ m.conj().T)
+            pos = w > _EIG_FLOOR
+            log_w = np.zeros_like(w)
+            log_w[pos] = np.log2(w[pos])
+            ent[j] = -w[pos] @ log_w[pos]
+            log_w[pos] += 1.0 / math.log(2.0)
+            spectra.append((m, v, log_w))
+
+        def grad(k: int) -> np.ndarray:
+            g = np.zeros(psi.shape, dtype=complex)
+            for j, (m, v, dlog) in enumerate(spectra):
+                if coeff[k, j]:
+                    gm = (-coeff[k, j] * (v * dlog)) @ (v.conj().T @ m)
+                    g += gm.reshape(moved[j]).transpose(inverses[j])
+            return g
+
+        return coeff @ ent, grad
+
+    return evaluate
 
 
 def conditional_entropy(state: MultipartiteState, subset, given) -> float:

@@ -12,8 +12,9 @@ estimates of the sup-inf quantity.
 The input search itself evaluates a cheap surrogate at every trial point:
 the measure on the pure output vector conditioned on the channel
 environment, which equals trivial squashing of any purification and is
-exact for isometric channels.  The full variational squashing optimization
-runs once at the best input found.
+exact for isometric channels.  It is maximized by multi-restart L-BFGS-B on
+the surrogate's exact gradient.  The full variational squashing
+optimization runs once at the best input found.
 """
 
 from __future__ import annotations
@@ -25,14 +26,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
-from .measures import _PURIFIER, _pure_entropy
+from .measures import _PURIFIER
 from .partitions import (
     ConstraintCoefficients,
     Partition,
     constraint_coefficients,
     nontrivial_partitions,
 )
-from .squash import Measure, SquashConfig, _estimate, _half_measure, _unitary
+from .squash import (
+    Measure,
+    SquashConfig,
+    _estimate,
+    _measure_kernel,
+    _unitary,
+    _unitary_and_pullback,
+)
 from .states import MultipartiteState, QuantumChannel, apply_channel
 
 SENDER_LABEL = "R"
@@ -97,21 +105,40 @@ def _partition_value(est, partition) -> tuple[float, str]:
     return min(est(Measure.E_SQ), est(Measure.E_SQ_TILDE)), "min_of_both"
 
 
-def _input_surrogate(channel: QuantumChannel, partition: Partition):
-    """params -> partition value of (1 (x) V)|phi> conditioned on the environment."""
+def _input_value_and_grad(channel: QuantumChannel, partition: Partition):
+    """params -> (value, gradient) of the partition value of (1 (x) V)|phi>
+    conditioned on the environment.  On a 3-block partition the value is the
+    smaller of the two measures and the gradient is that measure's."""
     d = channel.input_dim
     # Stinespring isometry V[out, env, a] = K_env[out, a]
     stinespring = np.stack(channel.kraus_ops, axis=1)
     shape = (d,) + channel.output_dims + (len(channel.kraus_ops),)
     labels = (SENDER_LABEL,) + channel.output_labels + (_PURIFIER,)
+    measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
+    evaluate = _measure_kernel(shape, labels, partition, measures, (_PURIFIER,))
 
-    def surrogate(params):
-        psi = np.tensordot(_pure_input(params, d), stinespring, axes=(1, 2))
-        h = _pure_entropy(psi.reshape(shape), labels)
-        conditioned = lambda m: _half_measure(h, partition, m, (_PURIFIER,))  # noqa: E731
-        return _partition_value(conditioned, partition)[0]
+    def value_and_grad(params):
+        p = _schmidt(params, d)
+        q = np.sqrt(p)
+        u, pullback = _unitary_and_pullback(params[d:], d)
+        psi = np.tensordot(q[:, None] * u.T, stinespring, axes=(1, 2))
+        values, grad = evaluate(psi.reshape(shape))
+        k = int(np.argmin(values))
+        g_phi = np.tensordot(
+            grad(k).reshape(psi.shape), stinespring.conj(), axes=([1, 2], [0, 1])
+        )
+        # phi[r, a] = q_r U[a, r] with q = sqrt(softmax(s))
+        g_q = 2 * np.sum(g_phi.conj() * u.T, axis=1).real
+        g_s = 0.5 * (g_q * q - p * (g_q @ q))
+        return float(values[k]), np.concatenate([g_s, pullback((q[:, None] * g_phi).T)])
 
-    return surrogate
+    return value_and_grad
+
+
+def _input_surrogate(channel: QuantumChannel, partition: Partition):
+    """params -> the value of ``_input_value_and_grad``."""
+    value_and_grad = _input_value_and_grad(channel, partition)
+    return lambda params: value_and_grad(params)[0]
 
 
 def evaluate_bounds(
@@ -125,8 +152,14 @@ def evaluate_bounds(
     if SENDER_LABEL in channel.output_labels:
         raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
     d = channel.input_dim
-    if d * channel.output_dim > squash_cfg.dim_cap:
-        raise TooLarge("channel output dimension exceeds the configured cap")
+    # the output state's rank is at most the number of Kraus operators
+    rank = min(len(channel.kraus_ops), d * channel.output_dim)
+    squash_dim = squash_cfg.squash_output_dim or rank
+    if d * channel.output_dim * squash_dim > squash_cfg.dim_cap:
+        raise TooLarge(
+            f"output state dim {d * channel.output_dim} x squash output dim up to "
+            f"{squash_dim} exceeds cap {squash_cfg.dim_cap}"
+        )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
     npar = _input_n_params(d)
@@ -134,17 +167,23 @@ def evaluate_bounds(
     for partition in partitions:
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
-        surrogate = _input_surrogate(channel, partition)
+        value_and_grad = _input_value_and_grad(channel, partition)
+
+        def negated(theta):
+            value, grad = value_and_grad(theta)
+            return -value, -grad
+
         rng = np.random.default_rng(cfg.seed)
         best = -math.inf
         best_params = np.zeros(npar)
         for r in range(cfg.restarts):
             theta0 = np.zeros(npar) if r == 0 else rng.uniform(-1.0, 1.0, npar)
             res = minimize(
-                lambda theta: -surrogate(theta),
+                negated,
                 theta0,
-                method="Nelder-Mead",
-                options={"maxiter": cfg.max_iters, "xatol": 1e-9, "fatol": cfg.tol},
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": cfg.max_iters, "ftol": cfg.tol},
             )
             if -res.fun > best:
                 best = -float(res.fun)

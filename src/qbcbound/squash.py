@@ -7,7 +7,9 @@ squashing channel acting on the purifying system.
 
 The variational objective stays a pure state vector: the state is purified
 once, each trial squashing isometry is applied to the purifier with one
-contraction, and every entropy comes from the reshaped vector.
+contraction, and every entropy comes from the reshaped vector.  The same
+pass returns the exact gradient with respect to the Hermitian generator of
+the isometry, which drives multi-restart L-BFGS-B.
 
 Variational results are upper bounds only: any feasible squashing channel
 gives one, and we cannot certify convergence to the true infimum.
@@ -20,11 +22,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .errors import NotPure, QbcError, TooLarge
-from .measures import _PURIFIER, BlockSpec, _cmi_dual, _cmi_total, _h, _pure_entropy
+from .measures import (
+    _PURIFIER,
+    BlockSpec,
+    _cmi_dual,
+    _cmi_total,
+    _entropy_coefficients,
+    _h,
+    _pure_entropy_sums,
+)
 from .partitions import Partition
 from .states import MultipartiteState, _purifying_amplitudes, _support
 
@@ -93,34 +102,91 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     return total
 
 
-def _unitary(params: np.ndarray, n: int) -> np.ndarray:
-    """exp(iH) for the n x n Hermitian H whose diagonal is params[:n],
-    followed by (Re, Im) pairs of the upper triangle in row-major order."""
+def _unitary_and_pullback(params: np.ndarray, n: int):
+    """U = exp(iH) for the n x n Hermitian H whose diagonal is params[:n],
+    followed by (Re, Im) pairs of the upper triangle in row-major order, and
+    the map from a gradient with respect to conj(U) to one with respect to
+    params.
+
+    Both come from one eigendecomposition H = Q diag(lam) Q^dag: U = Q
+    e^{i lam} Q^dag, and dU = Q (F o (Q^dag dH Q)) Q^dag with the divided
+    differences F_jk = (e^{i lam_j} - e^{i lam_k}) / (lam_j - lam_k), written
+    as i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2) so ties are exact.
+    """
+    iu = np.triu_indices(n, 1)
     h = np.diag(params[:n]).astype(complex)
-    h[np.triu_indices(n, 1)] = params[n::2] + 1j * params[n + 1 :: 2]
-    return expm(1j * (h + np.triu(h, 1).conj().T))
+    h[iu] = params[n::2] + 1j * params[n + 1 :: 2]
+    lam, q = np.linalg.eigh(h + np.triu(h, 1).conj().T)
+    phase = np.exp(1j * lam)
+    u = (q * phase) @ q.conj().T
+
+    def pullback(g_u: np.ndarray) -> np.ndarray:
+        f = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :]))
+        f *= np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
+        d = q @ (f.conj() * (q.conj().T @ g_u @ q)) @ q.conj().T
+        grad = np.empty(n * n)
+        grad[:n] = 2 * d.diagonal().real
+        grad[n::2] = 2 * (d[iu] + d.T[iu]).real
+        grad[n + 1 :: 2] = 2 * (d[iu] - d.T[iu]).imag
+        return grad
+
+    return u, pullback
+
+
+def _unitary(params: np.ndarray, n: int) -> np.ndarray:
+    """exp(iH) in the parametrization of ``_unitary_and_pullback``."""
+    return _unitary_and_pullback(params, n)[0]
+
+
+def _embedding(d_e: int, d_out: int, d_anc: int) -> list[int]:
+    """Columns of out (x) ancilla that |e> maps to: |e mod d_out>|e div d_out>
+    (so e < d_out maps to |e>|0>; needs d_out * d_anc >= d_e)."""
+    return [(e % d_out) * d_anc + e // d_out for e in range(d_e)]
 
 
 def _squash_isometry(theta: np.ndarray, d_e: int, d_out: int, d_anc: int) -> np.ndarray:
-    """exp(iH(theta)) on out (x) ancilla after embedding |e> as
-    |e mod d_out>|e div d_out> (so e < d_out maps to |e>|0>; needs
-    d_out * d_anc >= d_e).  At theta = 0 and d_out >= d_e it squashes nothing."""
-    cols = [(e % d_out) * d_anc + e // d_out for e in range(d_e)]
-    return _unitary(theta, d_out * d_anc)[:, cols]
+    """exp(iH(theta)) on out (x) ancilla after the embedding of |e>.  At
+    theta = 0 and d_out >= d_e it squashes nothing."""
+    return _unitary(theta, d_out * d_anc)[:, _embedding(d_e, d_out, d_anc)]
+
+
+def _measure_kernel(shape, labels, partition: Partition, measures, conditioning=()):
+    """``evaluate(psi) -> (values, grad)`` of half of each of ``measures``
+    over ``partition`` conditioned on ``conditioning``, on a pure tensor of
+    ``shape`` (see ``measures._pure_entropy_sums``)."""
+    forms = [
+        _entropy_coefficients(lambda h, m=m: _half_measure(h, partition, m, conditioning))
+        for m in measures
+    ]
+    return _pure_entropy_sums(shape, labels, forms)
+
+
+def _squash_value_and_grad(psi: np.ndarray, state, d_out: int, d_anc: int, partition, measure):
+    """theta -> (value, gradient) of half the measure of (1 (x) V(theta))
+    psi[i, e] conditioned on the squash output; the ancilla is traced out."""
+    d_e = psi.shape[1]
+    n = d_out * d_anc
+    cols = _embedding(d_e, d_out, d_anc)
+    shape = state.dims + (d_out, d_anc)
+    evaluate = _measure_kernel(
+        shape, state.labels + (_PURIFIER,), partition, [measure], (_PURIFIER,)
+    )
+
+    def value_and_grad(theta):
+        u, pullback = _unitary_and_pullback(theta, n)
+        out = np.tensordot(psi, u[:, cols], axes=(1, 1))
+        (value,), grad = evaluate(out.reshape(shape))
+        g_u = np.zeros((n, n), dtype=complex)
+        g_u[:, cols] = grad(0).reshape(out.shape).T @ psi.conj()
+        return float(value), pullback(g_u)
+
+    return value_and_grad
 
 
 def _squash_objective(psi: np.ndarray, state, d_out: int, d_anc: int, partition, measure):
-    """theta -> half the measure of (1 (x) V(theta)) psi[i, e] conditioned on
-    the squash output; the ancilla is traced out."""
-    shape = state.dims + (d_out, d_anc)
-    labels = state.labels + (_PURIFIER,)
-
-    def objective(theta):
-        iso = _squash_isometry(theta, psi.shape[1], d_out, d_anc)
-        out = np.tensordot(psi, iso, axes=(1, 1)).reshape(shape)
-        return _half_measure(_pure_entropy(out, labels), partition, measure, (_PURIFIER,))
-
-    return objective
+    """theta -> the value of ``_squash_value_and_grad``."""
+    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
+    return lambda theta: value_and_grad(theta)[0]
 
 
 def n_params(d_out: int, d_anc: int) -> int:
@@ -137,7 +203,8 @@ def esq_upper_variational(
 
     The state is purified once, a squashing channel on the purifier is
     parametrized through a Stinespring isometry, and half the conditional
-    multipartite information is minimized by multi-restart Nelder-Mead.
+    multipartite information is minimized by multi-restart L-BFGS-B on its
+    exact gradient.  Restart 0 starts at the identity squashing point.
     """
     measure = Measure(measure)
     BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
@@ -150,14 +217,18 @@ def esq_upper_variational(
             f"{config.dim_cap}"
         )
     psi = _purifying_amplitudes(w, v)
-    identity = _pure_entropy(psi.reshape(state.dims + (d_e,)), state.labels + (_PURIFIER,))
+    # the untouched purifier (identity squashing)
+    shape = state.dims + (d_e,)
+    evaluate = _measure_kernel(
+        shape, state.labels + (_PURIFIER,), partition, [measure], (_PURIFIER,)
+    )
+    identity = float(evaluate(psi.reshape(shape))[0][0])
     if d_e == 1:
         # pure input: no extension can lower the objective
-        val = _half_measure(identity, partition, measure)
-        return SquashResult(val, measure, True, {"trivial": True})
+        return SquashResult(identity, measure, True, {"trivial": True})
 
     d_anc = max(2, math.ceil(d_e / d_out))
-    objective = _squash_objective(psi, state, d_out, d_anc, partition, measure)
+    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
 
     rng = np.random.default_rng(config.seed)
     npar = n_params(d_out, d_anc)
@@ -167,25 +238,19 @@ def esq_upper_variational(
     for r in range(config.restarts):
         theta0 = np.zeros(npar) if r == 0 else rng.uniform(-np.pi, np.pi, npar)
         res = minimize(
-            objective,
+            value_and_grad,
             theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iters,
-                "xatol": 1e-9,
-                "fatol": config.tol,
-                "adaptive": npar > 20,
-            },
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": config.max_iters, "ftol": config.tol},
         )
         if res.fun < best_val:
             best_val = float(res.fun)
             best_theta = res.x
             converged = bool(res.success)
-    if d_out >= d_e:
-        # untouched purifier is a feasible point (identity squashing)
-        baseline = _half_measure(identity, partition, measure, (_PURIFIER,))
-        if baseline < best_val:
-            best_val, best_theta, converged = baseline, None, True
+    if d_out >= d_e and identity < best_val:
+        # the untouched purifier is a feasible point
+        best_val, best_theta, converged = identity, None, True
     return SquashResult(
         best_val,
         measure,

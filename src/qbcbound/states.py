@@ -332,12 +332,19 @@ def check_private_state(
 
     Purifies the state, dephases every key system, traces the shields and
     measures the trace distance to the ideal perfectly-correlated key that
-    is product with the purifying system.  Returns (verdict, deviation).
+    is product with the purifying system.  Every system that is not a key is
+    traced as shield; ``shield_labels`` may name them or be empty.  Returns
+    (verdict, deviation).
     """
     key_labels = tuple(key_labels)
     for lab in key_labels:
         if state.dim_of(lab) != d:
             raise DimMismatch(f"key system {lab!r} does not have dimension {d}")
+    for lab in shield_labels:
+        if lab not in state.labels:
+            raise LabelNotFound(f"shield label {lab!r} not in {state.labels}")
+        if lab in key_labels:
+            raise LabelCollision(f"shield label {lab!r} is also a key label")
     m = len(key_labels)
     psi = _purifying_amplitudes(*_support(state.matrix))
     de = psi.shape[1]

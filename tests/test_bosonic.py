@@ -176,3 +176,10 @@ def test_finite_ns_report_below_asymptotic():
     assert rep.finite_ns["b_cut"] <= rep.bound_b_cut + 1e-9
     assert rep.finite_ns["bc_cut"] <= rep.bound_bc_cut + 1e-9
     assert rep.finite_ns["tripartite"] <= rep.tripartite_bound + 1e-9
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_cut_bound_lies_above_plob_capacity(eta):
+    # -log2(1 - eta): the reverse coherent information of a pure-loss
+    # channel, an achievable rate and its capacity (PLOB)
+    assert -math.log2(1 - eta) <= theorem3_report(eta, 0).bound_b_cut

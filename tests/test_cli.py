@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qbcbound import QuantumChannel, make_ghz, state_to_json
+from qbcbound import QuantumChannel, channel_output_state, entropy, make_ghz, state_to_json
 from qbcbound.cli import main
+from qbcbound.sampling import random_channel
 from qbcbound.states import channel_to_json
 
 
@@ -185,3 +186,25 @@ def test_bounds_finite_partition_flag(capsys, copy_channel_path):
     (c,) = doc["constraints"]
     assert c["partition"] == "B,C|R"
     assert c["bound_bits"] >= 1.0 - 1e-6
+
+
+def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
+    # the seed-0 noisy channel at the CLI defaults; the coherent information
+    # of the maximally entangled input across a cut is an achievable rate
+    channel = random_channel(np.random.default_rng(0), 2, ("B", "C"), (2, 2), env_dim=2)
+    path = tmp_path / "noisy.json"
+    path.write_text(channel_to_json(channel))
+    code, out, _ = run(capsys, "bounds-finite", str(path))
+    assert code == 0
+    report = json.loads(out)["report"]
+    omega = channel_output_state(channel, make_ghz(("R", "A"), 2))
+    h_all = entropy(omega, {"R", "B", "C"})
+    cuts = {
+        "b_cut": ({"R", "C"}, {"B"}),
+        "c_cut": ({"R", "B"}, {"C"}),
+        "bc_cut": ({"R"}, {"B", "C"}),
+    }
+    for name, (x, y) in cuts.items():
+        hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
+        assert hashing > 0.5  # not a vacuous check
+        assert report[name]["bound_bits"] >= hashing, name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcbound import (
     BlockSpec,
@@ -10,6 +12,7 @@ from qbcbound import (
     QuantumChannel,
     SpecError,
     SquashConfig,
+    TooLarge,
     channel_output_state,
     cmi_dual_measure,
     cmi_total,
@@ -21,7 +24,13 @@ from qbcbound import (
     trace_distance,
     two_receiver_report,
 )
-from qbcbound.rates import _input_surrogate, _partition_value, _pure_input
+from qbcbound import rates
+from qbcbound.rates import (
+    _input_surrogate,
+    _input_value_and_grad,
+    _partition_value,
+    _pure_input,
+)
 from qbcbound.sampling import random_channel
 
 FAST_SEARCH = InputSearchConfig(restarts=2, max_iters=150)
@@ -177,3 +186,51 @@ def test_surrogate_is_exact_on_copy_channel():
             omega = _output(channel, params)
             expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
             assert abs(surrogate(params) - expect) < 1e-10
+
+
+def test_size_cap_checked_before_the_search(monkeypatch):
+    # 16-dim output state whose rank can reach the 8 Kraus operators
+    channel = random_channel(np.random.default_rng(0), 2, ("B", "C"), (2, 4), env_dim=8)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran before the size check")
+
+    monkeypatch.setattr(rates, "minimize", no_search)
+    with pytest.raises(TooLarge):
+        evaluate_bounds(channel)
+
+
+SURROGATE_CHANNELS = {
+    "seed0": lambda: random_channel(np.random.default_rng(0), 2, ("B", "C"), (2, 2), env_dim=2),
+    # four Kraus operators: the environment is larger than the output rank
+    "seed1-4kraus": lambda: random_channel(
+        np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=4
+    ),
+    "copy": copy_channel,
+    "qutrit-input": lambda: random_channel(
+        np.random.default_rng(2), 3, ("B", "C"), (2, 2), env_dim=2
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SURROGATE_CHANNELS)),
+    choice=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surrogate_gradient_matches_central_differences(name, choice, seed):
+    channel = SURROGATE_CHANNELS[name]()
+    partition = nontrivial_partitions(("R", "B", "C"))[choice]
+    value_and_grad = _input_value_and_grad(channel, partition)
+    rng = np.random.default_rng(seed)
+    d = channel.input_dim
+    params = rng.uniform(-2, 2, d + d * d)
+    value, grad = value_and_grad(params)
+    assert value == _input_surrogate(channel, partition)(params)
+    step = 1e-6
+    for i in range(len(params)):
+        e = np.zeros_like(params)
+        e[i] = step
+        fd = (value_and_grad(params + e)[0] - value_and_grad(params - e)[0]) / (2 * step)
+        assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, grad[i], fd)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,12 @@ from qbcbound import (
     tensor,
 )
 from qbcbound.sampling import random_pure_state, random_state
-from qbcbound.squash import _squash_isometry, _squash_objective
+from qbcbound.squash import (
+    _squash_isometry,
+    _squash_objective,
+    _squash_value_and_grad,
+    _unitary,
+)
 from qbcbound.states import _purifying_amplitudes, _support
 
 
@@ -207,3 +213,49 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"Eout"}))
     cmi = cmi_total if measure is Measure.E_SQ else cmi_dual_measure
     assert abs(value - 0.5 * cmi(out, spec)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unitary_matches_expm(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        params = rng.uniform(-np.pi, np.pi, n * n)
+        h = np.diag(params[:n]).astype(complex)
+        rows, cols = np.triu_indices(n, 1)
+        h[rows, cols] = params[n::2] + 1j * params[n + 1 :: 2]
+        h[cols, rows] = params[n::2] - 1j * params[n + 1 :: 2]
+        assert np.max(np.abs(_unitary(params, n) - scipy.linalg.expm(1j * h))) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_qubits=st.integers(2, 3),
+    rank_fraction=st.floats(0.0, 1.0),
+    choice=st.integers(0, 10**6),
+    measure=st.sampled_from(list(Measure)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, choice, measure, seed):
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C")[:n_qubits]
+    dim = 2**n_qubits
+    rank = 1 + int(rank_fraction * (dim - 1))
+    state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
+    partitions = nontrivial_partitions(labels)
+    partition = partitions[choice % len(partitions)]
+    psi = _purifying_amplitudes(*_support(state.matrix))
+    d_e = psi.shape[1]
+    d_out = 1 + choice % (d_e + 1)
+    d_anc = max(2, -(-d_e // d_out))
+    theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
+    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
+    value, grad = value_and_grad(theta)
+    assert value == _squash_objective(psi, state, d_out, d_anc, partition, measure)(theta)
+    # central differences along random directions, relative 1e-6
+    step = 1e-6
+    for _ in range(4):
+        u = rng.normal(size=theta.shape)
+        u /= np.linalg.norm(u)
+        up, down = value_and_grad(theta + step * u)[0], value_and_grad(theta - step * u)[0]
+        fd = (up - down) / (2 * step)
+        assert abs(grad @ u - fd) <= 1e-6 * max(1.0, abs(fd)), (grad @ u, fd)

@@ -254,6 +254,18 @@ def test_private_state_check_rejects_mixed_junk():
     assert dev > 0.1
 
 
+def test_private_state_check_rejects_unknown_shield():
+    st = make_private_state(PrivateStateSpec(2, 2, (2, 1)), ("kA", "kB"), ("sA", "sB"))
+    with pytest.raises(LabelNotFound):
+        check_private_state(st, ("kA", "kB"), ("nope", "zzz"), 2)
+
+
+def test_private_state_check_rejects_shield_that_is_a_key():
+    st = make_private_state(PrivateStateSpec(2, 2, (2, 1)), ("kA", "kB"), ("sA", "sB"))
+    with pytest.raises(LabelCollision):
+        check_private_state(st, ("kA", "kB"), ("sA", "kB"), 2)
+
+
 def test_trace_distance_values():
     z0 = MultipartiteState(qubit([1, 0]), ("A",), (2,))
     z1 = MultipartiteState(qubit([0, 1]), ("A",), (2,))
