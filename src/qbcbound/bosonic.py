@@ -133,8 +133,6 @@ def _stationarity_gap(spec: BosonicBroadcastSpec, x: float) -> float:
 def optimal_eta_star(spec: BosonicBroadcastSpec) -> float:
     """Squashing transmissivity minimizing the direct-measure asymptotic
     bound, found by bisection of the stationarity equation."""
-    if spec.eta_total >= 1.0 and not any(spec.etas):
-        raise RootError("degenerate spec")
     if all(e == 0 for e in spec.etas):
         raise RootError("no light reaches any receiver")
     lo, hi = _BISECT_LO, 1.0 - _BISECT_LO

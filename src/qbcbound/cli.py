@@ -33,7 +33,7 @@ from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import InputSearchConfig, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
-from .squash import Measure, SquashConfig, _estimate, esq_exact_pure
+from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
 from .states import (
     apply_channel,
     channel_from_json,
@@ -143,7 +143,7 @@ def _cmd_esq(args) -> int:
     }[args.measure]
     values = {}
     for m in measures:
-        res = _estimate(state, partition, m, cfg)
+        res = esq_upper_variational(state, partition, m, cfg)
         values[m.value] = {"value_bits": res.value_bits, "converged": res.converged}
     doc = {
         "version": __version__,
@@ -183,9 +183,10 @@ def _cmd_bounds_finite(args) -> int:
     return 0
 
 
-def _bosonic_row(eta_b: float, eta_c: float) -> dict:
-    rep = theorem3_report(eta_b, eta_c)
-    return {
+def _bosonic_row(eta_b: float, eta_c: float, mean_photon: float | None = None) -> dict:
+    """One sweep row, plus ``finite_ns`` (JSON only) when ``mean_photon`` is given."""
+    rep = theorem3_report(eta_b, eta_c, mean_photon)
+    row = {
         "eta_b": eta_b,
         "eta_c": eta_c,
         "bound_b_cut": rep.bound_b_cut,
@@ -195,15 +196,13 @@ def _bosonic_row(eta_b: float, eta_c: float) -> dict:
         "tripartite_bound_as_printed": rep.tripartite_bound_as_printed,
         "eta_star": rep.eta_star,
     }
+    if rep.finite_ns is not None:
+        row["finite_ns"] = rep.finite_ns
+    return row
 
 
 def _cmd_bounds_bosonic(args) -> int:
-    rows = [_bosonic_row(args.eta_b, args.eta_c)]
-    if args.ns is not None:
-        rep = theorem3_report(args.eta_b, args.eta_c, mean_photon=args.ns)
-        if args.format == "json" and rep.finite_ns is not None:
-            rows[0] = dict(rows[0])
-            rows[0]["finite_ns"] = rep.finite_ns
+    rows = [_bosonic_row(args.eta_b, args.eta_c, args.ns)]
     _emit_rows(rows, SWEEP_COLUMNS, args.format, args.output)
     return 0
 

@@ -6,7 +6,6 @@ All results are in bits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,17 +71,6 @@ def _h(state: MultipartiteState, subset: set) -> float:
     if not subset:
         return 0.0
     return _entropy_of_matrix(partial_trace(state, subset).matrix)
-
-
-def _entropy_coefficients(form) -> dict[frozenset, float]:
-    """Subset -> coefficient of the signed entropy sum ``form(h)``, which is
-    linear in the subset -> entropy map ``h``; zero coefficients are dropped."""
-    subsets: list[frozenset] = []
-    form(lambda s: subsets.append(frozenset(s)) or 0.0)
-    keys = list(dict.fromkeys(subsets))
-    unit = dict(zip(keys, np.eye(len(keys))))
-    coeffs = np.zeros(len(keys)) + form(lambda s: unit[frozenset(s)])
-    return {k: float(c) for k, c in zip(keys, coeffs) if c}
 
 
 def _pure_entropy_sums(shape, labels, forms):
@@ -175,40 +163,41 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     return _h(state, a | e) + _h(state, b | e) - _h(state, e) - _h(state, a | b | e)
 
 
-def _cmi_total(h, blocks, e: set) -> float:
-    """sum_i H(A_i|E) - H(A_1...A_m|E) from the subset -> entropy map ``h``."""
-    he = h(e)
-    total = 0.0
-    allb: set = set()
-    for b in blocks:
-        total += h(set(b) | e) - he
-        allb |= set(b)
-    total -= h(allb | e) - he
-    return total
+def _cmi_total(blocks, e) -> dict[frozenset, float]:
+    """Subset -> entropy coefficient of sum_i H(A_i|E) - H(A_1...A_m|E)."""
+    if len(blocks) == 1:
+        return {}
+    e = frozenset(e)
+    coeffs = {e: 1.0 - len(blocks)}
+    coeffs.update((e | frozenset(b), 1.0) for b in blocks)
+    coeffs[e.union(*blocks)] = -1.0
+    return coeffs
 
 
-def _cmi_dual(h, blocks, e: set) -> float:
-    """sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) from the entropy map ``h``."""
-    m = len(blocks)
-    if m == 1:
-        return 0.0
-    he = h(e)
-    allb = set().union(*blocks)
-    hall = h(allb | e) - he
-    total = 0.0
-    for b in blocks:
-        total += h((allb - set(b)) | e) - he
-    return total - (m - 1) * hall
+def _cmi_dual(blocks, e) -> dict[frozenset, float]:
+    """Subset -> entropy coefficient of sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E)."""
+    if len(blocks) == 1:
+        return {}
+    e = frozenset(e)
+    allb = e.union(*blocks)
+    coeffs = {e: -1.0, allb: 1.0 - len(blocks)}
+    coeffs.update((allb - frozenset(b), 1.0) for b in blocks)
+    return coeffs
+
+
+def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> float:
+    """The signed entropy sum of a subset -> coefficient map on ``state``."""
+    return sum((c * _h(state, s) for s, c in coeffs.items()), 0.0)
 
 
 def cmi_total(state: MultipartiteState, spec: BlockSpec) -> float:
     """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E)."""
     spec.validate_for(state)
-    return _cmi_total(functools.partial(_h, state), spec.blocks, set(spec.conditioning))
+    return _entropy_sum(state, _cmi_total(spec.blocks, spec.conditioning))
 
 
 def cmi_dual_measure(state: MultipartiteState, spec: BlockSpec) -> float:
     """Dual conditional multipartite information:
     sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E)."""
     spec.validate_for(state)
-    return _cmi_dual(functools.partial(_h, state), spec.blocks, set(spec.conditioning))
+    return _entropy_sum(state, _cmi_dual(spec.blocks, spec.conditioning))

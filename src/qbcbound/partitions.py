@@ -35,11 +35,9 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise SpecError("blocks must be non-empty")
-        seen: set = set()
-        for b in blocks:
-            if seen & set(b):
-                raise SpecError("blocks are not disjoint")
-            seen |= set(b)
+        labels = [lab for b in blocks for lab in b]
+        if len(set(labels)) != len(labels):
+            raise SpecError(f"a label is repeated in {self}: blocks must be disjoint sets")
 
     @property
     def ground(self) -> LabelSet:

@@ -14,7 +14,8 @@ the measure on the pure output vector conditioned on the channel
 environment, which equals trivial squashing of any purification and is
 exact for isometric channels.  It is maximized by multi-restart L-BFGS-B on
 the surrogate's exact gradient.  The full variational squashing
-optimization runs once at the best input found.
+optimization runs once, at the best input found, on the purification of
+that input's output vector over the support of the output state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
-from .measures import _PURIFIER
 from .partitions import (
     ConstraintCoefficients,
     Partition,
@@ -36,12 +36,13 @@ from .partitions import (
 from .squash import (
     Measure,
     SquashConfig,
-    _estimate,
+    _check_search,
     _measure_kernel,
+    _squash_purified,
     _unitary,
     _unitary_and_pullback,
 )
-from .states import MultipartiteState, QuantumChannel, apply_channel
+from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
 
@@ -54,8 +55,7 @@ class InputSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise QbcError("restarts must be at least 1")
+        _check_search(self.restarts, self.max_iters, self.tol)
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ def _pure_input(params: np.ndarray, d: int) -> np.ndarray:
     return np.sqrt(_schmidt(params, d))[:, None] * _unitary(params[d:], d).T
 
 
-def _input_n_params(d: int) -> int:
-    return d + d * d
-
-
 def channel_output_state(
     channel: QuantumChannel, input_state: MultipartiteState
 ) -> MultipartiteState:
@@ -105,17 +101,23 @@ def _partition_value(est, partition) -> tuple[float, str]:
     return min(est(Measure.E_SQ), est(Measure.E_SQ_TILDE)), "min_of_both"
 
 
-def _input_value_and_grad(channel: QuantumChannel, partition: Partition):
+def _stinespring(channel: QuantumChannel):
+    """The Stinespring isometry V[out, env, a] = K_env[out, a], and the shape and
+    labels of (1 (x) V)|phi> on R, the receivers and the (unlabeled) environment."""
+    stinespring = np.stack(channel.kraus_ops, axis=1)
+    shape = (channel.input_dim,) + channel.output_dims + (len(channel.kraus_ops),)
+    return stinespring, shape, (SENDER_LABEL,) + channel.output_labels
+
+
+def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinespring=None):
     """params -> (value, gradient) of the partition value of (1 (x) V)|phi>
     conditioned on the environment.  On a 3-block partition the value is the
-    smaller of the two measures and the gradient is that measure's."""
+    smaller of the two measures and the gradient is that measure's.
+    ``stinespring`` is ``_stinespring(channel)``, built here if not given."""
     d = channel.input_dim
-    # Stinespring isometry V[out, env, a] = K_env[out, a]
-    stinespring = np.stack(channel.kraus_ops, axis=1)
-    shape = (d,) + channel.output_dims + (len(channel.kraus_ops),)
-    labels = (SENDER_LABEL,) + channel.output_labels + (_PURIFIER,)
+    stinespring, shape, labels = stinespring or _stinespring(channel)
     measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
-    evaluate = _measure_kernel(shape, labels, partition, measures, (_PURIFIER,))
+    evaluate = _measure_kernel(shape, labels, partition, measures)
 
     def value_and_grad(params):
         p = _schmidt(params, d)
@@ -133,12 +135,6 @@ def _input_value_and_grad(channel: QuantumChannel, partition: Partition):
         return float(values[k]), np.concatenate([g_s, pullback((q[:, None] * g_phi).T)])
 
     return value_and_grad
-
-
-def _input_surrogate(channel: QuantumChannel, partition: Partition):
-    """params -> the value of ``_input_value_and_grad``."""
-    value_and_grad = _input_value_and_grad(channel, partition)
-    return lambda params: value_and_grad(params)[0]
 
 
 def evaluate_bounds(
@@ -162,12 +158,14 @@ def evaluate_bounds(
         )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
-    npar = _input_n_params(d)
+    stinespring = _stinespring(channel)
+    iso, shape, labels = stinespring
+    npar = d + d * d
     out = []
     for partition in partitions:
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
-        value_and_grad = _input_value_and_grad(channel, partition)
+        value_and_grad = _input_value_and_grad(channel, partition, stinespring)
 
         def negated(theta):
             value, grad = value_and_grad(theta)
@@ -188,11 +186,15 @@ def evaluate_bounds(
             if -res.fun > best:
                 best = -float(res.fun)
                 best_params = res.x
-        vec = _pure_input(best_params, d)
-        phi = MultipartiteState(np.outer(vec, vec.conj()), (SENDER_LABEL, "A"), (d, d))
-        omega = channel_output_state(channel, phi)
+        # the output vector at the best input, M[(r, out), env]; its
+        # purification over the support of omega = M M^dag feeds the squash
+        m = np.tensordot(_pure_input(best_params, d), iso, axes=(1, 2)).reshape(-1, shape[-1])
+        psi = _purification(m @ m.conj().T)
         value, measure_used = _partition_value(
-            lambda m: _estimate(omega, partition, m, squash_cfg).value_bits, partition
+            lambda measure: _squash_purified(
+                psi, shape[:-1], labels, partition, measure, squash_cfg
+            ).value_bits,
+            partition,
         )
         out.append(
             RateConstraint(
@@ -204,7 +206,7 @@ def evaluate_bounds(
                     "schmidt": sorted((float(x) for x in _schmidt(best_params, d)), reverse=True),
                     "restarts": cfg.restarts,
                     "seed": cfg.seed,
-                    "estimate_only": not omega.is_pure(),
+                    "estimate_only": psi.shape[1] > 1,
                 },
             )
         )

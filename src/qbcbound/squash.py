@@ -30,17 +30,27 @@ from .measures import (
     BlockSpec,
     _cmi_dual,
     _cmi_total,
-    _entropy_coefficients,
-    _h,
+    _entropy_sum,
     _pure_entropy_sums,
 )
 from .partitions import Partition
-from .states import MultipartiteState, _purifying_amplitudes, _support
+from .states import MultipartiteState, _purification
 
 
 class Measure(str, Enum):
     E_SQ = "esq"
     E_SQ_TILDE = "esq-tilde"
+
+
+def _check_search(restarts: int, max_iters: int, tol: float):
+    """Settings of a multi-restart L-BFGS-B search (squash or input search)."""
+    if restarts < 1:
+        raise QbcError("restarts must be at least 1")
+    if max_iters < 1:
+        raise QbcError("max_iters must be at least 1")
+    # written so that NaN, for which every comparison is false, fails it
+    if not 0 < tol < math.inf:
+        raise QbcError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,11 @@ class SquashConfig:
     dim_cap: int = 64
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise QbcError("tol must be positive")
-        if self.restarts < 1:
-            raise QbcError("restarts must be at least 1")
+        _check_search(self.restarts, self.max_iters, self.tol)
+        if self.squash_output_dim is not None and self.squash_output_dim < 1:
+            raise QbcError("squash_output_dim must be at least 1")
+        if self.dim_cap < 1:
+            raise QbcError("dim_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -67,31 +78,27 @@ class SquashResult:
     extension_description: dict = field(default_factory=dict)
 
 
-def _half_measure(h, partition: Partition, measure, conditioning=()) -> float:
-    """Half the conditional multipartite information of ``measure`` over the
-    blocks of ``partition``, from the subset -> entropy map ``h``."""
+def _half_measure(partition: Partition, measure, conditioning=()) -> dict[frozenset, float]:
+    """Subset -> entropy coefficient of half the conditional multipartite
+    information of ``measure`` over the blocks of ``partition``."""
     fn = _cmi_total if Measure(measure) is Measure.E_SQ else _cmi_dual
-    return 0.5 * fn(h, partition.blocks, set(conditioning))
+    return {s: 0.5 * c for s, c in fn(partition.blocks, conditioning).items()}
 
 
 def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact squashed entanglement of a pure state for the given grouping."""
     if not state.is_pure():
         raise NotPure("exact evaluation requires a pure state")
-    return _half_measure(lambda s: _h(state, s), partition, measure)
-
-
-def _estimate(state: MultipartiteState, partition: Partition, measure, config) -> SquashResult:
-    """Exact value on pure states, variational upper bound otherwise."""
-    if state.is_pure():
-        return SquashResult(esq_exact_pure(state, partition, measure), Measure(measure), True)
-    return esq_upper_variational(state, partition, measure, config)
+    return _entropy_sum(state, _half_measure(partition, measure))
 
 
 def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact value for a flagged ensemble of pure states: the probability-
     weighted average of the per-component pure-state values."""
     probs = [p for p, _ in flagged_states]
+    # written so that NaN, for which every comparison is false, fails it
+    if not all(p >= 0 for p in probs):
+        raise QbcError("probabilities must be non-negative")
     if abs(sum(probs) - 1.0) > 1e-9:
         raise QbcError("probabilities must sum to 1")
     total = 0.0
@@ -150,27 +157,22 @@ def _squash_isometry(theta: np.ndarray, d_e: int, d_out: int, d_anc: int) -> np.
     return _unitary(theta, d_out * d_anc)[:, _embedding(d_e, d_out, d_anc)]
 
 
-def _measure_kernel(shape, labels, partition: Partition, measures, conditioning=()):
-    """``evaluate(psi) -> (values, grad)`` of half of each of ``measures``
-    over ``partition`` conditioned on ``conditioning``, on a pure tensor of
-    ``shape`` (see ``measures._pure_entropy_sums``)."""
-    forms = [
-        _entropy_coefficients(lambda h, m=m: _half_measure(h, partition, m, conditioning))
-        for m in measures
-    ]
-    return _pure_entropy_sums(shape, labels, forms)
+def _measure_kernel(shape, labels, partition: Partition, measures):
+    """``evaluate(psi) -> (values, grad)`` of half of each of ``measures`` over
+    ``partition`` conditioned on a purifier, on a pure tensor of ``shape``: one
+    axis per label, the purifier's, then unlabeled axes (``_pure_entropy_sums``)."""
+    forms = [_half_measure(partition, m, (_PURIFIER,)) for m in measures]
+    return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
 
-def _squash_value_and_grad(psi: np.ndarray, state, d_out: int, d_anc: int, partition, measure):
-    """theta -> (value, gradient) of half the measure of (1 (x) V(theta))
-    psi[i, e] conditioned on the squash output; the ancilla is traced out."""
+def _squash_value_and_grad(psi, dims, labels, d_out: int, d_anc: int, partition, measure):
+    """theta -> (value, gradient) of half the measure of (1 (x) V(theta)) psi[i, e]
+    (i over ``labels`` of ``dims``) conditioned on the squash output; the ancilla is traced out."""
     d_e = psi.shape[1]
     n = d_out * d_anc
     cols = _embedding(d_e, d_out, d_anc)
-    shape = state.dims + (d_out, d_anc)
-    evaluate = _measure_kernel(
-        shape, state.labels + (_PURIFIER,), partition, [measure], (_PURIFIER,)
-    )
+    shape = dims + (d_out, d_anc)
+    evaluate = _measure_kernel(shape, labels, partition, [measure])
 
     def value_and_grad(theta):
         u, pullback = _unitary_and_pullback(theta, n)
@@ -183,55 +185,27 @@ def _squash_value_and_grad(psi: np.ndarray, state, d_out: int, d_anc: int, parti
     return value_and_grad
 
 
-def _squash_objective(psi: np.ndarray, state, d_out: int, d_anc: int, partition, measure):
-    """theta -> the value of ``_squash_value_and_grad``."""
-    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
-    return lambda theta: value_and_grad(theta)[0]
-
-
-def n_params(d_out: int, d_anc: int) -> int:
-    return (d_out * d_anc) ** 2
-
-
-def esq_upper_variational(
-    state: MultipartiteState,
-    partition: Partition,
-    measure=Measure.E_SQ,
-    config: SquashConfig = SquashConfig(),
-) -> SquashResult:
-    """Variational upper bound on the squashed entanglement of a mixed state.
-
-    The state is purified once, a squashing channel on the purifier is
-    parametrized through a Stinespring isometry, and half the conditional
-    multipartite information is minimized by multi-restart L-BFGS-B on its
-    exact gradient.  Restart 0 starts at the identity squashing point.
-    """
+def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) -> SquashResult:
+    """Variational squash of the state with purification amplitudes psi[i, e]
+    (i over ``labels`` of ``dims``, e over the state's support): half the
+    measure conditioned on a squashed purifier, minimized by multi-restart
+    L-BFGS-B from the identity squashing point.  Exact when e has one value."""
     measure = Measure(measure)
-    BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
-    w, v = _support(state.matrix)
-    d_e = len(w)
-    d_out = config.squash_output_dim or d_e
-    if state.dim * d_out > config.dim_cap:
-        raise TooLarge(
-            f"state dim {state.dim} x squash output dim {d_out} exceeds cap "
-            f"{config.dim_cap}"
-        )
-    psi = _purifying_amplitudes(w, v)
+    d_e = psi.shape[1]
     # the untouched purifier (identity squashing)
-    shape = state.dims + (d_e,)
-    evaluate = _measure_kernel(
-        shape, state.labels + (_PURIFIER,), partition, [measure], (_PURIFIER,)
-    )
+    shape = dims + (d_e,)
+    evaluate = _measure_kernel(shape, labels, partition, [measure])
     identity = float(evaluate(psi.reshape(shape))[0][0])
     if d_e == 1:
-        # pure input: no extension can lower the objective
+        # pure state: no extension can lower the objective
         return SquashResult(identity, measure, True, {"trivial": True})
 
+    d_out = config.squash_output_dim or d_e
     d_anc = max(2, math.ceil(d_e / d_out))
-    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
+    value_and_grad = _squash_value_and_grad(psi, dims, labels, d_out, d_anc, partition, measure)
 
     rng = np.random.default_rng(config.seed)
-    npar = n_params(d_out, d_anc)
+    npar = (d_out * d_anc) ** 2
     best_val = math.inf
     best_theta = None
     converged = False
@@ -261,3 +235,29 @@ def esq_upper_variational(
             "params": None if best_theta is None else best_theta.tolist(),
         },
     )
+
+
+def esq_upper_variational(
+    state: MultipartiteState,
+    partition: Partition,
+    measure=Measure.E_SQ,
+    config: SquashConfig = SquashConfig(),
+) -> SquashResult:
+    """Variational upper bound on the squashed entanglement of a mixed state.
+
+    The state is purified once, a squashing channel on the purifier is
+    parametrized through a Stinespring isometry, and half the conditional
+    multipartite information is minimized by multi-restart L-BFGS-B on its
+    exact gradient.  Restart 0 starts at the identity squashing point.  A
+    pure state (as ``is_pure`` judges it) of any size gets its exact value,
+    with no search and no size cap.
+    """
+    BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
+    psi = _purification(state.matrix)
+    d_out = config.squash_output_dim or psi.shape[1]
+    if psi.shape[1] > 1 and state.dim * d_out > config.dim_cap:
+        raise TooLarge(
+            f"state dim {state.dim} x squash output dim {d_out} exceeds cap "
+            f"{config.dim_cap}"
+        )
+    return _squash_purified(psi, state.dims, state.labels, partition, measure, config)

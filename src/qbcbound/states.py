@@ -27,6 +27,7 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 RANK_TOL = 1e-12
+PURE_TOL = 1e-9
 
 
 def _frozen_array(a, what: str) -> np.ndarray:
@@ -90,7 +91,7 @@ class MultipartiteState:
         except ValueError:
             raise LabelNotFound(f"label {label!r} not in {self.labels}") from None
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
+    def is_pure(self, tol: float = PURE_TOL) -> bool:
         return bool(np.linalg.eigvalsh(self.matrix)[-1] >= 1.0 - tol)
 
 
@@ -226,6 +227,15 @@ def _purifying_amplitudes(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Standard purification psi[i, k] ~ sqrt(w_k) v[i, k] of a support (w, v)."""
     psi = v * np.sqrt(w)
     return psi / np.linalg.norm(psi)
+
+
+def _purification(matrix: np.ndarray) -> np.ndarray:
+    """Purification amplitudes over the numerical support of a density
+    matrix, or of its top eigenvector alone when ``is_pure`` would accept it."""
+    w, v = _support(matrix)
+    if w[-1] >= 1.0 - PURE_TOL:
+        w, v = w[-1:], v[:, -1:]
+    return _purifying_amplitudes(w, v)
 
 
 def purify(state: MultipartiteState, purifier_label: str) -> MultipartiteState:

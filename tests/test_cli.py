@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qbcbound import QuantumChannel, channel_output_state, entropy, make_ghz, state_to_json
+from qbcbound import (
+    QuantumChannel,
+    channel_output_state,
+    entropy,
+    make_ghz,
+    state_to_json,
+    theorem3_report,
+)
 from qbcbound.cli import main
 from qbcbound.sampling import random_channel
 from qbcbound.states import channel_to_json
@@ -66,6 +73,18 @@ def test_bounds_bosonic_json(capsys):
     assert row["finite_ns"]["tripartite"] <= row["tripartite_bound"]
 
 
+def test_bounds_bosonic_ns(capsys):
+    etas = ("--eta-b", "0.25", "--eta-c", "0.1")
+    code, out, _ = run(capsys, "bounds-bosonic", *etas, "--ns", "5", "--format", "json")
+    assert code == 0
+    expect = theorem3_report(0.25, 0.1, mean_photon=5.0).finite_ns
+    rounded = {k: float(f"{v:.12g}") for k, v in expect.items()}
+    assert json.loads(out)["rows"][0]["finite_ns"] == rounded
+    # the CSV columns carry no photon-number figures
+    csv_ns = run(capsys, "bounds-bosonic", *etas, "--ns", "5")
+    assert csv_ns == run(capsys, "bounds-bosonic", *etas)
+
+
 def test_sweep_sorted_rows(capsys):
     code, out, _ = run(
         capsys, "sweep", "--eta-b", "0.4", "--eta-c", "0.1", "--sweep-steps", "4"
@@ -86,6 +105,12 @@ def test_esq_ghz_both_measures(capsys, ghz_path):
     doc = json.loads(out)
     assert doc["results"]["esq"]["value_bits"] == 1.5
     assert doc["results"]["esq-tilde"]["value_bits"] == 1.5
+
+
+def test_esq_repeated_label_exits_2(capsys, ghz_path):
+    code, out, err = run(capsys, "esq", ghz_path, "--partition", "A,A|B|C")
+    assert (code, out) == (2, "")
+    assert "repeated" in err
 
 
 def test_qinfo(capsys, ghz_path):

@@ -29,6 +29,10 @@ def test_partition_validation():
         part(("A",), ("A", "B"))
     with pytest.raises(SpecError):
         part(())
+    with pytest.raises(SpecError):
+        part(("A", "A"), ("B",))
+    with pytest.raises(SpecError):
+        parse_partition("A,A|B")
 
 
 def test_parse_partition_roundtrip():

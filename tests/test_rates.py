@@ -26,7 +26,6 @@ from qbcbound import (
 )
 from qbcbound import rates
 from qbcbound.rates import (
-    _input_surrogate,
     _input_value_and_grad,
     _partition_value,
     _pure_input,
@@ -149,6 +148,18 @@ def test_metadata_reports_exactness():
     assert abs(sum(rc.metadata["schmidt"]) - 1.0) < 1e-9
 
 
+def test_output_pure_within_is_pure_tolerance_is_exact():
+    # a copy channel leaking 5e-10 of its weight: omega has rank 2 but passes is_pure
+    eps = 5e-10
+    leak = np.zeros((4, 2))
+    leak[1, 0] = leak[2, 1] = 1
+    copy = copy_channel().kraus_ops[0]
+    channel = QuantumChannel((np.sqrt(1 - eps) * copy, np.sqrt(eps) * leak), 2, ("B", "C"), (2, 2))
+    (rc,) = evaluate_bounds(channel, [part(("R",), ("B", "C"))], FAST_SEARCH, FAST_SQUASH)
+    assert rc.metadata["estimate_only"] is False
+    assert abs(rc.bound_bits - 1.0) < 1e-6
+
+
 def _output(channel, params):
     vec = _pure_input(params, channel.input_dim)
     d = channel.input_dim
@@ -165,7 +176,7 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
     # four Kraus operators: the environment is larger than the purifier rank
     channel = random_channel(np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=4)
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_surrogate(channel, partition)
+        surrogate = _input_value_and_grad(channel, partition)
         for params in _search_points(2, 4, 0):
             phi = purify(_output(channel, params), "E")
             spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"E"}))
@@ -175,17 +186,17 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
                 return 0.5 * cmi(phi, spec)
 
             expect, _ = _partition_value(reference, partition)
-            assert abs(surrogate(params) - expect) < 1e-10
+            assert abs(surrogate(params)[0] - expect) < 1e-10
 
 
 def test_surrogate_is_exact_on_copy_channel():
     channel = copy_channel()
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_surrogate(channel, partition)
+        surrogate = _input_value_and_grad(channel, partition)
         for params in _search_points(2, 4, 1):
             omega = _output(channel, params)
             expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
-            assert abs(surrogate(params) - expect) < 1e-10
+            assert abs(surrogate(params)[0] - expect) < 1e-10
 
 
 def test_size_cap_checked_before_the_search(monkeypatch):
@@ -227,7 +238,6 @@ def test_surrogate_gradient_matches_central_differences(name, choice, seed):
     d = channel.input_dim
     params = rng.uniform(-2, 2, d + d * d)
     value, grad = value_and_grad(params)
-    assert value == _input_surrogate(channel, partition)(params)
     step = 1e-6
     for i in range(len(params)):
         e = np.zeros_like(params)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from qbcbound import (
     BlockSpec,
+    InputSearchConfig,
     Measure,
     MultipartiteState,
     NotPure,
     Partition,
     PrivateStateSpec,
+    QbcError,
     QuantumChannel,
     SquashConfig,
     TooLarge,
@@ -26,10 +28,10 @@ from qbcbound import (
     purify,
     tensor,
 )
+from qbcbound import squash
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
     _squash_isometry,
-    _squash_objective,
     _squash_value_and_grad,
     _unitary,
 )
@@ -183,6 +185,73 @@ def test_dimension_cap():
     assert abs(esq_exact_pure(ghz, part(("A",), ("B",), ("C",))) - 3.0) < 1e-9
 
 
+def test_size_cap_checked_before_the_kernel(monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the squash kernel ran before the size check")
+
+    monkeypatch.setattr(squash, "_measure_kernel", no_kernel)
+    mixed = MultipartiteState(np.eye(27) / 27, ("A", "B", "C"), (3, 3, 3))
+    with pytest.raises(TooLarge):
+        esq_upper_variational(mixed, part(("A",), ("B",), ("C",)))
+
+
+@pytest.mark.parametrize("noise", [0.0, 9e-10])
+def test_variational_exact_on_large_pure_state(noise):
+    # 125 dimensions with the default cap of 64: a pure state needs no search,
+    # also when white noise below the is_pure tolerance leaves it full rank
+    ghz = make_ghz(("A", "B", "C"), 5)
+    noisy = (1 - noise) * ghz.matrix + noise * np.eye(125) / 125
+    state = MultipartiteState(noisy, ghz.labels, ghz.dims)
+    res = esq_upper_variational(state, part(("A",), ("B",), ("C",)))
+    assert abs(res.value_bits - 1.5 * np.log2(5)) < 1e-9
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: InputSearchConfig(tol=-1.0),
+        lambda: InputSearchConfig(tol=0.0),
+        lambda: InputSearchConfig(tol=float("nan")),
+        lambda: InputSearchConfig(tol=float("inf")),
+        lambda: InputSearchConfig(max_iters=0),
+        lambda: InputSearchConfig(restarts=0),
+        lambda: SquashConfig(tol=float("nan")),
+        lambda: SquashConfig(max_iters=-5),
+        lambda: SquashConfig(max_iters=0),
+        lambda: SquashConfig(squash_output_dim=-1),
+        lambda: SquashConfig(squash_output_dim=0),
+        lambda: SquashConfig(dim_cap=0),
+        lambda: esq_cq_average(
+            [(float("nan"), make_ghz(("A", "B"), 2))], part(("A",), ("B",))
+        ),
+        lambda: esq_cq_average(
+            [(1.5, make_ghz(("A", "B"), 2)), (-0.5, make_ghz(("A", "B"), 2))],
+            part(("A",), ("B",)),
+        ),
+    ],
+    ids=[
+        "search-tol-negative",
+        "search-tol-zero",
+        "search-tol-nan",
+        "search-tol-inf",
+        "search-max-iters-0",
+        "search-restarts-0",
+        "squash-tol-nan",
+        "squash-max-iters-negative",
+        "squash-max-iters-0",
+        "squash-output-dim-negative",
+        "squash-output-dim-0",
+        "squash-dim-cap-0",
+        "cq-average-nan-weight",
+        "cq-average-negative-weight",
+    ],
+)
+def test_invalid_settings_rejected(make):
+    with pytest.raises(QbcError):
+        make()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_qubits=st.integers(2, 3),
@@ -204,7 +273,9 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     d_out = 1 + choice % (d_e + 1)
     d_anc = max(2, -(-d_e // d_out))
     theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
-    value = _squash_objective(psi, state, d_out, d_anc, partition, measure)(theta)
+    value = _squash_value_and_grad(
+        psi, state.dims, state.labels, d_out, d_anc, partition, measure
+    )(theta)[0]
 
     iso = _squash_isometry(theta, d_e, d_out, d_anc)
     kraus = tuple(iso.reshape(d_out, d_anc, d_e)[:, a, :] for a in range(d_anc))
@@ -248,9 +319,10 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     d_out = 1 + choice % (d_e + 1)
     d_anc = max(2, -(-d_e // d_out))
     theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
-    value_and_grad = _squash_value_and_grad(psi, state, d_out, d_anc, partition, measure)
+    value_and_grad = _squash_value_and_grad(
+        psi, state.dims, state.labels, d_out, d_anc, partition, measure
+    )
     value, grad = value_and_grad(theta)
-    assert value == _squash_objective(psi, state, d_out, d_anc, partition, measure)(theta)
     # central differences along random directions, relative 1e-6
     step = 1e-6
     for _ in range(4):

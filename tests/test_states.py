@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcbound import (
     DimMismatch,
@@ -286,3 +288,41 @@ def test_json_roundtrip_state_and_channel():
     assert ch2.output_labels == ch.output_labels
     for k1, k2 in zip(ch.kraus_ops, ch2.kraus_ops):
         assert np.max(np.abs(k1 - k2)) < 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    rank_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_json_roundtrip_is_exact(dims, rank_fraction, seed):
+    labels = ("A", "B", "C")[: len(dims)]
+    dim = int(np.prod(dims))
+    rank = 1 + int(rank_fraction * (dim - 1))
+    state = random_state(np.random.default_rng(seed), labels, dims, rank=rank)
+    back = state_from_json(state_to_json(state))
+    assert (back.labels, back.dims) == (state.labels, state.dims)
+    assert back.matrix.dtype == state.matrix.dtype
+    assert back.matrix.tobytes() == state.matrix.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    input_dim=st.integers(1, 3),
+    output_dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    env_dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_json_roundtrip_is_exact(input_dim, output_dims, env_dim, seed):
+    labels = ("B", "C", "D")[: len(output_dims)]
+    if int(np.prod(output_dims)) * env_dim < input_dim:
+        env_dim = input_dim  # a Stinespring isometry needs the room
+    channel = random_channel(np.random.default_rng(seed), input_dim, labels, output_dims, env_dim)
+    back = channel_from_json(channel_to_json(channel))
+    assert back.input_dim == channel.input_dim
+    assert (back.output_labels, back.output_dims) == (channel.output_labels, channel.output_dims)
+    assert len(back.kraus_ops) == len(channel.kraus_ops)
+    for k, k_back in zip(channel.kraus_ops, back.kraus_ops):
+        assert k_back.dtype == k.dtype
+        assert k_back.tobytes() == k.tobytes()
