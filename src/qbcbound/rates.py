@@ -12,8 +12,11 @@ estimates of the sup-inf quantity.
 The input search itself evaluates a cheap surrogate at every trial point:
 the measure on the pure output vector conditioned on the channel
 environment, which equals trivial squashing of any purification and is
-exact for isometric channels.  It is maximized by multi-restart L-BFGS-B on
-the surrogate's exact gradient.  The full variational squashing
+exact for isometric channels.  A search point is a complex d x d matrix X
+(its real and imaginary parts), and the input is phi_RA = X / ||X||, which
+reaches every pure input with |R| = |A| = d.  The surrogate is maximized by
+multi-restart L-BFGS-B on its exact gradient, with restart 0 at X = I, the
+maximally entangled input.  The full variational squashing
 optimization runs once, at the best input found, on the purification of
 that input's output vector over the support of the output state.
 """
@@ -39,8 +42,6 @@ from .squash import (
     _check_search,
     _measure_kernel,
     _squash_purified,
-    _unitary,
-    _unitary_and_pullback,
 )
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
@@ -71,16 +72,12 @@ class RateConstraint:
         return {m: c / 2.0 for m, c in self.coefficients.terms}
 
 
-def _schmidt(params: np.ndarray, d: int) -> np.ndarray:
-    s = params[:d]
-    p = np.exp(s - np.max(s))
-    return p / p.sum()
-
-
-def _pure_input(params: np.ndarray, d: int) -> np.ndarray:
-    """Amplitudes phi[r, a] of a pure phi_RA from d Schmidt parameters
-    (softmax) and a parametrized unitary on A; |R| = |A|."""
-    return np.sqrt(_schmidt(params, d))[:, None] * _unitary(params[d:], d).T
+def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """Amplitudes phi[r, a] = X / ||X|| of a pure phi_RA (|R| = |A| = d), with
+    X = params[:d*d] + i params[d*d:] as a d x d matrix, and ||X||."""
+    x = (params[: d * d] + 1j * params[d * d :]).reshape(d, d)
+    norm = float(np.linalg.norm(x))
+    return x / norm, norm
 
 
 def channel_output_state(
@@ -120,19 +117,16 @@ def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinesp
     evaluate = _measure_kernel(shape, labels, partition, measures)
 
     def value_and_grad(params):
-        p = _schmidt(params, d)
-        q = np.sqrt(p)
-        u, pullback = _unitary_and_pullback(params[d:], d)
-        psi = np.tensordot(q[:, None] * u.T, stinespring, axes=(1, 2))
+        phi, norm = _input_amplitudes(params, d)
+        psi = np.tensordot(phi, stinespring, axes=(1, 2))
         values, grad = evaluate(psi.reshape(shape))
         k = int(np.argmin(values))
         g_phi = np.tensordot(
             grad(k).reshape(psi.shape), stinespring.conj(), axes=([1, 2], [0, 1])
         )
-        # phi[r, a] = q_r U[a, r] with q = sqrt(softmax(s))
-        g_q = 2 * np.sum(g_phi.conj() * u.T, axis=1).real
-        g_s = 0.5 * (g_q * q - p * (g_q @ q))
-        return float(values[k]), np.concatenate([g_s, pullback((q[:, None] * g_phi).T)])
+        # phi = X / ||X||: drop the radial part, which leaves phi unchanged
+        g_x = (g_phi - np.vdot(phi, g_phi).real * phi) / norm
+        return float(values[k]), 2 * np.concatenate([g_x.real.ravel(), g_x.imag.ravel()])
 
     return value_and_grad
 
@@ -160,7 +154,8 @@ def evaluate_bounds(
         partitions = nontrivial_partitions(ground)
     stinespring = _stinespring(channel)
     iso, shape, labels = stinespring
-    npar = d + d * d
+    # restart 0 starts at X = I, the maximally entangled input
+    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
     out = []
     for partition in partitions:
         if set(partition.ground) != set(ground):
@@ -173,9 +168,9 @@ def evaluate_bounds(
 
         rng = np.random.default_rng(cfg.seed)
         best = -math.inf
-        best_params = np.zeros(npar)
+        best_params = identity
         for r in range(cfg.restarts):
-            theta0 = np.zeros(npar) if r == 0 else rng.uniform(-1.0, 1.0, npar)
+            theta0 = identity if r == 0 else rng.uniform(-1.0, 1.0, 2 * d * d)
             res = minimize(
                 negated,
                 theta0,
@@ -188,7 +183,8 @@ def evaluate_bounds(
                 best_params = res.x
         # the output vector at the best input, M[(r, out), env]; its
         # purification over the support of omega = M M^dag feeds the squash
-        m = np.tensordot(_pure_input(best_params, d), iso, axes=(1, 2)).reshape(-1, shape[-1])
+        phi = _input_amplitudes(best_params, d)[0]
+        m = np.tensordot(phi, iso, axes=(1, 2)).reshape(-1, shape[-1])
         psi = _purification(m @ m.conj().T)
         value, measure_used = _partition_value(
             lambda measure: _squash_purified(
@@ -203,7 +199,7 @@ def evaluate_bounds(
                 bound_bits=value,
                 measure_used=measure_used,
                 metadata={
-                    "schmidt": sorted((float(x) for x in _schmidt(best_params, d)), reverse=True),
+                    "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
                     "restarts": cfg.restarts,
                     "seed": cfg.seed,
                     "estimate_only": psi.shape[1] > 1,

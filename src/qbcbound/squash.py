@@ -140,21 +140,12 @@ def _unitary_and_pullback(params: np.ndarray, n: int):
     return u, pullback
 
 
-def _unitary(params: np.ndarray, n: int) -> np.ndarray:
-    """exp(iH) in the parametrization of ``_unitary_and_pullback``."""
-    return _unitary_and_pullback(params, n)[0]
-
-
 def _embedding(d_e: int, d_out: int, d_anc: int) -> list[int]:
     """Columns of out (x) ancilla that |e> maps to: |e mod d_out>|e div d_out>
-    (so e < d_out maps to |e>|0>; needs d_out * d_anc >= d_e)."""
+    (so e < d_out maps to |e>|0>; needs d_out * d_anc >= d_e).  The squashing
+    isometry is these columns of exp(iH(theta)), which squashes nothing at
+    theta = 0 when d_out >= d_e."""
     return [(e % d_out) * d_anc + e // d_out for e in range(d_e)]
-
-
-def _squash_isometry(theta: np.ndarray, d_e: int, d_out: int, d_anc: int) -> np.ndarray:
-    """exp(iH(theta)) on out (x) ancilla after the embedding of |e>.  At
-    theta = 0 and d_out >= d_e it squashes nothing."""
-    return _unitary(theta, d_out * d_anc)[:, _embedding(d_e, d_out, d_anc)]
 
 
 def _measure_kernel(shape, labels, partition: Partition, measures):

@@ -419,8 +419,23 @@ def _field(doc, key: str, parse):
         raise QbcError(f"JSON field {key!r} is malformed: {exc}") from None
 
 
+def _int(value) -> int:
+    # JSON integers only: bool is an int subclass and floats would be truncated
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _dims(values) -> tuple[int, ...]:
-    return tuple(int(d) for d in values)
+    if type(values) is not list:
+        raise TypeError(f"expected an array of integers, got {values!r}")
+    return tuple(_int(d) for d in values)
+
+
+def _labels(values) -> tuple[str, ...]:
+    if type(values) is not list or not all(type(v) is str for v in values):
+        raise TypeError(f"expected an array of strings, got {values!r}")
+    return tuple(values)
 
 
 def state_to_json(state: MultipartiteState) -> str:
@@ -437,7 +452,7 @@ def state_from_json(text: str) -> MultipartiteState:
     doc = json.loads(text)
     return MultipartiteState(
         _field(doc, "matrix", _matrix_from_json),
-        _field(doc, "labels", tuple),
+        _field(doc, "labels", _labels),
         _field(doc, "dims", _dims),
     )
 
@@ -457,7 +472,7 @@ def channel_from_json(text: str) -> QuantumChannel:
     doc = json.loads(text)
     return QuantumChannel(
         _field(doc, "kraus", lambda ks: tuple(_matrix_from_json(k) for k in ks)),
-        _field(doc, "input_dim", int),
-        _field(doc, "output_labels", tuple),
+        _field(doc, "input_dim", _int),
+        _field(doc, "output_labels", _labels),
         _field(doc, "output_dims", _dims),
     )

@@ -13,7 +13,7 @@ from qbcbound import (
     theorem3_report,
 )
 from qbcbound.cli import main
-from qbcbound.sampling import random_channel
+from qbcbound.sampling import random_channel, random_state
 from qbcbound.states import channel_to_json
 
 
@@ -107,6 +107,16 @@ def test_esq_ghz_both_measures(capsys, ghz_path):
     assert doc["results"]["esq-tilde"]["value_bits"] == 1.5
 
 
+def test_esq_exact_flag(capsys, tmp_path, ghz_path):
+    mixed = tmp_path / "rank3.json"
+    rank3 = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
+    mixed.write_text(state_to_json(rank3))
+    for path, exact in ((ghz_path, True), (str(mixed), False)):
+        code, out, _ = run(capsys, "esq", path, "--partition", "A|B|C", "--restarts", "1")
+        assert code == 0
+        assert json.loads(out)["exact"] is exact
+
+
 def test_esq_repeated_label_exits_2(capsys, ghz_path):
     code, out, err = run(capsys, "esq", ghz_path, "--partition", "A,A|B|C")
     assert (code, out) == (2, "")
@@ -134,6 +144,17 @@ _STATE = {
     "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
 }
 _CHANNEL = {"input_dim": 2, "output_labels": ["B"], "output_dims": [2]}
+_MIXED_PAIR = {
+    "labels": ["A", "B"],
+    "dims": [2, 2],
+    "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)],
+}
+_COPY = {
+    "input_dim": 2,
+    "output_labels": ["B", "C"],
+    "output_dims": [2, 2],
+    "kraus": [[[[float(i == 3 * j), 0.0] for j in range(2)] for i in range(4)]],
+}
 
 
 @pytest.mark.parametrize(
@@ -143,8 +164,25 @@ _CHANNEL = {"input_dim": 2, "output_labels": ["B"], "output_dims": [2]}
         ("bounds-finite", json.dumps(_CHANNEL), "'kraus'"),
         ("qinfo", json.dumps({**_STATE, "matrix": [[0.5, [0.0, 0.0]]]}), "'matrix'"),
         ("qinfo", json.dumps([_STATE]), "JSON object"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "dims": [2.5, 2]}), "'dims'"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "dims": [True, 4]}), "'dims'"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "labels": "AB"}), "'labels'"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "labels": [1, 2]}), "'labels'"),
+        ("bounds-finite", json.dumps({**_COPY, "input_dim": 2.9}), "'input_dim'"),
+        ("bounds-finite", json.dumps({**_COPY, "output_labels": "BC"}), "'output_labels'"),
     ],
-    ids=["not-json", "missing-kraus", "bare-number", "top-level-array"],
+    ids=[
+        "not-json",
+        "missing-kraus",
+        "bare-number",
+        "top-level-array",
+        "float-dim",
+        "bool-dim",
+        "string-labels",
+        "integer-labels",
+        "float-input-dim",
+        "string-output-labels",
+    ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):
     bad = tmp_path / "bad.json"

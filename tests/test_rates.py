@@ -27,8 +27,8 @@ from qbcbound import (
 from qbcbound import rates
 from qbcbound.rates import (
     _input_value_and_grad,
+    _input_amplitudes,
     _partition_value,
-    _pure_input,
 )
 from qbcbound.sampling import random_channel
 
@@ -161,7 +161,7 @@ def test_output_pure_within_is_pure_tolerance_is_exact():
 
 
 def _output(channel, params):
-    vec = _pure_input(params, channel.input_dim)
+    vec = _input_amplitudes(params, channel.input_dim)[0].ravel()
     d = channel.input_dim
     phi = MultipartiteState(np.outer(vec, vec.conj()), ("R", "A"), (d, d))
     return channel_output_state(channel, phi)
@@ -169,7 +169,8 @@ def _output(channel, params):
 
 def _search_points(d, count, seed):
     rng = np.random.default_rng(seed)
-    return [np.zeros(d + d * d)] + [rng.uniform(-2, 2, d + d * d) for _ in range(count)]
+    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    return [identity] + [rng.uniform(-2, 2, 2 * d * d) for _ in range(count)]
 
 
 def test_surrogate_equals_conditioning_on_rank_purifier():
@@ -236,7 +237,7 @@ def test_surrogate_gradient_matches_central_differences(name, choice, seed):
     value_and_grad = _input_value_and_grad(channel, partition)
     rng = np.random.default_rng(seed)
     d = channel.input_dim
-    params = rng.uniform(-2, 2, d + d * d)
+    params = rng.uniform(-2, 2, 2 * d * d)
     value, grad = value_and_grad(params)
     step = 1e-6
     for i in range(len(params)):
@@ -244,3 +245,23 @@ def test_surrogate_gradient_matches_central_differences(name, choice, seed):
         e[i] = step
         fd = (value_and_grad(params + e)[0] - value_and_grad(params - e)[0]) / (2 * step)
         assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, grad[i], fd)
+
+
+def test_input_search_reaches_the_bc_cut_maximum(monkeypatch):
+    # the surrogate's maximum over inputs on this cut is 0.81673938
+    channel = SURROGATE_CHANNELS["seed0"]()
+    seen = []
+
+    def recording(*args):
+        value_and_grad = _input_value_and_grad(*args)
+
+        def wrapped(params):
+            value, grad = value_and_grad(params)
+            seen.append(value)
+            return value, grad
+
+        return wrapped
+
+    monkeypatch.setattr(rates, "_input_value_and_grad", recording)
+    evaluate_bounds(channel, [part(("R",), ("B", "C"))])
+    assert max(seen) >= 0.8167393

@@ -31,9 +31,9 @@ from qbcbound import (
 from qbcbound import squash
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
-    _squash_isometry,
+    _embedding,
     _squash_value_and_grad,
-    _unitary,
+    _unitary_and_pullback,
 )
 from qbcbound.states import _purifying_amplitudes, _support
 
@@ -277,7 +277,7 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
         psi, state.dims, state.labels, d_out, d_anc, partition, measure
     )(theta)[0]
 
-    iso = _squash_isometry(theta, d_e, d_out, d_anc)
+    iso = _unitary_and_pullback(theta, d_out * d_anc)[0][:, _embedding(d_e, d_out, d_anc)]
     kraus = tuple(iso.reshape(d_out, d_anc, d_e)[:, a, :] for a in range(d_anc))
     squash = QuantumChannel(kraus, d_e, ("Eout",), (d_out,))
     out = apply_channel(squash, purify(state, "E"), "E")
@@ -295,7 +295,7 @@ def test_unitary_matches_expm(n):
         rows, cols = np.triu_indices(n, 1)
         h[rows, cols] = params[n::2] + 1j * params[n + 1 :: 2]
         h[cols, rows] = params[n::2] - 1j * params[n + 1 :: 2]
-        assert np.max(np.abs(_unitary(params, n) - scipy.linalg.expm(1j * h))) < 1e-13
+        assert np.max(np.abs(_unitary_and_pullback(params, n)[0] - scipy.linalg.expm(1j * h))) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
