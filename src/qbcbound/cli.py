@@ -18,16 +18,16 @@ invariant named on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import __version__
-from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_report
+from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_columns, theorem3_report
 from .errors import QbcError
 from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
@@ -55,6 +55,12 @@ SWEEP_COLUMNS = (
     "tripartite_bound_as_printed",
     "eta_star",
 )
+_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
+# CSV rows are converted to Python floats and text this many at a time, so a
+# whole sweep never exists in both forms at once
+_CSV_CHUNK_ROWS = 1024
+# a larger grid would take gigabytes for its columns and text
+MAX_SWEEP_STEPS = 10**6
 
 
 def _fmt(x):
@@ -75,32 +81,32 @@ def _fmt(x):
     return _fmt(float(x))
 
 
-def _fmt_cell(x) -> str:
-    v = _fmt(x)
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _emit(text: str, output: str | None):
+def _emit(text: str | Iterable[str], output: str | None):
+    """Write ``text``, or each string it yields, to ``output`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _emit_rows(rows: list[dict], columns, fmt: str, output: str | None):
+def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | None = None):
+    """Emit each row of a (rows, SWEEP_COLUMNS) float table as a CSV line or
+    as a JSON object, to which ``extra`` adds its keys."""
     if fmt == "json":
+        rows = [{**dict(zip(SWEEP_COLUMNS, r)), **(extra or {})} for r in table.tolist()]
         doc = {"version": __version__, "rows": [_fmt(r) for r in rows]}
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", output)
         return
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for r in rows:
-        w.writerow([_fmt_cell(r[c]) for c in columns])
-    _emit(buf.getvalue(), output)
+    if np.isnan(table).any():
+        raise QbcError("NaN is never emitted")
+    # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent bound
+    chunks = (
+        "".join([_CSV_ROW % tuple(r) for r in table[k : k + _CSV_CHUNK_ROWS].tolist()])
+        for k in range(0, len(table), _CSV_CHUNK_ROWS)
+    )
+    _emit(itertools.chain([",".join(SWEEP_COLUMNS) + "\n"], chunks), output)
 
 
 def _read_text(path: str) -> str:
@@ -184,27 +190,12 @@ def _cmd_bounds_finite(args) -> int:
     return 0
 
 
-def _bosonic_row(eta_b: float, eta_c: float, mean_photon: float | None = None) -> dict:
-    """One sweep row, plus ``finite_ns`` (JSON only) when ``mean_photon`` is given."""
-    rep = theorem3_report(eta_b, eta_c, mean_photon)
-    row = {
-        "eta_b": eta_b,
-        "eta_c": eta_c,
-        "bound_b_cut": rep.bound_b_cut,
-        "bound_c_cut": rep.bound_c_cut,
-        "bound_bc_cut": rep.bound_bc_cut,
-        "tripartite_bound": rep.tripartite_bound,
-        "tripartite_bound_as_printed": rep.tripartite_bound_as_printed,
-        "eta_star": rep.eta_star,
-    }
-    if rep.finite_ns is not None:
-        row["finite_ns"] = rep.finite_ns
-    return row
-
-
 def _cmd_bounds_bosonic(args) -> int:
-    rows = [_bosonic_row(args.eta_b, args.eta_c, args.ns)]
-    _emit_rows(rows, SWEEP_COLUMNS, args.format, args.output)
+    rep = theorem3_report(args.eta_b, args.eta_c, args.ns)
+    row = [args.eta_b, args.eta_c] + [getattr(rep, c) for c in SWEEP_COLUMNS[2:]]
+    # the CSV columns carry no photon-number figures
+    extra = None if rep.finite_ns is None else {"finite_ns": rep.finite_ns}
+    _emit_rows(np.array([row]), args.format, args.output, extra)
     return 0
 
 
@@ -212,12 +203,16 @@ def _cmd_sweep(args) -> int:
     steps = args.sweep_steps
     if steps < 1:
         raise QbcError("--sweep-steps must be at least 1")
-    rows = []
-    for i in range(steps):
-        eta_b = args.eta_b * (i + 1) / steps
-        rows.append(_bosonic_row(eta_b, args.eta_c))
-    rows.sort(key=lambda r: (r["eta_b"], r["eta_c"]))
-    _emit_rows(rows, SWEEP_COLUMNS, args.format, args.output)
+    if steps > MAX_SWEEP_STEPS:
+        raise QbcError(f"--sweep-steps must be at most {MAX_SWEEP_STEPS}")
+    # overflow to inf stays quiet, as in Python floats; validation rejects it
+    with np.errstate(over="ignore"):
+        eta_b = args.eta_b * np.arange(1, steps + 1) / steps
+    cols = theorem3_columns(eta_b, args.eta_c)
+    eta_c = np.full(steps, args.eta_c)
+    # eta_b >= 0 is validated, so the grid is already in ascending order
+    _emit_rows(np.column_stack([eta_b, eta_c] + [cols[c] for c in SWEEP_COLUMNS[2:]]),
+               args.format, args.output)
     return 0
 
 

@@ -1,7 +1,10 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcbound import (
     BosonicBroadcastSpec,
@@ -11,9 +14,141 @@ from qbcbound import (
     finite_ns_bound,
     g,
     optimal_eta_star,
+    theorem3_columns,
     theorem3_report,
 )
 from qbcbound.bosonic import effective_single_receiver
+
+# ---------------------------------------------------------------------------
+# scalar reference: the closed forms and the bisection as plain loops over
+# Python floats; the library's array code must return the same bits
+
+
+def _ref_gap(etas, x):
+    eta = min(1.0, sum(etas))
+    lhs = 0.0
+    for ei in etas:
+        if ei > 0:
+            lhs += 1.0 / (x * x * (1 - eta) / ei + x)
+    rhs = 1.0 / ((1 - x) ** 2 * (1 - eta) / eta + (1 - x))
+    return lhs - rhs
+
+
+def _ref_eta_star(etas):
+    lo, hi = 1e-9, 1.0 - 1e-9
+    flo, fhi = _ref_gap(etas, lo), _ref_gap(etas, hi)
+    assert flo * fhi <= 0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        fm = _ref_gap(etas, mid)
+        if flo * fm <= 0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _ref_asymptotic(etas, x, measure):
+    eta = min(1.0, sum(etas))
+    if eta >= 1.0:
+        return math.inf
+    xr, xc = (x, 1.0 - x) if measure == "esq" else (1.0 - x, x)
+    total = 0.0
+    for ei in etas:
+        if ei > 0 and xr == 0:
+            return math.inf
+        if ei > 0:
+            total += math.log2(ei / ((1 - eta) * xr) + 1)
+    if eta > 0 and xc == 0:
+        return math.inf
+    if eta > 0:
+        total += math.log2(eta / ((1 - eta) * xc) + 1)
+    return 0.5 * total
+
+
+def _ref_cut(eta_to, eta_away):
+    denom = 1.0 - eta_to - eta_away
+    if denom <= 0:
+        return math.inf
+    return math.log2((1.0 + eta_to - eta_away) / denom)
+
+
+def _ref_theorem3(eta_b, eta_c):
+    eta = min(1.0, eta_b + eta_c)
+    if eta >= 1.0 or (eta_b == 0 and eta_c == 0):
+        eta_star = 0.5
+        tri = tri_printed = math.inf if eta >= 1.0 else 0.0
+    else:
+        eta_star = _ref_eta_star((eta_b, eta_c))
+        tri = _ref_asymptotic((eta_b, eta_c), eta_star, "esq")
+        tri_printed = _ref_asymptotic((eta_b, eta_c), eta_star, "esq-tilde")
+    return {
+        "bound_b_cut": _ref_cut(eta_b, eta_c),
+        "bound_c_cut": _ref_cut(eta_c, eta_b),
+        "bound_bc_cut": _ref_cut(eta_b + eta_c, 0.0),
+        "tripartite_bound": tri,
+        "tripartite_bound_as_printed": tri_printed,
+        "eta_star": eta_star,
+    }
+
+
+def _report_fields(rep):
+    return {k: v for k, v in asdict(rep).items() if k != "finite_ns"}
+
+
+_eta = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_eta, _eta)
+def test_theorem3_report_matches_scalar_reference(eta_b, eta_c):
+    if eta_b + eta_c > 1 + 1e-12:
+        with pytest.raises(DomainError, match="total transmissivity exceeds 1"):
+            theorem3_report(eta_b, eta_c)
+        return
+    expect = _ref_theorem3(eta_b, eta_c)
+    assert _report_fields(theorem3_report(eta_b, eta_c)) == expect
+    if eta_b + eta_c < 1 and (eta_b, eta_c) != (0, 0):
+        spec = BosonicBroadcastSpec((eta_b, eta_c))
+        assert optimal_eta_star(spec) == _ref_eta_star((eta_b, eta_c))
+
+
+@pytest.mark.parametrize("eta_max, eta_c", [(0.8, 0.1), (0.5, 0.3), (0.99, 0.0)])
+def test_theorem3_columns_match_scalar_reference(eta_max, eta_c):
+    eta_b = eta_max * np.arange(1, 10**4 + 1) / 10**4
+    cols = theorem3_columns(eta_b, eta_c)
+    # every 4th point keeps the scalar loop's share of the test time small
+    for i in range(0, eta_b.size, 4):
+        got = {k: v[i] for k, v in cols.items()}
+        assert got == _ref_theorem3(float(eta_b[i]), eta_c), i
+
+
+@pytest.mark.parametrize(
+    "etas", [(0.3,), (0.9,), (0.2, 0.3, 0.1), (0.0, 0.25, 0.0, 0.5), (1e-310, 0.4)]
+)
+def test_optimal_eta_star_matches_scalar_reference(etas):
+    spec = BosonicBroadcastSpec(etas)
+    assert optimal_eta_star(spec) == _ref_eta_star(etas)
+    for x in (0.0, 0.25, 0.5, 0.9, 1.0):
+        for measure in ("esq", "esq-tilde"):
+            assert asymptotic_bound(spec, x, measure) == _ref_asymptotic(etas, x, measure)
+
+
+def test_three_receiver_eta_star_value():
+    assert optimal_eta_star(BosonicBroadcastSpec((0.2, 0.3, 0.1))) == 0.6171831012023283
+
+
+def test_theorem3_columns_validate_first_bad_pair():
+    # the sign check wins within a pair, the first bad pair across the grid
+    with pytest.raises(DomainError, match="total"):
+        theorem3_columns([0.3, 0.9, -0.1], 0.2)
+    with pytest.raises(DomainError, match="nonnegative"):
+        theorem3_columns([0.3, -0.1, 0.9], 0.2)
+    with pytest.raises(DomainError, match="nonnegative"):
+        theorem3_columns([0.3, math.nan], 0.2)
+    with pytest.raises(DomainError, match="total"):
+        theorem3_columns([math.inf], 0.0)
+
 
 
 def test_g_values():
@@ -87,6 +222,8 @@ def test_asymptotic_diverges_at_endpoints():
     spec = BosonicBroadcastSpec((0.25, 0.25))
     assert asymptotic_bound(spec, 0.0) == math.inf
     assert asymptotic_bound(spec, 1.0) == math.inf
+    # (1 - eta) * x underflows to 0 next to the endpoint
+    assert asymptotic_bound(spec, 5e-324) == math.inf
 
 
 def test_measure_pairing_swap():

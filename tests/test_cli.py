@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,7 +13,8 @@ from qbcbound import (
     state_to_json,
     theorem3_report,
 )
-from qbcbound.cli import main
+from qbcbound import bosonic
+from qbcbound.cli import MAX_SWEEP_STEPS, main
 from qbcbound.sampling import random_channel, random_state
 from qbcbound.states import channel_to_json
 
@@ -94,6 +96,88 @@ def test_sweep_sorted_rows(capsys):
     assert len(lines) == 5
     etas = [float(line.split(",")[0]) for line in lines[1:]]
     assert etas == sorted(etas) == [0.1, 0.2, 0.3, 0.4]
+
+
+# sha256 of stdout for fixed invocations in CSV and in JSON: a change to any
+# printed digit, or to the layout, changes the hash
+_GOLDEN = [
+    pytest.param(
+        "sweep --eta-b 0.8 --eta-c 0.1 --sweep-steps 1000",
+        "22e5d1f10ca4076f675bf033426cedcee54a01c1d4721a2ab3a5bb4cbbb7d849",
+        "e73f10792b3629f02158a650e3400e6c093ec95c27a8a4e99110d88a0e53afbc",
+        id="grid_0.8_0.1",
+    ),
+    # the last row reaches eta_b + eta_c = 1: inf bounds, eta* reported as 1/2
+    pytest.param(
+        "sweep --eta-b 0.5 --eta-c 0.5 --sweep-steps 3",
+        "9d7492b2a4ad584d13a85fe3a1c34d69f32893c025d6436d00f42ba501f15652",
+        "c89957711d3e2a40d4afee9747b71ef7de5e0cf6c774ea41096eace657ea4b7d",
+        id="inf_rows",
+    ),
+    pytest.param(
+        "sweep --eta-b 0 --eta-c 0 --sweep-steps 2",
+        "f282dbd24c4884f0b531ec042993c79acdeabc2e233d9b3d23369ce9c5d3ffb2",
+        "034c0b4a784238cb71c59be935d1893ef330c30bc8582f84ab44b953d96f91ac",
+        id="all_zero",
+    ),
+    pytest.param(
+        "sweep --eta-b 0.99 --eta-c 0.0 --sweep-steps 1000",
+        "08f333fa98c158aa527f1d53fd629d66e1355b83ed4ee1cc03a95c992414e403",
+        "56ec5ece793f5934fc0d04e690d07f8533524fc36c349680105ff1ea8e75e43b",
+        id="grid_0.99_0",
+    ),
+    pytest.param(
+        "sweep --eta-b 0.3 --eta-c 0.2 --sweep-steps 1",
+        "49d7448308359eee457127b36bc8bf080d12a8d9220dee2530772494fe52def0",
+        "9eed30607599543d6716b1f9a8aabc4e036c73c129f204cb43d63baed8943485",
+        id="one_step",
+    ),
+    # the first bosonic_sweep benchmark input at seed 0
+    pytest.param(
+        "sweep --eta-b 0.8818480843660728 --eta-c 0.036187202825832224 --sweep-steps 10000",
+        "bec2038a87cf5e2ca4c40a9007ddb87dcd707cd2a93f47bdd42906f64d60bdc5",
+        "b27ab5fa4f4549e0ab8cf4d6186dab587d9774f96f35589f4d092deb6cbebf28",
+        id="bench_pool_seed0",
+    ),
+    pytest.param(
+        "bounds-bosonic --eta-b 0.25 --eta-c 0.1 --ns 5",
+        "65614ecc86a71d6710ae164ccd94fe11568c039eafdf29002c37d9d46da88282",
+        "740d0b24fbe53f1a73f8d1ba10e53b357ac4fc78220ba711ada2c0d63d3bea22",
+        id="bounds_bosonic_ns5",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, csv_sha, json_sha", _GOLDEN)
+def test_bosonic_output_golden(capsys, argv, csv_sha, json_sha, fmt):
+    code, out, err = run(capsys, *argv.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (csv_sha if fmt == "csv" else json_sha)
+
+
+def test_sweep_rejects_bad_grid_before_bisection(capsys, monkeypatch):
+    def no_bisection(etas):
+        raise AssertionError("bisection started on an invalid grid")
+
+    monkeypatch.setattr(bosonic, "_bisect_eta_star", no_bisection)
+    argv = ["sweep", "--eta-b", "0.95", "--eta-c", "0.1", "--sweep-steps", "100000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: total transmissivity exceeds 1\n")
+    # a negative eta_c fails every pair, and the sign check comes first
+    code, out, err = run(capsys, "sweep", "--eta-b", "2", "--eta-c", "-0.1")
+    assert (code, out) == (2, "")
+    assert "finite and nonnegative" in err
+
+
+def test_sweep_steps_cap(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated past the cap")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    code, out, err = run(capsys, "sweep", "--eta-b", "0.5", "--sweep-steps", str(MAX_SWEEP_STEPS + 1))
+    assert (code, out) == (2, "")
+    assert str(MAX_SWEEP_STEPS) in err
 
 
 def test_esq_ghz_both_measures(capsys, ghz_path):
