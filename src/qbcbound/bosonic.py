@@ -120,8 +120,9 @@ def _square(a: np.ndarray) -> np.ndarray:
 
 def g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number x."""
-    if x < 0:
-        raise DomainError("mean photon number must be nonnegative")
+    # written so that NaN, for which every comparison is false, fails it
+    if not 0 <= x < math.inf:
+        raise DomainError("mean photon number must be finite and nonnegative")
     if x == 0:
         return 0.0
     return (x + 1) * math.log2(x + 1) - x * math.log2(x)
@@ -134,9 +135,9 @@ def _pairings(x, measure: str):
     environment fraction x and the collective term with 1 - x; the dual
     measure swaps the pairing.  ``x`` is a float or an array.
     """
-    if measure in ("esq", "E_sq"):
+    if measure == "esq":
         return x, 1.0 - x
-    if measure in ("esq-tilde", "E_sq_tilde"):
+    if measure == "esq-tilde":
         return 1.0 - x, x
     raise QbcError(f"unknown measure {measure!r}")
 

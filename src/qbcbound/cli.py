@@ -18,6 +18,7 @@ invariant named on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_columns, t
 from .errors import QbcError
 from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
-from .rates import InputSearchConfig, evaluate_bounds, two_receiver_report
+from .rates import FINAL_SQUASH, InputSearchConfig, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
 from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
 from .states import (
@@ -170,7 +171,7 @@ def _cmd_esq(args) -> int:
 def _cmd_bounds_finite(args) -> int:
     channel = channel_from_json(_read_text(args.channel))
     cfg = InputSearchConfig(restarts=args.restarts, seed=args.seed)
-    squash_cfg = SquashConfig(restarts=3, max_iters=400, seed=args.seed)
+    squash_cfg = dataclasses.replace(FINAL_SQUASH, seed=args.seed)
     doc = {"version": __version__, "seed": args.seed}
     if not args.partition and len(channel.output_labels) == 2:
         doc["report"] = two_receiver_report(channel, cfg, squash_cfg)

@@ -46,6 +46,8 @@ from .squash import (
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
+# the variational squash that runs once per partition at the best input
+FINAL_SQUASH = SquashConfig(restarts=3, max_iters=400)
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,13 @@ def _stinespring(channel: QuantumChannel):
     return stinespring, shape, (SENDER_LABEL,) + channel.output_labels
 
 
-def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinespring=None):
+def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinespring):
     """params -> (value, gradient) of the partition value of (1 (x) V)|phi>
     conditioned on the environment.  On a 3-block partition the value is the
     smaller of the two measures and the gradient is that measure's.
-    ``stinespring`` is ``_stinespring(channel)``, built here if not given."""
+    ``stinespring`` is ``_stinespring(channel)``."""
     d = channel.input_dim
-    stinespring, shape, labels = stinespring or _stinespring(channel)
+    stinespring, shape, labels = stinespring
     measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
     evaluate = _measure_kernel(shape, labels, partition, measures)
 
@@ -135,7 +137,7 @@ def evaluate_bounds(
     channel: QuantumChannel,
     partitions: list[Partition] | None = None,
     cfg: InputSearchConfig = InputSearchConfig(),
-    squash_cfg: SquashConfig = SquashConfig(restarts=3, max_iters=400),
+    squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
     """One RateConstraint per partition, maximizing over pure inputs."""
     ground = (SENDER_LABEL,) + channel.output_labels
@@ -144,11 +146,10 @@ def evaluate_bounds(
     d = channel.input_dim
     # the output state's rank is at most the number of Kraus operators
     rank = min(len(channel.kraus_ops), d * channel.output_dim)
-    squash_dim = squash_cfg.squash_output_dim or rank
-    if d * channel.output_dim * squash_dim > squash_cfg.dim_cap:
+    if d * channel.output_dim * rank > squash_cfg.dim_cap:
         raise TooLarge(
             f"output state dim {d * channel.output_dim} x squash output dim up to "
-            f"{squash_dim} exceeds cap {squash_cfg.dim_cap}"
+            f"{rank} exceeds cap {squash_cfg.dim_cap}"
         )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
@@ -216,7 +217,7 @@ RATE_TUPLE = ("E_AB", "E_AC", "E_BC", "E_ABC", "K_AB", "K_AC", "K_BC", "K_ABC")
 def two_receiver_report(
     channel: QuantumChannel,
     cfg: InputSearchConfig = InputSearchConfig(),
-    squash_cfg: SquashConfig = SquashConfig(restarts=3, max_iters=400),
+    squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> dict[str, dict]:
     """The four named two-receiver inequalities with explicit coefficient
     vectors over (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC)."""

@@ -9,7 +9,8 @@ The variational objective stays a pure state vector: the state is purified
 once, each trial squashing isometry is applied to the purifier with one
 contraction, and every entropy comes from the reshaped vector.  The same
 pass returns the exact gradient with respect to the Hermitian generator of
-the isometry, which drives multi-restart L-BFGS-B.
+the isometry, which drives multi-restart L-BFGS-B.  The isometry maps the
+purifier into a copy of itself and a traced-out qubit ancilla.
 
 Variational results are upper bounds only: any feasible squashing channel
 gives one, and we cannot certify convergence to the true infimum.
@@ -55,7 +56,6 @@ def _check_search(restarts: int, max_iters: int, tol: float):
 
 @dataclass(frozen=True)
 class SquashConfig:
-    squash_output_dim: int | None = None  # default: dimension of the purifier
     restarts: int = 20
     max_iters: int = 2000
     tol: float = 1e-8
@@ -64,8 +64,6 @@ class SquashConfig:
 
     def __post_init__(self):
         _check_search(self.restarts, self.max_iters, self.tol)
-        if self.squash_output_dim is not None and self.squash_output_dim < 1:
-            raise QbcError("squash_output_dim must be at least 1")
         if self.dim_cap < 1:
             raise QbcError("dim_cap must be at least 1")
 
@@ -140,14 +138,6 @@ def _unitary_and_pullback(params: np.ndarray, n: int):
     return u, pullback
 
 
-def _embedding(d_e: int, d_out: int, d_anc: int) -> list[int]:
-    """Columns of out (x) ancilla that |e> maps to: |e mod d_out>|e div d_out>
-    (so e < d_out maps to |e>|0>; needs d_out * d_anc >= d_e).  The squashing
-    isometry is these columns of exp(iH(theta)), which squashes nothing at
-    theta = 0 when d_out >= d_e."""
-    return [(e % d_out) * d_anc + e // d_out for e in range(d_e)]
-
-
 def _measure_kernel(shape, labels, partition: Partition, measures):
     """``evaluate(psi) -> (values, grad)`` of half of each of ``measures`` over
     ``partition`` conditioned on a purifier, on a pure tensor of ``shape``: one
@@ -156,21 +146,23 @@ def _measure_kernel(shape, labels, partition: Partition, measures):
     return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
 
-def _squash_value_and_grad(psi, dims, labels, d_out: int, d_anc: int, partition, measure):
+def _squash_value_and_grad(psi, dims, labels, partition, measure):
     """theta -> (value, gradient) of half the measure of (1 (x) V(theta)) psi[i, e]
-    (i over ``labels`` of ``dims``) conditioned on the squash output; the ancilla is traced out."""
+    (i over ``labels`` of ``dims``) conditioned on the squash output E'.  The
+    isometry |e> -> exp(iH(theta)) |e>|0> maps the purifier into E' (x) a qubit
+    ancilla, E' of the purifier's dimension; the ancilla is traced out, and
+    theta = 0 squashes nothing."""
     d_e = psi.shape[1]
-    n = d_out * d_anc
-    cols = _embedding(d_e, d_out, d_anc)
-    shape = dims + (d_out, d_anc)
+    shape = dims + (d_e, 2)
     evaluate = _measure_kernel(shape, labels, partition, [measure])
 
     def value_and_grad(theta):
-        u, pullback = _unitary_and_pullback(theta, n)
-        out = np.tensordot(psi, u[:, cols], axes=(1, 1))
+        u, pullback = _unitary_and_pullback(theta, 2 * d_e)
+        # columns |e>|0> of the unitary
+        out = np.tensordot(psi, u[:, ::2], axes=(1, 1))
         (value,), grad = evaluate(out.reshape(shape))
-        g_u = np.zeros((n, n), dtype=complex)
-        g_u[:, cols] = grad(0).reshape(out.shape).T @ psi.conj()
+        g_u = np.zeros_like(u)
+        g_u[:, ::2] = grad(0).reshape(out.shape).T @ psi.conj()
         return float(value), pullback(g_u)
 
     return value_and_grad
@@ -180,7 +172,9 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
     """Variational squash of the state with purification amplitudes psi[i, e]
     (i over ``labels`` of ``dims``, e over the state's support): half the
     measure conditioned on a squashed purifier, minimized by multi-restart
-    L-BFGS-B from the identity squashing point.  Exact when e has one value."""
+    L-BFGS-B.  Restart 0 is the identity squashing point, a stationary point
+    scored without a search; restarts 1, 2, ... start from random generators.
+    Exact when e has one value."""
     measure = Measure(measure)
     d_e = psi.shape[1]
     # the untouched purifier (identity squashing)
@@ -191,20 +185,15 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
         # pure state: no extension can lower the objective
         return SquashResult(identity, measure, True, {"trivial": True})
 
-    d_out = config.squash_output_dim or d_e
-    d_anc = max(2, math.ceil(d_e / d_out))
-    value_and_grad = _squash_value_and_grad(psi, dims, labels, d_out, d_anc, partition, measure)
+    value_and_grad = _squash_value_and_grad(psi, dims, labels, partition, measure)
 
     rng = np.random.default_rng(config.seed)
-    npar = (d_out * d_anc) ** 2
-    best_val = math.inf
-    best_theta = None
-    converged = False
-    for r in range(config.restarts):
-        theta0 = np.zeros(npar) if r == 0 else rng.uniform(-np.pi, np.pi, npar)
+    npar = (2 * d_e) ** 2
+    best_val, best_theta, converged = identity, None, True
+    for _ in range(1, config.restarts):
         res = minimize(
             value_and_grad,
-            theta0,
+            rng.uniform(-np.pi, np.pi, npar),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": config.max_iters, "ftol": config.tol},
@@ -213,18 +202,11 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
             best_val = float(res.fun)
             best_theta = res.x
             converged = bool(res.success)
-    if d_out >= d_e and identity < best_val:
-        # the untouched purifier is a feasible point
-        best_val, best_theta, converged = identity, None, True
     return SquashResult(
         best_val,
         measure,
         converged,
-        {
-            "squash_output_dim": d_out,
-            "ancilla_dim": d_anc,
-            "params": None if best_theta is None else best_theta.tolist(),
-        },
+        {"params": None if best_theta is None else best_theta.tolist()},
     )
 
 
@@ -239,16 +221,18 @@ def esq_upper_variational(
     The state is purified once, a squashing channel on the purifier is
     parametrized through a Stinespring isometry, and half the conditional
     multipartite information is minimized by multi-restart L-BFGS-B on its
-    exact gradient.  Restart 0 starts at the identity squashing point.  A
-    pure state (as ``is_pure`` judges it) of any size gets its exact value,
+    exact gradient.  The isometry maps the purifier into a space of its own
+    dimension and a traced-out qubit ancilla.  Restart 0 is the identity
+    squashing point, scored without a search, and ``config.restarts`` counts
+    it.  A pure state (as ``is_pure`` judges it) of any size gets its exact value,
     with no search and no size cap.
     """
     BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
     psi = _purification(state.matrix)
-    d_out = config.squash_output_dim or psi.shape[1]
-    if psi.shape[1] > 1 and state.dim * d_out > config.dim_cap:
+    d_e = psi.shape[1]
+    if d_e > 1 and state.dim * d_e > config.dim_cap:
         raise TooLarge(
-            f"state dim {state.dim} x squash output dim {d_out} exceeds cap "
+            f"state dim {state.dim} x squash output dim {d_e} exceeds cap "
             f"{config.dim_cap}"
         )
     return _squash_purified(psi, state.dims, state.labels, partition, measure, config)

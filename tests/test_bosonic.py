@@ -156,8 +156,9 @@ def test_g_values():
     assert abs(g(1) - 2.0) < 1e-12
     # large-x difference tends to log2 of the photon-number ratio
     assert abs((g(1e6) - g(5e5)) - 1.0) < 1e-4
-    with pytest.raises(DomainError):
-        g(-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            g(bad)
 
 
 def test_g_strictly_increasing():

@@ -29,6 +29,7 @@ from qbcbound.rates import (
     _input_value_and_grad,
     _input_amplitudes,
     _partition_value,
+    _stinespring,
 )
 from qbcbound.sampling import random_channel
 
@@ -177,7 +178,7 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
     # four Kraus operators: the environment is larger than the purifier rank
     channel = random_channel(np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=4)
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_value_and_grad(channel, partition)
+        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
         for params in _search_points(2, 4, 0):
             phi = purify(_output(channel, params), "E")
             spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"E"}))
@@ -193,7 +194,7 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
 def test_surrogate_is_exact_on_copy_channel():
     channel = copy_channel()
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_value_and_grad(channel, partition)
+        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
         for params in _search_points(2, 4, 1):
             omega = _output(channel, params)
             expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
@@ -234,7 +235,7 @@ SURROGATE_CHANNELS = {
 def test_surrogate_gradient_matches_central_differences(name, choice, seed):
     channel = SURROGATE_CHANNELS[name]()
     partition = nontrivial_partitions(("R", "B", "C"))[choice]
-    value_and_grad = _input_value_and_grad(channel, partition)
+    value_and_grad = _input_value_and_grad(channel, partition, _stinespring(channel))
     rng = np.random.default_rng(seed)
     d = channel.input_dim
     params = rng.uniform(-2, 2, 2 * d * d)

@@ -31,7 +31,7 @@ from qbcbound import (
 from qbcbound import squash
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
-    _embedding,
+    _measure_kernel,
     _squash_value_and_grad,
     _unitary_and_pullback,
 )
@@ -173,7 +173,7 @@ def test_variational_never_above_trivial_squashing():
 
 def test_dimension_cap():
     ghz = make_ghz(("A", "B", "C"), 4)
-    cfg = SquashConfig(dim_cap=32, squash_output_dim=2)
+    cfg = SquashConfig(dim_cap=32)
     with pytest.raises(TooLarge):
         esq_upper_variational(
             MultipartiteState(np.eye(64) / 64, ("A", "B", "C"), (4, 4, 4)),
@@ -219,8 +219,6 @@ def test_variational_exact_on_large_pure_state(noise):
         lambda: SquashConfig(tol=float("nan")),
         lambda: SquashConfig(max_iters=-5),
         lambda: SquashConfig(max_iters=0),
-        lambda: SquashConfig(squash_output_dim=-1),
-        lambda: SquashConfig(squash_output_dim=0),
         lambda: SquashConfig(dim_cap=0),
         lambda: esq_cq_average(
             [(float("nan"), make_ghz(("A", "B"), 2))], part(("A",), ("B",))
@@ -240,8 +238,6 @@ def test_variational_exact_on_large_pure_state(noise):
         "squash-tol-nan",
         "squash-max-iters-negative",
         "squash-max-iters-0",
-        "squash-output-dim-negative",
-        "squash-output-dim-0",
         "squash-dim-cap-0",
         "cq-average-nan-weight",
         "cq-average-negative-weight",
@@ -270,16 +266,13 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     partition = partitions[choice % len(partitions)]
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
-    d_out = 1 + choice % (d_e + 1)
-    d_anc = max(2, -(-d_e // d_out))
-    theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
-    value = _squash_value_and_grad(
-        psi, state.dims, state.labels, d_out, d_anc, partition, measure
-    )(theta)[0]
+    theta = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
+    value = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)(theta)[0]
 
-    iso = _unitary_and_pullback(theta, d_out * d_anc)[0][:, _embedding(d_e, d_out, d_anc)]
-    kraus = tuple(iso.reshape(d_out, d_anc, d_e)[:, a, :] for a in range(d_anc))
-    squash = QuantumChannel(kraus, d_e, ("Eout",), (d_out,))
+    # the isometry |e> -> exp(iH)|e>|0> into Eout (x) a qubit ancilla
+    iso = _unitary_and_pullback(theta, 2 * d_e)[0][:, ::2]
+    kraus = tuple(iso.reshape(d_e, 2, d_e)[:, a, :] for a in range(2))
+    squash = QuantumChannel(kraus, d_e, ("Eout",), (d_e,))
     out = apply_channel(squash, purify(state, "E"), "E")
     spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks), frozenset({"Eout"}))
     cmi = cmi_total if measure is Measure.E_SQ else cmi_dual_measure
@@ -316,12 +309,8 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     partition = partitions[choice % len(partitions)]
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
-    d_out = 1 + choice % (d_e + 1)
-    d_anc = max(2, -(-d_e // d_out))
-    theta = rng.uniform(-np.pi, np.pi, (d_out * d_anc) ** 2)
-    value_and_grad = _squash_value_and_grad(
-        psi, state.dims, state.labels, d_out, d_anc, partition, measure
-    )
+    theta = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
+    value_and_grad = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)
     value, grad = value_and_grad(theta)
     # central differences along random directions, relative 1e-6
     step = 1e-6
@@ -331,3 +320,51 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
         up, down = value_and_grad(theta + step * u)[0], value_and_grad(theta - step * u)[0]
         fd = (up - down) / (2 * step)
         assert abs(grad @ u - fd) <= 1e-6 * max(1.0, abs(fd)), (grad @ u, fd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_qubits=st.integers(2, 3),
+    rank_fraction=st.floats(0.0, 1.0),
+    measure=st.sampled_from(list(Measure)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed):
+    # theta = 0 reproduces the untouched purifier with a zero gradient, so the
+    # search need not start there
+    rng = np.random.default_rng(seed)
+    labels = ("A", "B", "C")[:n_qubits]
+    rank = 2 + int(rank_fraction * (2**n_qubits - 2))
+    state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
+    psi = _purifying_amplitudes(*_support(state.matrix))
+    d_e = psi.shape[1]
+    shape = state.dims + (d_e,)
+    for partition in nontrivial_partitions(labels):
+        identity = _measure_kernel(shape, labels, partition, [measure])(psi.reshape(shape))[0][0]
+        value, grad = _squash_value_and_grad(psi, state.dims, labels, partition, measure)(
+            np.zeros((2 * d_e) ** 2)
+        )
+        assert abs(value - identity) <= 1e-12
+        assert np.max(np.abs(grad)) <= 1e-12
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 4])
+def test_identity_restart_needs_no_search(monkeypatch, restarts):
+    calls = []
+    real_minimize = squash.minimize
+
+    def counting(fun, x0, **kwargs):
+        calls.append(x0)
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(squash, "minimize", counting)
+    st = random_state(np.random.default_rng(7), ("A", "B"), (2, 2), rank=2)
+    p = part(("A",), ("B",))
+    res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=restarts, seed=3))
+    assert len(calls) == restarts - 1
+    assert all(np.any(theta0 != 0) for theta0 in calls)
+    if restarts == 1:
+        trivial = 0.5 * cmi_total(st, BlockSpec((frozenset("A"), frozenset("B"))))
+        assert abs(res.value_bits - trivial) < 1e-12
+        assert res.converged
+        assert res.extension_description["params"] is None
