@@ -34,7 +34,7 @@ from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import FINAL_SQUASH, InputSearchConfig, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
-from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
+from .squash import Measure, SquashConfig, _check_count, esq_exact_pure, esq_upper_variational
 from .states import (
     apply_channel,
     channel_from_json,
@@ -261,6 +261,7 @@ def _selftest_checks(seed: int):
 
 
 def _cmd_selftest(args) -> int:
+    _check_count("seed", args.seed, 0)
     failures = 0
     for name, ok in _selftest_checks(args.seed):
         line = f"{'ok' if ok else 'FAIL'}  {name}"

@@ -83,8 +83,11 @@ def _pure_entropy_sums(shape, labels, forms):
     changes sum k at rate 2 Re <grad(k), dpsi/dt>.  Each distinct cut is
     diagonalized once, from the Gram matrix G = M M^dag of its smaller side
     (a marginal and its complement share their spectrum); d H / d conj(M) =
-    -(log2 G + 1/ln 2) M, eigenvalues under the floor contributing 0.  A side
-    of dimension 1 has entropy 0 on a pure state and is skipped; the
+    -(log2 G + 1/ln 2) M, eigenvalues under the floor contributing 0.  The
+    cuts whose smaller sides share a dimension are gathered from psi into one
+    (cuts, side, rest) stack, so each side dimension costs one stacked Gram
+    product and one stacked ``eigh``, whatever the number of its cuts.  A
+    side of dimension 1 has entropy 0 on a pure state and is skipped; the
     evaluated paths keep psi normalized, so its gradient drops out too.
     """
     axis = {lab: i for i, lab in enumerate(labels)}
@@ -107,33 +110,59 @@ def _pure_entropy_sums(shape, labels, forms):
     coeff = np.zeros((len(forms), len(cuts)))
     for k, j, c in entries:
         coeff[k, j] += c
-    # per cut: axis order with its side first, the inverse order, the
-    # transposed shape and the side's dimension
-    perms = [cut + tuple(sorted(every - set(cut))) for cut in cuts]
-    inverses = [tuple(np.argsort(perm)) for perm in perms]
-    moved = [tuple(shape[i] for i in perm) for perm in perms]
-    sides = [size(cut) for cut in cuts]
+    # per side dimension: its cuts, the flat positions of psi that lay out
+    # each cut as a (side, rest) matrix with the side's axes first, the flat
+    # positions in the stacked matrices of psi's amplitudes in order, and the
+    # negated coefficients of every sum
+    cut_list = list(cuts)
+    by_side: dict[int, list[int]] = {}
+    for j, cut in enumerate(cut_list):
+        by_side.setdefault(size(cut), []).append(j)
+    n = math.prod(shape)
+    flat = np.arange(n).reshape(shape)
+    groups = []
+    for side, members in by_side.items():
+        perms = [cut_list[j] + tuple(sorted(every - set(cut_list[j]))) for j in members]
+        gather = np.stack([flat.transpose(perm).reshape(side, -1) for perm in perms])
+        scatter = np.argsort(gather.reshape(len(members), -1), axis=1)
+        scatter += n * np.arange(len(members))[:, None]
+        groups.append((members, gather, scatter, -coeff[:, members, None, None]))
+    # the gradient of sum k adds the cuts of nonzero coefficient in cut
+    # order, each as (group, row)
+    place = {j: (g, i) for g, group in enumerate(groups) for i, j in enumerate(group[0])}
+    terms = [[place[j] for j in range(len(cuts)) if coeff[k, j]] for k in range(len(forms))]
 
     def evaluate(psi: np.ndarray):
-        ent = np.zeros(len(perms))
+        amplitudes = psi.reshape(-1)
+        ent = np.zeros(len(cuts))
         spectra = []
-        for j, perm in enumerate(perms):
-            m = psi.transpose(perm).reshape(sides[j], -1)
-            w, v = np.linalg.eigh(m @ m.conj().T)
+        for members, gather, _, _ in groups:
+            m = amplitudes[gather]
+            w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
             pos = w > _EIG_FLOOR
-            log_w = np.zeros_like(w)
+            log_w = np.zeros(w.shape)
             log_w[pos] = np.log2(w[pos])
-            ent[j] = -w[pos] @ log_w[pos]
+            # eigh sorts each spectrum ascending, so a cut's eigenvalues over
+            # the floor end its row; one dot per cut sums them in the order a
+            # lone cut's spectrum is summed
+            neg_w = -w
+            skip = (w.shape[1] - pos.sum(axis=1)).tolist()
+            for i, j in enumerate(members):
+                ent[j] = neg_w[i, skip[i] :] @ log_w[i, skip[i] :]
             log_w[pos] += 1.0 / math.log(2.0)
             spectra.append((m, v, log_w))
 
         def grad(k: int) -> np.ndarray:
-            g = np.zeros(psi.shape, dtype=complex)
-            for j, (m, v, dlog) in enumerate(spectra):
-                if coeff[k, j]:
-                    gm = (-coeff[k, j] * (v * dlog)) @ (v.conj().T @ m)
-                    g += gm.reshape(moved[j]).transpose(inverses[j])
-            return g
+            # per group, the stacked -c (v dlog)(v^dag M) in psi's order
+            parts = [
+                ((scale[k] * (v * dlog[:, None, :])) @ (v.conj().transpose(0, 2, 1) @ m))
+                .reshape(-1)[scatter]
+                for (_, _, scatter, scale), (m, v, dlog) in zip(groups, spectra)
+            ]
+            g = np.zeros(amplitudes.shape, dtype=complex)
+            for grp, i in terms[k]:
+                g += parts[grp][i]
+            return g.reshape(psi.shape)
 
         return coeff @ ent, grad
 

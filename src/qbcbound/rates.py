@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
 from .partitions import (
@@ -42,6 +41,7 @@ from .squash import (
     _check_search,
     _measure_kernel,
     _squash_purified,
+    minimize,
 )
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
@@ -58,7 +58,7 @@ class InputSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_search(self.restarts, self.max_iters, self.tol)
+        _check_search(self.restarts, self.max_iters, self.tol, self.seed)
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,16 @@ def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinesp
     stinespring, shape, labels = stinespring
     measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
     evaluate = _measure_kernel(shape, labels, partition, measures)
+    # V as matrices: [a, (out, env)] for the output, conj [(out, env), a] for
+    # the gradient
+    v_rows = stinespring.transpose(2, 0, 1).reshape(d, -1)
+    v_conj = stinespring.conj().reshape(-1, d)
 
     def value_and_grad(params):
         phi, norm = _input_amplitudes(params, d)
-        psi = np.tensordot(phi, stinespring, axes=(1, 2))
-        values, grad = evaluate(psi.reshape(shape))
+        values, grad = evaluate(phi.dot(v_rows).reshape(shape))
         k = int(np.argmin(values))
-        g_phi = np.tensordot(
-            grad(k).reshape(psi.shape), stinespring.conj(), axes=([1, 2], [0, 1])
-        )
+        g_phi = grad(k).reshape(d, -1).dot(v_conj)
         # phi = X / ||X||: drop the radial part, which leaves phi unchanged
         g_x = (g_phi - np.vdot(phi, g_phi).real * phi) / norm
         return float(values[k]), 2 * np.concatenate([g_x.real.ravel(), g_x.imag.ravel()])

@@ -18,12 +18,13 @@ gives one, and we cannot certify convergence to the true infimum.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NotPure, QbcError, TooLarge
 from .measures import (
@@ -43,12 +44,28 @@ class Measure(str, Enum):
     E_SQ_TILDE = "esq-tilde"
 
 
-def _check_search(restarts: int, max_iters: int, tol: float):
+def minimize(fun, x0, **kw):
+    """``scipy.optimize.minimize``, imported on first use, so the commands
+    that never search (closed forms, exact values) do not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kw)
+
+
+def _check_count(name: str, value, least: int):
+    """An integer setting, at least ``least``; bools, which would pass as 0
+    or 1, and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise QbcError(f"{name} must be an integer")
+    if value < least:
+        raise QbcError(f"{name} must be at least {least}")
+
+
+def _check_search(restarts: int, max_iters: int, tol: float, seed: int):
     """Settings of a multi-restart L-BFGS-B search (squash or input search)."""
-    if restarts < 1:
-        raise QbcError("restarts must be at least 1")
-    if max_iters < 1:
-        raise QbcError("max_iters must be at least 1")
+    _check_count("restarts", restarts, 1)
+    _check_count("max_iters", max_iters, 1)
+    _check_count("seed", seed, 0)
     # written so that NaN, for which every comparison is false, fails it
     if not 0 < tol < math.inf:
         raise QbcError("tol must be positive and finite")
@@ -63,9 +80,8 @@ class SquashConfig:
     dim_cap: int = 64
 
     def __post_init__(self):
-        _check_search(self.restarts, self.max_iters, self.tol)
-        if self.dim_cap < 1:
-            raise QbcError("dim_cap must be at least 1")
+        _check_search(self.restarts, self.max_iters, self.tol, self.seed)
+        _check_count("dim_cap", self.dim_cap, 1)
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,12 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     return total
 
 
+@functools.cache
+def _upper_triangle(n: int):
+    """Row and column indices of the strict upper triangle of an n x n matrix."""
+    return np.triu_indices(n, 1)
+
+
 def _unitary_and_pullback(params: np.ndarray, n: int):
     """U = exp(iH) for the n x n Hermitian H whose diagonal is params[:n],
     followed by (Re, Im) pairs of the upper triangle in row-major order, and
@@ -118,21 +140,26 @@ def _unitary_and_pullback(params: np.ndarray, n: int):
     differences F_jk = (e^{i lam_j} - e^{i lam_k}) / (lam_j - lam_k), written
     as i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2) so ties are exact.
     """
-    iu = np.triu_indices(n, 1)
-    h = np.diag(params[:n]).astype(complex)
-    h[iu] = params[n::2] + 1j * params[n + 1 :: 2]
-    lam, q = np.linalg.eigh(h + np.triu(h, 1).conj().T)
+    iu = _upper_triangle(n)
+    # eigh reads the lower triangle only: the diagonal and conj of the upper
+    h = np.zeros((n, n), dtype=complex)
+    h.real[np.diag_indices(n)] = params[:n]
+    h.real[iu[1], iu[0]] = params[n::2]
+    h.imag[iu[1], iu[0]] = -params[n + 1 :: 2]
+    lam, q = np.linalg.eigh(h)
+    qh = q.conj().T
     phase = np.exp(1j * lam)
-    u = (q * phase) @ q.conj().T
+    u = (q * phase) @ qh
 
     def pullback(g_u: np.ndarray) -> np.ndarray:
         f = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :]))
         f *= np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
-        d = q @ (f.conj() * (q.conj().T @ g_u @ q)) @ q.conj().T
+        d = q @ (f.conj() * (qh @ g_u @ q)) @ qh
+        upper, lower = d[iu], d.T[iu]
         grad = np.empty(n * n)
         grad[:n] = 2 * d.diagonal().real
-        grad[n::2] = 2 * (d[iu] + d.T[iu]).real
-        grad[n + 1 :: 2] = 2 * (d[iu] - d.T[iu]).imag
+        grad[n::2] = 2 * (upper + lower).real
+        grad[n + 1 :: 2] = 2 * (upper - lower).imag
         return grad
 
     return u, pullback
@@ -155,14 +182,15 @@ def _squash_value_and_grad(psi, dims, labels, partition, measure):
     d_e = psi.shape[1]
     shape = dims + (d_e, 2)
     evaluate = _measure_kernel(shape, labels, partition, [measure])
+    psi_conj = psi.conj()
 
     def value_and_grad(theta):
         u, pullback = _unitary_and_pullback(theta, 2 * d_e)
         # columns |e>|0> of the unitary
-        out = np.tensordot(psi, u[:, ::2], axes=(1, 1))
+        out = psi.dot(u[:, ::2].T)
         (value,), grad = evaluate(out.reshape(shape))
-        g_u = np.zeros_like(u)
-        g_u[:, ::2] = grad(0).reshape(out.shape).T @ psi.conj()
+        g_u = np.zeros(u.shape, dtype=complex)
+        g_u[:, ::2] = grad(0).reshape(out.shape).T @ psi_conj
         return float(value), pullback(g_u)
 
     return value_and_grad
@@ -184,6 +212,9 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
     if d_e == 1:
         # pure state: no extension can lower the objective
         return SquashResult(identity, measure, True, {"trivial": True})
+    if config.restarts == 1:
+        # identity squashing is the only start: no search, no squash kernel
+        return SquashResult(identity, measure, True, {"params": None})
 
     value_and_grad = _squash_value_and_grad(psi, dims, labels, partition, measure)
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbcbound
 from qbcbound import (
     QuantumChannel,
     channel_output_state,
@@ -355,3 +360,50 @@ def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
         hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
         assert hashing > 0.5  # not a vacuous check
         assert report[name]["bound_bits"] >= hashing, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds-finite", "{channel}", "--seed", "-1"],
+        ["esq", "{state}", "--partition", "A|B|C", "--seed", "-1"],
+        ["esq", "{state}", "--partition", "A|B|C", "--seed", "-1", "--restarts", "1"],
+        ["selftest", "--seed", "-1"],
+    ],
+    ids=["bounds-finite", "esq", "esq-one-restart", "selftest"],
+)
+def test_negative_seed_exits_2(capsys, copy_channel_path, ghz_path, argv):
+    argv = [a.format(channel=copy_channel_path, state=ghz_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be at least 0\n"
+
+
+def test_commands_without_a_search_load_no_scipy(tmp_path, ghz_path):
+    # a fresh interpreter, since this one has imported scipy already
+    script = """
+import sys
+from qbcbound.cli import main
+assert not [m for m in sys.modules if m.startswith("scipy")], "import"
+for argv in sys.argv[1:]:
+    assert main(argv.split()) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+    out = str(tmp_path / "out")
+    mixed = tmp_path / "rank3.json"
+    rank3 = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
+    mixed.write_text(state_to_json(rank3))
+    commands = [
+        f"sweep --eta-b 0.6 --eta-c 0.3 --sweep-steps 50 --output {out}",
+        f"bounds-bosonic --eta-b 0.5 --eta-c 0.2 --ns 1.0 --output {out}",
+        f"qinfo {ghz_path} --partition A|B,C --output {out}",
+        f"esq {mixed} --partition A|B|C --restarts 1 --output {out}",
+    ]
+    src = str(Path(qbcbound.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *commands], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

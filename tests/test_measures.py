@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbcbound import (
     BlockSpec,
@@ -17,6 +21,7 @@ from qbcbound import (
     qcmi,
     tensor,
 )
+from qbcbound.measures import _EIG_FLOOR, _cmi_dual, _cmi_total, _pure_entropy_sums
 from qbcbound.sampling import random_channel, random_pure_state, random_state
 
 
@@ -188,3 +193,93 @@ def test_entropy_via_purification_marginals():
     # complementary marginals of a pure state have equal entropy
     assert abs(entropy(phi, {"A", "B"}) - entropy(phi, {"E"})) < 1e-9
     assert abs(entropy(phi, {"A", "B"}) - entropy(partial_trace(phi, {"A", "B"}), {"A", "B"})) < 1e-12
+
+
+def _per_cut_entropy_sums(shape, labels, forms):
+    """Reference for ``_pure_entropy_sums``: the same cuts and coefficients,
+    with one transpose, Gram product and ``eigh`` per cut."""
+    axis = {lab: i for i, lab in enumerate(labels)}
+    every = frozenset(range(len(shape)))
+
+    def size(side):
+        return math.prod(shape[i] for i in side)
+
+    def cut_of(subset):
+        keep = frozenset(axis[lab] for lab in subset)
+        return min(tuple(sorted(keep)), tuple(sorted(every - keep)), key=lambda s: (size(s), s))
+
+    cuts, entries = {}, []
+    for k, form in enumerate(forms):
+        for subset, c in form.items():
+            cut = cut_of(subset)
+            if size(cut) > 1:
+                entries.append((k, cuts.setdefault(cut, len(cuts)), c))
+    coeff = np.zeros((len(forms), len(cuts)))
+    for k, j, c in entries:
+        coeff[k, j] += c
+    perms = [cut + tuple(sorted(every - set(cut))) for cut in cuts]
+    inverses = [tuple(np.argsort(perm)) for perm in perms]
+    moved = [tuple(shape[i] for i in perm) for perm in perms]
+    sides = [size(cut) for cut in cuts]
+
+    def evaluate(psi):
+        ent = np.zeros(len(perms))
+        spectra = []
+        for j, perm in enumerate(perms):
+            m = psi.transpose(perm).reshape(sides[j], -1)
+            w, v = np.linalg.eigh(m @ m.conj().T)
+            pos = w > _EIG_FLOOR
+            log_w = np.zeros_like(w)
+            log_w[pos] = np.log2(w[pos])
+            ent[j] = -w[pos] @ log_w[pos]
+            log_w[pos] += 1.0 / math.log(2.0)
+            spectra.append((m, v, log_w))
+
+        def grad(k):
+            g = np.zeros(psi.shape, dtype=complex)
+            for j, (m, v, dlog) in enumerate(spectra):
+                if coeff[k, j]:
+                    gm = (-coeff[k, j] * (v * dlog)) @ (v.conj().T @ m)
+                    g += gm.reshape(moved[j]).transpose(inverses[j])
+            return g
+
+        return coeff @ ent, grad
+
+    return evaluate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=4),
+    trailing=st.lists(st.sampled_from((1, 2, 3)), max_size=2),
+    n_blocks=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_equals_per_cut_loop(dims, trailing, n_blocks, seed):
+    # qubit, qutrit and one-dimensional axes, unlabeled trailing axes, and
+    # both measures over 2 or 3 blocks with the other labels conditioned on
+    rng = np.random.default_rng(seed)
+    labels = tuple("ABCD"[: len(dims)])
+    shape = tuple(dims) + tuple(trailing)
+    order = [labels[i] for i in rng.permutation(len(labels))]
+    n_blocks = min(n_blocks, len(labels))
+    in_blocks = int(rng.integers(n_blocks, len(labels) + 1))
+    bounds = sorted(rng.choice(np.arange(1, in_blocks), n_blocks - 1, replace=False))
+    blocks = [frozenset(b) for b in np.split(np.array(order[:in_blocks]), bounds)]
+    e = frozenset(order[in_blocks:])
+    some = frozenset(order[: int(rng.integers(1, len(labels) + 1))])
+    forms = [
+        {s: 0.5 * c for s, c in _cmi_total(blocks, e).items()},
+        {s: 0.5 * c for s, c in _cmi_dual(blocks, e).items()},
+        # a subset and its complement among the labels: the same cut, and a
+        # zero coefficient, when there are no unlabeled axes
+        {some: 1.5, frozenset(labels) - some: -1.5},
+        {},
+    ]
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi /= np.linalg.norm(psi)
+    values, grad = _pure_entropy_sums(shape, labels, forms)(psi)
+    ref_values, ref_grad = _per_cut_entropy_sums(shape, labels, forms)(psi)
+    assert np.array_equal(values, ref_values)
+    for k in range(len(forms)):
+        assert np.array_equal(grad(k), ref_grad(k))

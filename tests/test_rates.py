@@ -266,3 +266,16 @@ def test_input_search_reaches_the_bc_cut_maximum(monkeypatch):
     monkeypatch.setattr(rates, "_input_value_and_grad", recording)
     evaluate_bounds(channel, [part(("R",), ("B", "C"))])
     assert max(seen) >= 0.8167393
+
+
+def test_seed0_report_values():
+    # the seed-0 channel at the default searches, as bounds-finite prints it
+    report = two_receiver_report(SURROGATE_CHANNELS["seed0"]())
+    expected = {
+        "b_cut": 0.70690847,
+        "c_cut": 0.76446865,
+        "bc_cut": 0.71442039,
+        "tripartite": 1.03590234,
+    }
+    for name, value in expected.items():
+        assert abs(report[name]["bound_bits"] - value) < 1e-6, (name, report[name]["bound_bits"])

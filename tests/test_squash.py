@@ -220,6 +220,13 @@ def test_variational_exact_on_large_pure_state(noise):
         lambda: SquashConfig(max_iters=-5),
         lambda: SquashConfig(max_iters=0),
         lambda: SquashConfig(dim_cap=0),
+        lambda: InputSearchConfig(restarts=2.5),
+        lambda: InputSearchConfig(max_iters=3.5),
+        lambda: InputSearchConfig(restarts=True),
+        lambda: InputSearchConfig(seed=-1),
+        lambda: SquashConfig(dim_cap=10.5),
+        lambda: SquashConfig(seed=-1),
+        lambda: SquashConfig(seed=True),
         lambda: esq_cq_average(
             [(float("nan"), make_ghz(("A", "B"), 2))], part(("A",), ("B",))
         ),
@@ -239,6 +246,13 @@ def test_variational_exact_on_large_pure_state(noise):
         "squash-max-iters-negative",
         "squash-max-iters-0",
         "squash-dim-cap-0",
+        "search-restarts-float",
+        "search-max-iters-float",
+        "search-restarts-bool",
+        "search-seed-negative",
+        "squash-dim-cap-float",
+        "squash-seed-negative",
+        "squash-seed-bool",
         "cq-average-nan-weight",
         "cq-average-negative-weight",
     ],
