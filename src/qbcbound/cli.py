@@ -111,7 +111,8 @@ def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | No
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
+    # JSON is UTF-8 text, whatever the locale
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -349,7 +350,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (QbcError, json.JSONDecodeError, OSError) as exc:
+    # UnicodeDecodeError: an input file that is not UTF-8 text
+    except (QbcError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,10 @@ squashing channel acting on the purifying system.
 The variational objective stays a pure state vector: the state is purified
 once, each trial squashing isometry is applied to the purifier with one
 contraction, and every entropy comes from the reshaped vector.  The same
-pass returns the exact gradient with respect to the Hermitian generator of
-the isometry, which drives multi-restart L-BFGS-B.  The isometry maps the
-purifier into a copy of itself and a traced-out qubit ancilla.
+pass returns the exact gradient with respect to a free complex Kraus matrix
+K, whose polar factor K (K^dag K)^(-1/2) is the isometry; that gradient
+drives multi-restart L-BFGS-B.  The isometry maps the purifier into a copy
+of itself and a traced-out qubit ancilla.
 
 Variational results are upper bounds only: any feasible squashing channel
 gives one, and we cannot certify convergence to the true infimum.
@@ -18,7 +19,6 @@ gives one, and we cannot certify convergence to the true infimum.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -123,46 +123,44 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     return total
 
 
-@functools.cache
-def _upper_triangle(n: int):
-    """Row and column indices of the strict upper triangle of an n x n matrix."""
-    return np.triu_indices(n, 1)
+# least ratio of a Kraus matrix's smallest to largest singular value; V^dag V
+# then misses 1 by at most about machine epsilon / floor^2, 2e-8
+_RANK_FLOOR = 1e-4
+# L-BFGS-B's gradient stop: gradients in K are about 1/sigma(K), 1/3 to 1/17 at
+# the draws, of those on the isometries, so scipy's 1e-5 would stop too early
+_GTOL = 1e-6
 
 
-def _unitary_and_pullback(params: np.ndarray, n: int):
-    """U = exp(iH) for the n x n Hermitian H whose diagonal is params[:n],
-    followed by (Re, Im) pairs of the upper triangle in row-major order, and
-    the map from a gradient with respect to conj(U) to one with respect to
-    params.
+def _isometry_and_pullback(params: np.ndarray, d_e: int):
+    """The polar factor V = K (K^dag K)^(-1/2) of the 2d_e x d_e Kraus matrix
+    K = params[:2d_e^2] + i params[2d_e^2:] (row-major, rows over E' and then
+    a qubit ancilla), and the map from a gradient with respect to conj(V) to
+    one with respect to params.
 
-    Both come from one eigendecomposition H = Q diag(lam) Q^dag: U = Q
-    e^{i lam} Q^dag, and dU = Q (F o (Q^dag dH Q)) Q^dag with the divided
-    differences F_jk = (e^{i lam_j} - e^{i lam_k}) / (lam_j - lam_k), written
-    as i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2) so ties are exact.
+    Both come from one eigendecomposition S = K^dag K = Q diag(r^2) Q^dag:
+    P = S^(-1/2) = Q diag(1/r) Q^dag, and dP = Q (F o (Q^dag dS Q)) Q^dag with
+    the divided differences F_jk = -1 / (r_j r_k (r_j + r_k)) of s^(-1/2),
+    exact at ties.  A K below the rank floor raises QbcError, so V is never
+    NaN and always an isometry.
     """
-    iu = _upper_triangle(n)
-    # eigh reads the lower triangle only: the diagonal and conj of the upper
-    h = np.zeros((n, n), dtype=complex)
-    h.real[np.diag_indices(n)] = params[:n]
-    h.real[iu[1], iu[0]] = params[n::2]
-    h.imag[iu[1], iu[0]] = -params[n + 1 :: 2]
-    lam, q = np.linalg.eigh(h)
+    n = 2 * d_e * d_e
+    k = (params[:n] + 1j * params[n:]).reshape(2 * d_e, d_e)
+    s, q = np.linalg.eigh(k.conj().T @ k)
+    # written so that NaN, for which every comparison is false, fails it
+    if not s[0] > _RANK_FLOOR**2 * s[-1]:
+        raise QbcError("squashing Kraus matrix is (numerically) rank-deficient")
+    r = np.sqrt(s)
     qh = q.conj().T
-    phase = np.exp(1j * lam)
-    u = (q * phase) @ qh
+    p = (q / r) @ qh
+    v = k @ p
 
-    def pullback(g_u: np.ndarray) -> np.ndarray:
-        f = 1j * np.exp(0.5j * (lam[:, None] + lam[None, :]))
-        f *= np.sinc((lam[:, None] - lam[None, :]) / (2 * np.pi))
-        d = q @ (f.conj() * (qh @ g_u @ q)) @ qh
-        upper, lower = d[iu], d.T[iu]
-        grad = np.empty(n * n)
-        grad[:n] = 2 * d.diagonal().real
-        grad[n::2] = 2 * (upper + lower).real
-        grad[n + 1 :: 2] = 2 * (upper - lower).imag
-        return grad
+    def pullback(g_v: np.ndarray) -> np.ndarray:
+        f = -1.0 / (r[:, None] * r[None, :] * (r[:, None] + r[None, :]))
+        m = q @ (f * (qh @ g_v.conj().T @ k @ q)) @ qh
+        g_k = g_v @ p + k @ (m + m.conj().T)
+        return 2 * np.concatenate([g_k.real.ravel(), g_k.imag.ravel()])
 
-    return u, pullback
+    return v, pullback
 
 
 def _measure_kernel(shape, labels, partition: Partition, measures):
@@ -174,24 +172,19 @@ def _measure_kernel(shape, labels, partition: Partition, measures):
 
 
 def _squash_value_and_grad(psi, dims, labels, partition, measure):
-    """theta -> (value, gradient) of half the measure of (1 (x) V(theta)) psi[i, e]
-    (i over ``labels`` of ``dims``) conditioned on the squash output E'.  The
-    isometry |e> -> exp(iH(theta)) |e>|0> maps the purifier into E' (x) a qubit
-    ancilla, E' of the purifier's dimension; the ancilla is traced out, and
-    theta = 0 squashes nothing."""
+    """params -> (value, gradient) of half the measure of (1 (x) V) psi[i, e]
+    (i over ``labels`` of ``dims``) conditioned on the squash output E', V the
+    isometry of ``_isometry_and_pullback(params)`` into E' (x) a traced-out
+    qubit ancilla, E' of the purifier's dimension; K|e> = |e>|0> squashes nothing."""
     d_e = psi.shape[1]
     shape = dims + (d_e, 2)
     evaluate = _measure_kernel(shape, labels, partition, [measure])
     psi_conj = psi.conj()
 
-    def value_and_grad(theta):
-        u, pullback = _unitary_and_pullback(theta, 2 * d_e)
-        # columns |e>|0> of the unitary
-        out = psi.dot(u[:, ::2].T)
-        (value,), grad = evaluate(out.reshape(shape))
-        g_u = np.zeros(u.shape, dtype=complex)
-        g_u[:, ::2] = grad(0).reshape(out.shape).T @ psi_conj
-        return float(value), pullback(g_u)
+    def value_and_grad(params):
+        v, pullback = _isometry_and_pullback(params, d_e)
+        (value,), grad = evaluate(psi.dot(v.T).reshape(shape))
+        return float(value), pullback(grad(0).reshape(-1, 2 * d_e).T @ psi_conj)
 
     return value_and_grad
 
@@ -201,8 +194,8 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
     (i over ``labels`` of ``dims``, e over the state's support): half the
     measure conditioned on a squashed purifier, minimized by multi-restart
     L-BFGS-B.  Restart 0 is the identity squashing point, a stationary point
-    scored without a search; restarts 1, 2, ... start from random generators.
-    Exact when e has one value."""
+    scored without a search; restarts 1, 2, ... start from random Kraus
+    matrices.  Exact when e has one value."""
     measure = Measure(measure)
     d_e = psi.shape[1]
     # the untouched purifier (identity squashing)
@@ -220,24 +213,24 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
 
     rng = np.random.default_rng(config.seed)
     npar = (2 * d_e) ** 2
-    best_val, best_theta, converged = identity, None, True
+    best_val, best_params, converged = identity, None, True
     for _ in range(1, config.restarts):
         res = minimize(
             value_and_grad,
             rng.uniform(-np.pi, np.pi, npar),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": config.max_iters, "ftol": config.tol},
+            options={"maxiter": config.max_iters, "ftol": config.tol, "gtol": _GTOL},
         )
         if res.fun < best_val:
             best_val = float(res.fun)
-            best_theta = res.x
+            best_params = res.x
             converged = bool(res.success)
     return SquashResult(
         best_val,
         measure,
         converged,
-        {"params": None if best_theta is None else best_theta.tolist()},
+        {"params": None if best_params is None else best_params.tolist()},
     )
 
 
@@ -252,11 +245,16 @@ def esq_upper_variational(
     The state is purified once, a squashing channel on the purifier is
     parametrized through a Stinespring isometry, and half the conditional
     multipartite information is minimized by multi-restart L-BFGS-B on its
-    exact gradient.  The isometry maps the purifier into a space of its own
+    exact gradient.  The isometry, the polar factor of a complex 2d_e x d_e
+    Kraus matrix K, maps the d_e-dimensional purifier into a space of its own
     dimension and a traced-out qubit ancilla.  Restart 0 is the identity
     squashing point, scored without a search, and ``config.restarts`` counts
-    it.  A pure state (as ``is_pure`` judges it) of any size gets its exact value,
-    with no search and no size cap.
+    it.  A pure state (as ``is_pure`` judges it) of any size gets its exact
+    value, with no search and no size cap, described as ``{"trivial": True}``.
+
+    Otherwise ``extension_description["params"]`` is the best search point,
+    None if none beat identity squashing: the 4 d_e^2 floats of the real and
+    then the imaginary parts of K, row-major, rows over (E', ancilla).
     """
     BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
     psi = _purification(state.matrix)

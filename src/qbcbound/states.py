@@ -409,6 +409,15 @@ def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+def _json_doc(text: str):
+    """``json.loads(text)``; a document nested deeper than the decoder's
+    recursion limit raises QbcError like any other malformed one."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise QbcError("JSON document is nested too deeply to decode") from None
+
+
 def _field(doc, key: str, parse):
     """``parse(doc[key])``; a missing or malformed field raises QbcError naming it."""
     if not isinstance(doc, dict) or key not in doc:
@@ -449,7 +458,7 @@ def state_to_json(state: MultipartiteState) -> str:
 
 
 def state_from_json(text: str) -> MultipartiteState:
-    doc = json.loads(text)
+    doc = _json_doc(text)
     return MultipartiteState(
         _field(doc, "matrix", _matrix_from_json),
         _field(doc, "labels", _labels),
@@ -469,7 +478,7 @@ def channel_to_json(channel: QuantumChannel) -> str:
 
 
 def channel_from_json(text: str) -> QuantumChannel:
-    doc = json.loads(text)
+    doc = _json_doc(text)
     return QuantumChannel(
         _field(doc, "kraus", lambda ks: tuple(_matrix_from_json(k) for k in ks)),
         _field(doc, "input_dim", _int),

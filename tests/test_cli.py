@@ -282,6 +282,24 @@ def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("qinfo", b"\xff\xfe\x00", "utf-8"),
+        ("qinfo", b"[" * 100000, "nested too deeply"),
+        ("bounds-finite", b"[" * 100000, "nested too deeply"),
+    ],
+    ids=["not-utf-8", "deep-nesting", "deep-nesting-channel"],
+)
+def test_undecodable_input_exits_2(capsys, tmp_path, command, data, named):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert named in err
+
+
 def test_non_finite_state_exits_2(capsys, tmp_path):
     bad = tmp_path / "nan.json"
     nan = float("nan")

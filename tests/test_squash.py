@@ -31,15 +31,33 @@ from qbcbound import (
 from qbcbound import squash
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
+    _isometry_and_pullback,
     _measure_kernel,
     _squash_value_and_grad,
-    _unitary_and_pullback,
 )
-from qbcbound.states import _purifying_amplitudes, _support
+from qbcbound.states import _purification, _purifying_amplitudes, _support
 
 
 def part(*bs):
     return Partition(tuple(tuple(b) for b in bs))
+
+
+def as_params(k):
+    """Search point of a Kraus matrix: real parts, then imaginary, row-major."""
+    return np.concatenate([k.real.ravel(), k.imag.ravel()])
+
+
+def identity_kraus(d_e):
+    """K |e> = |e>|0>, rows over (E', ancilla): identity squashing."""
+    k = np.zeros((d_e, 2, d_e), dtype=complex)
+    k[:, 0, :] = np.eye(d_e)
+    return k.reshape(2 * d_e, d_e)
+
+
+def entropy_bits(rho):
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
 
 
 def test_ghz_pure_values():
@@ -280,11 +298,11 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     partition = partitions[choice % len(partitions)]
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
-    theta = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
-    value = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)(theta)[0]
+    params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
+    value = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)(params)[0]
 
-    # the isometry |e> -> exp(iH)|e>|0> into Eout (x) a qubit ancilla
-    iso = _unitary_and_pullback(theta, 2 * d_e)[0][:, ::2]
+    # the polar factor V of K, into Eout (x) a qubit ancilla
+    iso = _isometry_and_pullback(params, d_e)[0]
     kraus = tuple(iso.reshape(d_e, 2, d_e)[:, a, :] for a in range(2))
     squash = QuantumChannel(kraus, d_e, ("Eout",), (d_e,))
     out = apply_channel(squash, purify(state, "E"), "E")
@@ -293,16 +311,32 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     assert abs(value - 0.5 * cmi(out, spec)) < 1e-10
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_unitary_matches_expm(n):
-    rng = np.random.default_rng(n)
+@pytest.mark.parametrize("d_e", range(1, 9))
+def test_isometry_matches_polar(d_e):
+    rng = np.random.default_rng(d_e)
     for _ in range(5):
-        params = rng.uniform(-np.pi, np.pi, n * n)
-        h = np.diag(params[:n]).astype(complex)
-        rows, cols = np.triu_indices(n, 1)
-        h[rows, cols] = params[n::2] + 1j * params[n + 1 :: 2]
-        h[cols, rows] = params[n::2] - 1j * params[n + 1 :: 2]
-        assert np.max(np.abs(_unitary_and_pullback(params, n)[0] - scipy.linalg.expm(1j * h))) < 1e-13
+        params = rng.uniform(-np.pi, np.pi, 4 * d_e * d_e)
+        k = (params[: 2 * d_e * d_e] + 1j * params[2 * d_e * d_e :]).reshape(2 * d_e, d_e)
+        v = _isometry_and_pullback(params, d_e)[0]
+        assert np.max(np.abs(v - scipy.linalg.polar(k)[0])) < 1e-13
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d_e))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "make_kraus",
+    [
+        lambda rng: np.zeros((6, 3)),
+        lambda rng: np.outer(rng.normal(size=6), rng.normal(size=3) + 1j * rng.normal(size=3)),
+        lambda rng: identity_kraus(3) @ np.diag([1.0, 1.0, 1e-9]),
+    ],
+    ids=["zero", "rank-1", "near-rank-2"],
+)
+def test_rank_deficient_kraus_matrix_rejected(make_kraus):
+    # the polar factor of a rank-deficient K is no isometry: refuse it, with
+    # no NaN and no RuntimeWarning (Tier-1 makes those errors)
+    k = make_kraus(np.random.default_rng(0))
+    with pytest.raises(QbcError, match="rank-deficient"):
+        _isometry_and_pullback(as_params(k), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,15 +357,15 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     partition = partitions[choice % len(partitions)]
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
-    theta = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
+    params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
     value_and_grad = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)
-    value, grad = value_and_grad(theta)
+    value, grad = value_and_grad(params)
     # central differences along random directions, relative 1e-6
     step = 1e-6
     for _ in range(4):
-        u = rng.normal(size=theta.shape)
+        u = rng.normal(size=params.shape)
         u /= np.linalg.norm(u)
-        up, down = value_and_grad(theta + step * u)[0], value_and_grad(theta - step * u)[0]
+        up, down = value_and_grad(params + step * u)[0], value_and_grad(params - step * u)[0]
         fd = (up - down) / (2 * step)
         assert abs(grad @ u - fd) <= 1e-6 * max(1.0, abs(fd)), (grad @ u, fd)
 
@@ -344,8 +378,8 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     seed=st.integers(0, 2**32 - 1),
 )
 def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed):
-    # theta = 0 reproduces the untouched purifier with a zero gradient, so the
-    # search need not start there
+    # K |e> = |e>|0> reproduces the untouched purifier with a zero gradient, so
+    # the search need not start there
     rng = np.random.default_rng(seed)
     labels = ("A", "B", "C")[:n_qubits]
     rank = 2 + int(rank_fraction * (2**n_qubits - 2))
@@ -356,7 +390,7 @@ def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed
     for partition in nontrivial_partitions(labels):
         identity = _measure_kernel(shape, labels, partition, [measure])(psi.reshape(shape))[0][0]
         value, grad = _squash_value_and_grad(psi, state.dims, labels, partition, measure)(
-            np.zeros((2 * d_e) ** 2)
+            as_params(identity_kraus(d_e))
         )
         assert abs(value - identity) <= 1e-12
         assert np.max(np.abs(grad)) <= 1e-12
@@ -376,9 +410,56 @@ def test_identity_restart_needs_no_search(monkeypatch, restarts):
     p = part(("A",), ("B",))
     res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=restarts, seed=3))
     assert len(calls) == restarts - 1
-    assert all(np.any(theta0 != 0) for theta0 in calls)
+    assert all(not np.array_equal(x0, as_params(identity_kraus(2))) for x0 in calls)
     if restarts == 1:
         trivial = 0.5 * cmi_total(st, BlockSpec((frozenset("A"), frozenset("B"))))
         assert abs(res.value_bits - trivial) < 1e-12
         assert res.converged
         assert res.extension_description["params"] is None
+
+
+def test_params_round_trip():
+    # extension_description["params"] is the search point of the best squash
+    st = random_state(np.random.default_rng(8), ("A", "B", "C"), (2, 2, 2), rank=3)
+    p = part(("A",), ("B",), ("C",))
+    res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=3, seed=0))
+    params = np.array(res.extension_description["params"])
+    psi = _purification(st.matrix)
+    d_e = psi.shape[1]
+    assert params.shape == (4 * d_e * d_e,)
+    value = _squash_value_and_grad(psi, st.dims, st.labels, p, Measure.E_SQ)(params)[0]
+    assert abs(value - res.value_bits) <= 1e-12
+    v = _isometry_and_pullback(params, d_e)[0]
+    assert np.max(np.abs(v.conj().T @ v - np.eye(d_e))) < 1e-12
+
+
+# the values an exp(iH) parametrisation of the squashing isometry reached at
+# these settings: the search on the polar factor must do no worse
+_EXP_IH_VALUES = {
+    3: 0.5772821628958147,
+    4: 0.2553527992287273,
+    5: 0.3175096533837534,
+    6: 0.15357448256921874,
+    7: 0.26327160005587097,
+    8: 0.1364224984921844,
+}
+
+
+@pytest.mark.parametrize("rank", range(3, 9))
+def test_squash_of_large_purifier_lies_between_hashing_and_identity(rank):
+    # a purifier of dimension d_e = rank >= 3, which no benchmark workload
+    # squashes; the bounds are computed with numpy alone
+    st = random_state(np.random.default_rng(100 + rank), ("A", "B", "C"), (2, 2, 2), rank=rank)
+    res = esq_upper_variational(
+        st, part(("A",), ("B", "C")), Measure.E_SQ, SquashConfig(restarts=2, seed=0)
+    )
+    rho = st.matrix.reshape(2, 4, 2, 4)
+    h_a = entropy_bits(np.einsum("ijkj->ik", rho))
+    h_bc = entropy_bits(np.einsum("ijil->jl", rho))
+    h_abc = entropy_bits(st.matrix)
+    coherent = max(h_bc - h_abc, h_a - h_abc)
+    identity = 0.5 * (h_a + h_bc - h_abc)
+    assert res.converged
+    assert res.extension_description["params"] is not None  # a search beat identity
+    assert coherent - 1e-9 <= res.value_bits <= identity + 1e-12
+    assert res.value_bits <= _EXP_IH_VALUES[rank] + 1e-8
