@@ -14,11 +14,17 @@ the measure on the pure output vector conditioned on the channel
 environment, which equals trivial squashing of any purification and is
 exact for isometric channels.  A search point is a complex d x d matrix X
 (its real and imaginary parts), and the input is phi_RA = X / ||X||, which
-reaches every pure input with |R| = |A| = d.  The surrogate is maximized by
-multi-restart L-BFGS-B on its exact gradient, with restart 0 at X = I, the
-maximally entangled input.  The full variational squashing
-optimization runs once, at the best input found, on the purification of
-that input's output vector over the support of the output state.
+reaches every pure input with |R| = |A| = d.  The surrogate depends on the
+input only through rho_A and is concave in it, so one L-BFGS-B search on
+its exact gradient, from X = I (the maximally entangled input), is enough
+whenever it can be certified: the Frank-Wolfe duality gap
+lambda_max(G) - tr(G rho_A), G = df/d rho_A, bounds how far the maximum
+lies above the value found, and the search stops once the gap is at most
+``tol``.  Only when that search ends uncertified (its best input is
+rank-deficient, say, where G is not defined) do the random restarts run.
+The full variational squashing optimization runs once, at the best input
+found, on the purification of that input's output vector over the support
+of the output state.
 """
 
 from __future__ import annotations
@@ -52,6 +58,12 @@ FINAL_SQUASH = SquashConfig(restarts=3, max_iters=400)
 
 @dataclass(frozen=True)
 class InputSearchConfig:
+    """Settings of the input search.  Restart 0 starts at X = I and stops once
+    its Frank-Wolfe gap is at most ``tol`` bits; restarts 1 ... ``restarts``-1
+    start from random X and run only when that search ends uncertified, each
+    stopping when L-BFGS-B's relative decrease falls below ``tol``, so
+    ``restarts`` is a cap.  ``max_iters`` caps each search's iterations."""
+
     restarts: int = 5
     max_iters: int = 400
     tol: float = 1e-8
@@ -67,6 +79,9 @@ class RateConstraint:
     coefficients: ConstraintCoefficients
     bound_bits: float
     measure_used: str
+    # the input search's Frank-Wolfe gap: the surrogate's maximum over inputs
+    # is at most its best value plus this; inf when the search is uncertified
+    input_gap_bits: float = math.inf
     metadata: dict = field(default_factory=dict)
 
     def weights(self) -> dict:
@@ -80,6 +95,30 @@ def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     x = (params[: d * d] + 1j * params[d * d :]).reshape(d, d)
     norm = float(np.linalg.norm(x))
     return x / norm, norm
+
+
+# least ratio of the input's smallest to largest singular value at which
+# _input_gap inverts it: phi^-1 amplifies the rounding of the gradient by the
+# inverse ratio, and at a rank-deficient input G is not defined
+_GAP_FLOOR = 1e-4
+
+
+def _input_gap(params: np.ndarray, grad: np.ndarray, d: int) -> float:
+    """The Frank-Wolfe duality gap lambda_max(G) - tr(G rho_A) of the surrogate
+    f at the input phi = X / ||X||, G = df/d rho_A and rho_A = phi^T conj(phi).
+    f is concave in rho_A, so max f <= f(phi) + gap.  ``grad`` is the projected
+    gradient of ``_input_value_and_grad``: as a matrix times ||X|| / 2 it is
+    g = phi G^T minus the radial part, a multiple of phi, which shifts G by a
+    multiple of I that the gap does not see.  inf below the rank floor."""
+    phi, norm = _input_amplitudes(params, d)
+    u, s, wh = np.linalg.svd(phi)
+    if not s[-1] > _GAP_FLOOR * s[0]:
+        return math.inf
+    g = (grad[: d * d] + 1j * grad[d * d :]).reshape(d, d) * (norm / 2)
+    # phi^-1 g = (G - c I)^T, whose gap is G's, and tr((G - c I) rho_A) = tr(phi^dag g)
+    g_t = (wh.conj().T / s) @ (u.conj().T @ g)
+    top = np.linalg.eigvalsh((g_t + g_t.conj().T) / 2)[-1]
+    return float(top - np.vdot(phi, g).real)
 
 
 def channel_output_state(
@@ -158,31 +197,61 @@ def evaluate_bounds(
     iso, shape, labels = stinespring
     # restart 0 starts at X = I, the maximally entangled input
     identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
-    out = []
-    for partition in partitions:
+    for i, partition in enumerate(partitions):
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
+        if partition in partitions[:i]:
+            raise SpecError(f"partition {partition} is repeated")
+    out = []
+    for partition in partitions:
         value_and_grad = _input_value_and_grad(channel, partition, stinespring)
+        # restart 0 scores every point it evaluates, line-search trials
+        # included: near the maximum L-BFGS-B accepts iterates on values that
+        # differ only by rounding, and their gaps stall above ones the trials reach
+        certified = []
 
         def negated(theta):
             value, grad = value_and_grad(theta)
             return -value, -grad
 
-        rng = np.random.default_rng(cfg.seed)
-        best = -math.inf
-        best_params = identity
-        for r in range(cfg.restarts):
-            theta0 = identity if r == 0 else rng.uniform(-1.0, 1.0, 2 * d * d)
-            res = minimize(
-                negated,
-                theta0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": cfg.max_iters, "ftol": cfg.tol},
-            )
-            if -res.fun > best:
-                best = -float(res.fun)
-                best_params = res.x
+        def certifying(theta):
+            value, grad = value_and_grad(theta)
+            if not certified:
+                gap = _input_gap(theta, grad, d)
+                if gap <= cfg.tol:
+                    certified[:] = value, theta.copy(), gap
+            return -value, -grad
+
+        def stop_when_certified(theta):
+            if certified:
+                raise StopIteration
+
+        # no stop but the gap, max_iters or a failed line search; scipy
+        # reports success false after a callback stop
+        res = minimize(
+            certifying,
+            identity,
+            jac=True,
+            method="L-BFGS-B",
+            callback=stop_when_certified,
+            options={"maxiter": cfg.max_iters, "ftol": 0.0, "gtol": 0.0},
+        )
+        if certified:
+            best, best_params, gap = certified
+        else:
+            best, best_params, gap = -float(res.fun), res.x, math.inf
+            rng = np.random.default_rng(cfg.seed)
+            for _ in range(1, cfg.restarts):
+                res = minimize(
+                    negated,
+                    rng.uniform(-1.0, 1.0, 2 * d * d),
+                    jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": cfg.max_iters, "ftol": cfg.tol},
+                )
+                if -res.fun > best:
+                    best = -float(res.fun)
+                    best_params = res.x
         # the output vector at the best input, M[(r, out), env]; its
         # purification over the support of omega = M M^dag feeds the squash
         phi = _input_amplitudes(best_params, d)[0]
@@ -200,6 +269,7 @@ def evaluate_bounds(
                 coefficients=constraint_coefficients(partition),
                 bound_bits=value,
                 measure_used=measure_used,
+                input_gap_bits=gap,
                 metadata={
                     "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
                     "restarts": cfg.restarts,

@@ -358,6 +358,15 @@ def test_bounds_finite_partition_flag(capsys, copy_channel_path):
     assert c["bound_bits"] >= 1.0 - 1e-6
 
 
+def test_bounds_finite_repeated_partition_exits_2(capsys, copy_channel_path):
+    code, out, err = run(
+        capsys, "bounds-finite", copy_channel_path, "--partition", "R|B|C",
+        "--partition", "C|B|R",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: partition B|C|R is repeated\n"
+
+
 def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
     # the seed-0 noisy channel at the CLI defaults; the coherent information
     # of the maximally entangled input across a cut is an achievable rate

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbcbound import (
@@ -26,12 +28,14 @@ from qbcbound import (
 )
 from qbcbound import rates
 from qbcbound.rates import (
-    _input_value_and_grad,
     _input_amplitudes,
+    _input_gap,
+    _input_value_and_grad,
     _partition_value,
     _stinespring,
 )
 from qbcbound.sampling import random_channel
+from qbcbound.squash import _measure_kernel
 
 FAST_SEARCH = InputSearchConfig(restarts=2, max_iters=150)
 FAST_SQUASH = SquashConfig(restarts=2, max_iters=200)
@@ -279,3 +283,161 @@ def test_seed0_report_values():
     }
     for name, value in expected.items():
         assert abs(report[name]["bound_bits"] - value) < 1e-6, (name, report[name]["bound_bits"])
+
+
+def test_repeated_partition_rejected(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran before the partitions were checked")
+
+    monkeypatch.setattr(rates, "minimize", no_search)
+    with pytest.raises(SpecError, match=r"partition B\|C\|R is repeated"):
+        evaluate_bounds(copy_channel(), [part("R", "B", "C"), part("C", "B", "R")])
+
+
+def _input_from_rho(rho):
+    """Search parameters of the input phi = sqrt(rho)^T, whose rho_A is rho."""
+    w, u = np.linalg.eigh(rho)
+    phi = ((u * np.sqrt(w)) @ u.conj().T).T
+    return np.concatenate([phi.real.ravel(), phi.imag.ravel()])
+
+
+def _gap_from_full_gradient(channel, partition, params):
+    """G = df/d rho_A from the kernel's unprojected gradient with respect to
+    conj(phi), which is phi G^T, and the gap lambda_max(G) - tr(G rho_A)."""
+    d = channel.input_dim
+    iso, shape, labels = _stinespring(channel)
+    measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
+    evaluate = _measure_kernel(shape, labels, partition, measures)
+    phi = _input_amplitudes(params, d)[0]
+    values, grad = evaluate(np.tensordot(phi, iso, axes=(1, 2)).reshape(shape))
+    g_phi = grad(int(np.argmin(values))).reshape(d, -1) @ iso.conj().reshape(-1, d)
+    g = np.linalg.solve(phi, g_phi).T
+    rho = phi.T @ phi.conj()
+    gap = np.linalg.eigvalsh((g + g.conj().T) / 2)[-1] - np.trace(g @ rho).real
+    return g, rho, gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SURROGATE_CHANNELS)),
+    choice=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_input_gap_matches_full_gradient(name, choice, seed):
+    channel = SURROGATE_CHANNELS[name]()
+    partition = nontrivial_partitions(("R", "B", "C"))[choice]
+    value_and_grad = _input_value_and_grad(channel, partition, _stinespring(channel))
+    rng = np.random.default_rng(seed)
+    d = channel.input_dim
+    params = rng.uniform(-2, 2, 2 * d * d)
+    g, rho, gap = _gap_from_full_gradient(channel, partition, params)
+    assume(np.linalg.eigvalsh(rho)[0] > 1e-3)
+    assert abs(_input_gap(params, value_and_grad(params)[1], d) - gap) <= 1e-12 * max(1, gap)
+    # G against central differences of the surrogate along a traceless
+    # Hermitian direction, through inputs with the displaced rho_A
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = h + h.conj().T
+    h -= np.trace(h) / d * np.eye(d)
+    step = 1e-6
+    fd = (
+        value_and_grad(_input_from_rho(rho + step * h))[0]
+        - value_and_grad(_input_from_rho(rho - step * h))[0]
+    ) / (2 * step)
+    exact = np.trace(g @ h).real
+    assert abs(exact - fd) <= 1e-6 * max(1.0, abs(fd)), (exact, fd)
+
+
+@pytest.mark.parametrize("name", sorted(SURROGATE_CHANNELS))
+def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
+    channel = SURROGATE_CHANNELS[name]()
+    d = channel.input_dim
+    seen = []
+
+    def recording(*args):
+        value_and_grad = _input_value_and_grad(*args)
+
+        def wrapped(params):
+            value, grad = value_and_grad(params)
+            seen.append(value)
+            return value, grad
+
+        return wrapped
+
+    monkeypatch.setattr(rates, "_input_value_and_grad", recording)
+    rng = np.random.default_rng(7)
+    for partition in nontrivial_partitions(("R", "B", "C")):
+        seen.clear()
+        (rc,) = evaluate_bounds(channel, [partition], squash_cfg=FAST_SQUASH)
+        assert rc.input_gap_bits <= InputSearchConfig().tol, partition
+        best = max(seen)
+        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
+        for _ in range(200):
+            value = surrogate(rng.uniform(-1, 1, 2 * d * d))[0]
+            assert value <= best + rc.input_gap_bits + 1e-12, (partition, value, best)
+
+
+def test_certified_search_runs_once_per_cut(monkeypatch):
+    calls = []
+    scipy_minimize = rates.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = scipy_minimize(fun, x0, **kwargs)
+        calls.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(rates, "minimize", recording)
+    constraints = evaluate_bounds(SURROGATE_CHANNELS["seed0"](), None, squash_cfg=FAST_SQUASH)
+    assert len(calls) == len(constraints) == 4
+    assert all(rc.input_gap_bits <= InputSearchConfig().tol for rc in constraints)
+    # 152 evaluations in 20 searches without the certificate
+    assert sum(calls) <= 40
+
+
+def test_rank_deficient_input_has_no_gap():
+    grad = np.random.default_rng(0).normal(size=8)
+    rank_one = np.array([1.0, 0, 0, 0, 0, 0, 0, 0])
+    below_floor = np.array([1.0, 0, 0, 1e-5, 0, 0, 0, 0])
+    for params in (rank_one, below_floor):
+        assert _input_gap(params, grad, 2) == math.inf
+    assert math.isfinite(_input_gap(np.array([1.0, 0, 0, 1e-3, 0, 0, 0, 0]), grad, 2))
+
+
+def flag_channel():
+    # a qubit copy channel on span{|0>, |1>}; |2> goes to |00> with a flag in
+    # the environment, so the best input has rank 2 and no gap
+    copy = np.zeros((4, 3))
+    copy[0, 0] = copy[3, 1] = 1
+    flag = np.zeros((4, 3))
+    flag[0, 2] = 1
+    return QuantumChannel((copy, flag), 3, ("B", "C"), (2, 2))
+
+
+def test_uncertified_search_falls_back_to_every_restart(monkeypatch):
+    cfg = InputSearchConfig()
+    calls = []
+    scipy_minimize = rates.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = scipy_minimize(fun, x0, **kwargs)
+        calls.append((x0, kwargs, res.nfev))
+        return res
+
+    monkeypatch.setattr(rates, "minimize", recording)
+    report = two_receiver_report(flag_channel(), cfg)
+    expected = {"b_cut": 1.0, "c_cut": 1.0, "bc_cut": 1.0, "tripartite": 1.5}
+    for name, value in expected.items():
+        assert abs(report[name]["bound_bits"] - value) < 1e-9, name
+    assert len(calls) == 4 * cfg.restarts
+    for cut in range(4):
+        first, *rest = calls[cut * cfg.restarts : (cut + 1) * cfg.restarts]
+        assert "callback" in first[1]
+        # restarts 1, 2, ... as before the certificate: the same draws and stop
+        rng = np.random.default_rng(cfg.seed)
+        for x0, kwargs, _ in rest:
+            assert np.array_equal(x0, rng.uniform(-1.0, 1.0, 2 * 3 * 3))
+            assert kwargs["options"] == {"maxiter": cfg.max_iters, "ftol": cfg.tol}
+            assert "callback" not in kwargs
+    # 266 before the certificate, plus restart 0's extra evaluations
+    assert sum(nfev for _, _, nfev in calls) <= 276
+    for rc in evaluate_bounds(flag_channel(), None, cfg, FAST_SQUASH):
+        assert rc.input_gap_bits == math.inf
