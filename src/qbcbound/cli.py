@@ -157,7 +157,8 @@ def _cmd_esq(args) -> int:
         "version": __version__,
         "partition": str(partition),
         "measure": args.measure,
-        # every measure squashes the same purification: one value means pure
+        # every measure squashes the same purification: one value means the
+        # state on the partition's labels is pure
         "exact": res.extension_description.get("trivial", False),
         "seed": args.seed,
         "restarts": args.restarts,

@@ -1,7 +1,11 @@
 """Entropic quantities: von Neumann entropy, QCMI and the two conditional
 multipartite informations (the total-correlation form and its dual form).
 
-All results are in bits.
+All results are in bits.  Each measure is one subset -> coefficient map,
+and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
+``eigvalsh`` per subset) serves only the public density-matrix API, and
+``_pure_entropy_sums`` (a state vector, with gradients) every value of
+``squash`` and ``rates``, the exact pure-state values included.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubset, LabelCollision, LabelNotFound, SpecError
+from .errors import EmptySubset, LabelCollision, SpecError
 from .states import MultipartiteState, partial_trace
 
 _EIG_FLOOR = 1e-12
@@ -49,28 +53,15 @@ class BlockSpec:
                 raise SpecError(f"label {lab!r} not present on the state")
 
 
-def _entropy_of_matrix(m: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh(m)
-    ev = ev[ev > _EIG_FLOOR]
-    return float(-np.sum(ev * np.log2(ev)))
-
-
 def entropy(state: MultipartiteState, subset) -> float:
     """Von Neumann entropy of the reduction to ``subset``, in bits."""
     subset = set(subset)
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
-    for lab in subset:
-        if lab not in state.labels:
-            raise LabelNotFound(f"label {lab!r} not in {state.labels}")
-    return _entropy_of_matrix(partial_trace(state, subset).matrix)
-
-
-def _h(state: MultipartiteState, subset: set) -> float:
-    """Entropy with the internal H(empty) = 0 convention."""
-    if not subset:
-        return 0.0
-    return _entropy_of_matrix(partial_trace(state, subset).matrix)
+    # partial_trace raises LabelNotFound for a label missing from the state
+    ev = np.linalg.eigvalsh(partial_trace(state, subset).matrix)
+    ev = ev[ev > _EIG_FLOOR]
+    return float(-np.sum(ev * np.log2(ev)))
 
 
 def _pure_entropy_sums(shape, labels, forms):
@@ -176,7 +167,7 @@ def conditional_entropy(state: MultipartiteState, subset, given) -> float:
         raise EmptySubset("conditional entropy of an empty subset")
     if subset & given:
         raise LabelCollision("subset overlaps conditioning set")
-    return _h(state, subset | given) - _h(state, given)
+    return _entropy_sum(state, {frozenset(subset | given): 1.0, frozenset(given): -1.0})
 
 
 def qcmi(state: MultipartiteState, a, b, e=()) -> float:
@@ -186,10 +177,7 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
         raise EmptySubset("QCMI needs non-empty A and B")
     if a & b or a & e or b & e:
         raise LabelCollision("A, B, E must be pairwise disjoint")
-    for lab in a | b | e:
-        if lab not in state.labels:
-            raise LabelNotFound(f"label {lab!r} not in {state.labels}")
-    return _h(state, a | e) + _h(state, b | e) - _h(state, e) - _h(state, a | b | e)
+    return _entropy_sum(state, _cmi_total((a, b), e))
 
 
 def _cmi_total(blocks, e) -> dict[frozenset, float]:
@@ -215,8 +203,9 @@ def _cmi_dual(blocks, e) -> dict[frozenset, float]:
 
 
 def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> float:
-    """The signed entropy sum of a subset -> coefficient map on ``state``."""
-    return sum((c * _h(state, s) for s, c in coeffs.items()), 0.0)
+    """The signed entropy sum of a subset -> coefficient map on ``state``,
+    H(empty) = 0."""
+    return sum((c * entropy(state, s) for s, c in coeffs.items() if s), 0.0)
 
 
 def cmi_total(state: MultipartiteState, spec: BlockSpec) -> float:

@@ -1,17 +1,18 @@
 """Squashed-entanglement evaluation.
 
-Exact values on pure states (every extension of a pure state is product
-with it, so the infimum is attained without conditioning), and variational
-upper bounds for mixed states obtained by optimizing a parametrized
-squashing channel acting on the purifying system.
+The state is reduced to the partition's labels and purified once; labels
+the partition leaves out join the purifier.  A pure reduction has its exact
+value (every extension of a pure state is product with it, so the infimum
+is attained without conditioning), a mixed one a variational upper bound
+from a parametrized squashing channel on the purifier.  Both come from
+``_squash_purified``, whose entropies are read off the state vector by
+``measures._pure_entropy_sums``, never off a density matrix.
 
-The variational objective stays a pure state vector: the state is purified
-once, each trial squashing isometry is applied to the purifier with one
-contraction, and every entropy comes from the reshaped vector.  The same
-pass returns the exact gradient with respect to a free complex Kraus matrix
-K, whose polar factor K (K^dag K)^(-1/2) is the isometry; that gradient
-drives multi-restart L-BFGS-B.  The isometry maps the purifier into a copy
-of itself and a traced-out qubit ancilla.
+Each trial squashing isometry is applied to the purifier with one
+contraction, and the same pass returns the exact gradient with respect to a
+free complex Kraus matrix K, whose polar factor K (K^dag K)^(-1/2) is the
+isometry, into a copy of the purifier and a traced-out qubit ancilla; that
+gradient drives multi-restart L-BFGS-B.
 
 Variational results are upper bounds only: any feasible squashing channel
 gives one, and we cannot certify convergence to the true infimum.
@@ -27,16 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotPure, QbcError, TooLarge
-from .measures import (
-    _PURIFIER,
-    BlockSpec,
-    _cmi_dual,
-    _cmi_total,
-    _entropy_sum,
-    _pure_entropy_sums,
-)
+from .measures import _PURIFIER, _cmi_dual, _cmi_total, _pure_entropy_sums
 from .partitions import Partition
-from .states import MultipartiteState, _purification
+from .states import MultipartiteState, _purification, partial_trace
 
 
 class Measure(str, Enum):
@@ -99,11 +93,22 @@ def _half_measure(partition: Partition, measure, conditioning=()) -> dict[frozen
     return {s: 0.5 * c for s, c in fn(partition.blocks, conditioning).items()}
 
 
+def _reduced_purification(state: MultipartiteState, partition: Partition):
+    """The state on the labels of ``partition`` (``LabelNotFound`` if one is
+    missing) and its purification amplitudes: the other labels join the
+    purifier."""
+    reduced = partial_trace(state, partition.ground)
+    return reduced, _purification(reduced.matrix)
+
+
 def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measure.E_SQ) -> float:
-    """Exact squashed entanglement of a pure state for the given grouping."""
-    if not state.is_pure():
-        raise NotPure("exact evaluation requires a pure state")
-    return _entropy_sum(state, _half_measure(partition, measure))
+    """Exact squashed entanglement for the given grouping of a state that is
+    pure (as ``is_pure`` judges it) on the partition's labels."""
+    reduced, psi = _reduced_purification(state, partition)
+    if psi.shape[1] > 1:
+        raise NotPure("exact evaluation requires a pure state on the partition's labels")
+    res = _squash_purified(psi, reduced.dims, reduced.labels, partition, measure, SquashConfig())
+    return res.value_bits
 
 
 def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -> float:
@@ -117,8 +122,6 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
         raise QbcError("probabilities must sum to 1")
     total = 0.0
     for p, st in flagged_states:
-        if not st.is_pure():
-            raise NotPure("cq-average exactness holds only for pure components")
         total += p * esq_exact_pure(st, partition, measure)
     return total
 
@@ -249,19 +252,20 @@ def esq_upper_variational(
     Kraus matrix K, maps the d_e-dimensional purifier into a space of its own
     dimension and a traced-out qubit ancilla.  Restart 0 is the identity
     squashing point, scored without a search, and ``config.restarts`` counts
-    it.  A pure state (as ``is_pure`` judges it) of any size gets its exact
-    value, with no search and no size cap, described as ``{"trivial": True}``.
+    it.  Labels the partition leaves out join the purifier.  A state pure on
+    the partition's labels (as ``is_pure`` judges it), of any size, gets its
+    exact value, with no search and no size cap, described as
+    ``{"trivial": True}``.
 
     Otherwise ``extension_description["params"]`` is the best search point,
     None if none beat identity squashing: the 4 d_e^2 floats of the real and
     then the imaginary parts of K, row-major, rows over (E', ancilla).
     """
-    BlockSpec(tuple(frozenset(b) for b in partition.blocks)).validate_for(state)
-    psi = _purification(state.matrix)
+    reduced, psi = _reduced_purification(state, partition)
     d_e = psi.shape[1]
-    if d_e > 1 and state.dim * d_e > config.dim_cap:
+    if d_e > 1 and reduced.dim * d_e > config.dim_cap:
         raise TooLarge(
-            f"state dim {state.dim} x squash output dim {d_e} exceeds cap "
+            f"state dim {reduced.dim} x squash output dim {d_e} exceeds cap "
             f"{config.dim_cap}"
         )
-    return _squash_purified(psi, state.dims, state.labels, partition, measure, config)
+    return _squash_purified(psi, reduced.dims, reduced.labels, partition, measure, config)

@@ -11,16 +11,18 @@ import pytest
 
 import qbcbound
 from qbcbound import (
+    PrivateStateSpec,
     QuantumChannel,
     channel_output_state,
     entropy,
     make_ghz,
+    make_private_state,
     state_to_json,
     theorem3_report,
 )
 from qbcbound import bosonic
 from qbcbound.cli import MAX_SWEEP_STEPS, main
-from qbcbound.sampling import random_channel, random_state
+from qbcbound.sampling import random_channel, random_state, random_unitary
 from qbcbound.states import channel_to_json
 
 
@@ -200,10 +202,85 @@ def test_esq_exact_flag(capsys, tmp_path, ghz_path):
     mixed = tmp_path / "rank3.json"
     rank3 = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
     mixed.write_text(state_to_json(rank3))
-    for path, exact in ((ghz_path, True), (str(mixed), False)):
-        code, out, _ = run(capsys, "esq", path, "--partition", "A|B|C", "--restarts", "1")
+    # GHZ on A, B is mixed: C joins the purifier and is squashed
+    cases = ((ghz_path, "A|B|C", True), (str(mixed), "A|B|C", False), (ghz_path, "A|B", False))
+    for path, partition, exact in cases:
+        code, out, _ = run(capsys, "esq", path, "--partition", partition, "--restarts", "1")
         assert code == 0
         assert json.loads(out)["exact"] is exact
+    code, out, _ = run(capsys, "esq", ghz_path, "--partition", "A|B")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] is False
+    assert doc["results"]["esq"]["value_bits"] <= 1e-9
+
+
+@pytest.fixture
+def golden_states(tmp_path, ghz_path):
+    """GHZ on three qubits, a seeded rank-3 three-qubit state, a seeded
+    full-rank 2x3 state and a seeded private state with two qubit shields."""
+    rng = np.random.default_rng(0)
+    twists = tuple(random_unitary(rng, 4) for _ in range(4))
+    spec = PrivateStateSpec(2, 2, (2, 2), twists)
+    states = {
+        "rank3": random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3),
+        "mixed2x3": random_state(np.random.default_rng(1), ("A", "B"), (2, 3)),
+        "private": make_private_state(spec, ("kA", "kB"), ("sA", "sB")),
+    }
+    paths = {"ghz": ghz_path}
+    for name, state in states.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(state_to_json(state))
+    return paths
+
+
+# sha256 of stdout of the density-matrix API (qinfo) and of esq on pure and
+# mixed states: a change to any printed digit, or to the layout, changes the
+# hash.  The qinfo prints include rounding-level entropies (3.2e-16 on GHZ).
+_STATE_GOLDEN = [
+    pytest.param(
+        "qinfo {ghz} --partition A|B|C",
+        "1e86f668034212bf9fc519d95d646b5e76bb97ecd5e65c6598a6215283a7e7c9",
+        id="qinfo_ghz",
+    ),
+    pytest.param(
+        "qinfo {rank3} --partition A|B|C",
+        "ba4315b1fe98e57295d9df5aeb2669485b3708d7acf64f8c2aae81b50d8b4986",
+        id="qinfo_rank3",
+    ),
+    pytest.param(
+        "qinfo {mixed2x3} --partition A|B",
+        "d76f324361be192a227718a9676a82cc96b39d974ea4c632cfc91d675ee4bc82",
+        id="qinfo_mixed2x3",
+    ),
+    pytest.param(
+        "esq {ghz} --partition A|B|C --measure both --restarts 1",
+        "0c7a8d8e4b4fdb6ba01059e1580f75b4a6e3fae90854fa9d67a621d785bee80f",
+        id="esq_ghz_one_restart",
+    ),
+    pytest.param(
+        "esq {ghz} --partition A|B|C --measure both",
+        "cd87b1b19d8085a16a03eb9ef510ccd593221d02c4b9eb0aef97f5ac8c4c2b5d",
+        id="esq_ghz",
+    ),
+    pytest.param(
+        "esq {private} --partition kA,sA|kB,sB --measure both --restarts 1",
+        "b52d44aa307269db9075199c72eced07b7b71e78eaa410a06fa8dcd01830c1a0",
+        id="esq_private_one_restart",
+    ),
+    pytest.param(
+        "esq {private} --partition kA,sA|kB,sB --measure both",
+        "8efc795a2fbbb0dc9a30e7f1a45a6353620484fce4f0fb707676340e2b68e8f0",
+        id="esq_private",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha", _STATE_GOLDEN)
+def test_state_output_golden(capsys, golden_states, argv, sha):
+    code, out, err = run(capsys, *argv.format(**golden_states).split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_esq_repeated_label_exits_2(capsys, ghz_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qbcbound import (
     BlockSpec,
     InputSearchConfig,
+    LabelNotFound,
     Measure,
     MultipartiteState,
     NotPure,
@@ -28,14 +29,14 @@ from qbcbound import (
     purify,
     tensor,
 )
-from qbcbound import squash
+from qbcbound import measures, squash
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
     _isometry_and_pullback,
     _measure_kernel,
     _squash_value_and_grad,
 )
-from qbcbound.states import _purification, _purifying_amplitudes, _support
+from qbcbound.states import _purification, _purifying_amplitudes, _support, partial_trace
 
 
 def part(*bs):
@@ -84,6 +85,85 @@ def test_exact_pure_rejects_mixed():
     mixed = MultipartiteState(np.eye(4) / 4, ("A", "B"), (2, 2))
     with pytest.raises(NotPure):
         esq_exact_pure(mixed, part(("A",), ("B",)))
+
+
+def test_partition_leaving_a_label_out_squashes_it():
+    # GHZ on A, B is mixed and separable: C joins the purifier, and the squash
+    # conditions on it
+    ghz = make_ghz(("A", "B", "C"), 2)
+    p = part(("A",), ("B",))
+    with pytest.raises(NotPure):
+        esq_exact_pure(ghz, p)
+    with pytest.raises(NotPure):
+        esq_cq_average([(1.0, ghz)], p)
+    res = esq_upper_variational(ghz, p)
+    assert -1e-12 <= res.value_bits <= 1e-9
+    assert "trivial" not in res.extension_description
+    # a pure marginal stays exact, with the other labels discarded
+    product = tensor([make_ghz(("A", "B"), 2), make_ghz(("C", "D"), 3)])
+    exact = esq_exact_pure(product, p)
+    assert exact == esq_upper_variational(product, p).value_bits
+    assert abs(exact - 1.0) < 1e-12
+
+
+def test_partition_label_missing_from_state():
+    ghz = make_ghz(("A", "B", "C"), 2)
+    for run in (esq_exact_pure, esq_upper_variational):
+        with pytest.raises(LabelNotFound):
+            run(ghz, part(("A",), ("Z",)))
+
+
+def _half_measure_by_partial_traces(state, partition, measure):
+    """Half of either measure over ``partition`` from partial traces of the
+    density matrix: the reference for the exact value on a pure state."""
+    labels = set(partition.ground)
+
+    def h(subset):
+        return entropy_bits(partial_trace(state, subset).matrix)
+
+    blocks = [set(b) for b in partition.blocks]
+    if measure is Measure.E_SQ:
+        value = sum(h(b) for b in blocks) - h(labels)
+    else:
+        value = sum(h(labels - b) for b in blocks) - (len(blocks) - 1) * h(labels)
+    return value / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=4),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 9e-10)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_value_is_the_variational_value(dims, noise, seed):
+    # one exact path: esq_exact_pure returns what esq_upper_variational does,
+    # bit for bit, also under white noise that is_pure accepts
+    labels = ("A", "B", "C", "D")[: len(dims)]
+    dim = int(np.prod(dims))
+    pure = random_pure_state(np.random.default_rng(seed), labels, dims)
+    state = MultipartiteState(
+        (1 - noise) * pure.matrix + noise * np.eye(dim) / dim, labels, tuple(dims)
+    )
+    assert state.is_pure()
+    for partition in nontrivial_partitions(labels):
+        for measure in Measure:
+            exact = esq_exact_pure(state, partition, measure)
+            assert exact == esq_upper_variational(state, partition, measure).value_bits
+            if noise == 0.0:
+                reference = _half_measure_by_partial_traces(state, partition, measure)
+                assert abs(exact - reference) <= 1e-12
+
+
+def test_exact_values_never_reach_the_density_engine(monkeypatch):
+    def density_engine(*args, **kwargs):
+        raise AssertionError("an exact value went through a density matrix")
+
+    monkeypatch.setattr(measures, "_entropy_sum", density_engine)
+    monkeypatch.setattr(measures, "partial_trace", density_engine)
+    ghz = make_ghz(("A", "B", "C"), 2)
+    p = part(("A",), ("B",), ("C",))
+    assert abs(esq_exact_pure(ghz, p) - 1.5) < 1e-12
+    assert abs(esq_cq_average([(0.5, ghz), (0.5, ghz)], p) - 1.5) < 1e-12
 
 
 def test_cq_average():
