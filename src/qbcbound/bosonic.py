@@ -19,15 +19,21 @@ at once: it validates every column before the first bisection step, then
 bisects all columns together, each column taking the same steps as a lone
 bisection would.  The scalar entry points (``optimal_eta_star``,
 ``asymptotic_bound``, ``theorem3_report``) are one-column calls into the
-same code.  Logarithms and squares are taken per element with Python's
-``math.log2`` and ``**``, whose last bits NumPy's vector kernels do not
-always reproduce, so a one-column call returns the same bits as a plain
-loop over Python floats (the tests keep such a loop as the reference).
+same code, and a one-column call returns the same bits as a plain loop
+over Python floats (the tests keep such a loop as the reference).
+
+Squares go through ``np.float_power``, whose float64 loop calls the C
+library's ``pow`` once per element, in C: the function Python's ``x ** 2``
+and ``math.pow`` reach.  ``np.power`` (which squares by ``a * a`` when the
+exponent is 2), ``np.square`` and ``a * a`` differ from ``pow`` in the last
+ulp on about one argument in a thousand, and a bisection step can turn on
+that bit.  Logarithms stay per element with ``math.log2``: ``np.log2`` runs
+NumPy's own SIMD kernel on AVX-512 hardware, which also differs in the last
+ulp on about two arguments in a thousand.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,15 +113,16 @@ def _check_etas(etas: np.ndarray) -> None:
 
 
 def _log2(a: np.ndarray) -> np.ndarray:
-    # math.log2, not np.log2: the two differ in the last ulp on some arguments
+    # math.log2, not np.log2: NumPy's SIMD kernel differs in the last ulp on
+    # some arguments
     return np.fromiter(map(math.log2, a.tolist()), float, a.size)
 
 
 def _square(a: np.ndarray) -> np.ndarray:
-    # the C library's pow, as Python's ``a ** 2`` takes it, not a * a: they
-    # differ in the last ulp on about one argument in a thousand, and a
-    # bisection step can turn on that bit
-    return np.fromiter(map(math.pow, a.tolist(), itertools.repeat(2.0)), float, a.size)
+    # the C library's pow per element, as Python's ``a ** 2`` takes it;
+    # np.power, np.square and a * a all square by multiplying, which differs
+    # from pow in the last ulp on about one argument in a thousand
+    return np.float_power(a, 2.0)
 
 
 def g(x: float) -> float:
@@ -234,11 +241,15 @@ def optimal_eta_star(spec: BosonicBroadcastSpec) -> float:
 def _bipartite_cut_bound(eta_to: np.ndarray, eta_away: np.ndarray) -> np.ndarray:
     """log2((1 + eta_to - eta_away) / (1 - eta_to - eta_away)), the
     asymptotic bipartite-cut bound at squashing transmissivity 1/2, per
-    element; +inf where the denominator is not positive."""
+    element; 0 where no light reaches the far side (eta_to = 0), otherwise
+    +inf where the denominator is not positive."""
     denom = 1.0 - eta_to - eta_away
     out = np.full(denom.shape, math.inf)
     ok = denom > 0
     out[ok] = _log2((1.0 + eta_to[ok] - eta_away[ok]) / denom[ok])
+    # the formula gives log2(1) = 0 there too, except where eta_away >= 1
+    # leaves it 0 / 0 or a negative denominator
+    out[eta_to == 0] = 0.0
     return out
 
 

@@ -17,6 +17,7 @@ from qbcbound import (
     theorem3_columns,
     theorem3_report,
 )
+from qbcbound import bosonic
 from qbcbound.bosonic import effective_single_receiver
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,8 @@ def _ref_asymptotic(etas, x, measure):
 
 
 def _ref_cut(eta_to, eta_away):
+    if eta_to == 0:
+        return 0.0
     denom = 1.0 - eta_to - eta_away
     if denom <= 0:
         return math.inf
@@ -132,6 +135,14 @@ def test_optimal_eta_star_matches_scalar_reference(etas):
     for x in (0.0, 0.25, 0.5, 0.9, 1.0):
         for measure in ("esq", "esq-tilde"):
             assert asymptotic_bound(spec, x, measure) == _ref_asymptotic(etas, x, measure)
+
+
+def test_square_and_log2_are_the_c_library_functions():
+    # the scalar reference squares with ** and takes math.log2; x * x and
+    # np.log2 differ from them on a few hundred of these arguments
+    a = np.random.default_rng(7).uniform(0.0, 1.0, 2 * 10**5)
+    assert np.array_equal(bosonic._square(a), [math.pow(x, 2.0) for x in a.tolist()])
+    assert np.array_equal(bosonic._log2(a), [math.log2(x) for x in a.tolist()])
 
 
 def test_three_receiver_eta_star_value():
@@ -290,6 +301,21 @@ def test_theorem3_divergent_sentinels():
     rep = theorem3_report(0.5, 0.5)
     assert rep.bound_bc_cut == math.inf
     assert rep.tripartite_bound == math.inf
+
+
+@pytest.mark.parametrize("eta_b, eta_c", [(1.0, 0.0), (0.0, 1.0)])
+def test_dark_receiver_cut_is_zero(eta_b, eta_c):
+    # all the light goes to one receiver: the other holds vacuum, and its
+    # cut carries nothing
+    dark = "bound_c_cut" if eta_b else "bound_b_cut"
+    lit = "bound_b_cut" if eta_b else "bound_c_cut"
+    rep = theorem3_report(eta_b, eta_c)
+    cols = theorem3_columns([eta_b, 0.5 * eta_b], [eta_c, 0.5 * eta_c])
+    for fields in (asdict(rep), {k: v[0] for k, v in cols.items()}):
+        assert fields[dark] == 0.0
+        assert fields[lit] == fields["bound_bc_cut"] == fields["tripartite_bound"] == math.inf
+        assert fields["eta_star"] == 0.5
+    assert cols[dark][1] == 0.0
 
 
 def test_tripartite_below_feasible_point():

@@ -69,6 +69,19 @@ def test_bounds_bosonic_inf_sentinel(capsys):
     assert "nan" not in out.lower()
 
 
+@pytest.mark.parametrize(
+    "eta_b, eta_c, row",
+    [
+        ("1", "0", "1,0,inf,0,inf,inf,inf,0.5"),
+        ("0", "1", "0,1,0,inf,inf,inf,inf,0.5"),
+    ],
+)
+def test_bounds_bosonic_dark_receiver_cut(capsys, eta_b, eta_c, row):
+    code, out, _ = run(capsys, "bounds-bosonic", "--eta-b", eta_b, "--eta-c", eta_c)
+    assert code == 0
+    assert out.strip().split("\n")[1] == row
+
+
 def test_bounds_bosonic_json(capsys):
     code, out, _ = run(
         capsys,
