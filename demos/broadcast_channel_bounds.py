@@ -17,7 +17,7 @@ copy_channel = QuantumChannel((k,), 2, ("B", "C"), (2, 2))
 
 report = two_receiver_report(
     copy_channel,
-    InputSearchConfig(restarts=3, max_iters=200, seed=0),
+    InputSearchConfig(restarts=3, seed=0),
     SquashConfig(restarts=2, max_iters=300, seed=0),
 )
 

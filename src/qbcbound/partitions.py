@@ -108,38 +108,28 @@ def nontrivial_partitions(ground) -> list[Partition]:
     return sorted(parts, key=lambda p: (len(p.blocks), p.blocks))
 
 
+def _met(m: set, partition: Partition) -> list[LabelSet]:
+    """The non-empty intersections of ``m`` with the blocks of ``partition``."""
+    return [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
+
+
 def c_of(partition: Partition) -> list[LabelSet]:
-    """The collection C(G): unions of one subset per block, with the empty
-    set, singletons, and sets inside a single block removed."""
+    """The collection C(G): the subsets of the ground set that meet at least
+    two blocks."""
     if not partition.nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
-    block_sets = [set(b) for b in partition.blocks]
-    choices = [
-        [set(c) for r in range(len(b) + 1) for c in itertools.combinations(b, r)]
-        for b in partition.blocks
-    ]
-    found: set[LabelSet] = set()
-    for combo in itertools.product(*choices):
-        u = set().union(*combo)
-        if len(u) < 2:
-            continue
-        if any(u <= b for b in block_sets):
-            continue
-        found.add(_canon(u))
-    return sorted(found, key=lambda s: (len(s), s))
+    return [m for m in subsets_geq2(partition.ground) if len(_met(set(m), partition)) > 1]
 
 
 def a_of(m, partition: Partition) -> list[LabelSet]:
     """A(M, G) = { X intersect M | X in G } minus the empty set."""
-    m = _canon(set(m))
-    if m not in c_of(partition):
-        raise SpecError(f"{m} is not an element of C(G)")
-    out = []
-    for b in partition.blocks:
-        inter = set(b) & set(m)
-        if inter:
-            out.append(_canon(inter))
-    return sorted(out, key=lambda s: (len(s), s))
+    if not partition.nontrivial:
+        raise SpecError("C(G) requires a nontrivial partition")
+    m = set(m)
+    met = _met(m, partition)
+    if not m <= set(partition.ground) or len(met) < 2:
+        raise SpecError(f"{_canon(m)} is not an element of C(G)")
+    return sorted(met, key=lambda s: (len(s), s))
 
 
 def constraint_coefficients(partition: Partition) -> ConstraintCoefficients:
@@ -149,5 +139,5 @@ def constraint_coefficients(partition: Partition) -> ConstraintCoefficients:
     """
     if not partition.nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
-    terms = tuple((m, len(a_of(m, partition))) for m in c_of(partition))
+    terms = tuple((m, len(_met(set(m), partition))) for m in c_of(partition))
     return ConstraintCoefficients(partition.ground, partition, terms)

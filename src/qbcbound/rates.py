@@ -20,8 +20,10 @@ its exact gradient, from X = I (the maximally entangled input), is enough
 whenever it can be certified: the Frank-Wolfe duality gap
 lambda_max(G) - tr(G rho_A), G = df/d rho_A, bounds how far the maximum
 lies above the value found, and the search stops once the gap is at most
-``tol``.  Only when that search ends uncertified (its best input is
-rank-deficient, say, where G is not defined) do the random restarts run.
+``GAP_TOL`` bits.  Only when that search ends uncertified (its best input is
+rank-deficient, say, where G is not defined) do the random restarts run, each
+stopping on the squash's relative-decrease tolerance.  Every search is capped
+at ``_MAX_ITERS`` iterations.
 The full variational squashing optimization runs once, at the best input
 found, on the purification of that input's output vector over the support
 of the output state.
@@ -42,9 +44,11 @@ from .partitions import (
     nontrivial_partitions,
 )
 from .squash import (
+    DIM_CAP,
+    _FTOL,
     Measure,
     SquashConfig,
-    _check_search,
+    _check_count,
     _measure_kernel,
     _squash_purified,
     minimize,
@@ -54,23 +58,25 @@ from .states import MultipartiteState, QuantumChannel, _purification, apply_chan
 SENDER_LABEL = "R"
 # the variational squash that runs once per partition at the best input
 FINAL_SQUASH = SquashConfig(restarts=3, max_iters=400)
+# the Frank-Wolfe gap, in bits, at which the search from X = I is certified
+GAP_TOL = 1e-8
+# iteration cap of every input-search restart
+_MAX_ITERS = 400
 
 
 @dataclass(frozen=True)
 class InputSearchConfig:
     """Settings of the input search.  Restart 0 starts at X = I and stops once
-    its Frank-Wolfe gap is at most ``tol`` bits; restarts 1 ... ``restarts``-1
-    start from random X and run only when that search ends uncertified, each
-    stopping when L-BFGS-B's relative decrease falls below ``tol``, so
-    ``restarts`` is a cap.  ``max_iters`` caps each search's iterations."""
+    its Frank-Wolfe gap is at most ``GAP_TOL`` bits; restarts 1 ... ``restarts``-1
+    start from random X drawn with ``seed`` and run only when that search ends
+    uncertified, so ``restarts`` is a cap."""
 
     restarts: int = 5
-    max_iters: int = 400
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        _check_search(self.restarts, self.max_iters, self.tol, self.seed)
+        _check_count("restarts", self.restarts, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,8 @@ class RateConstraint:
     bound_bits: float
     measure_used: str
     # the input search's Frank-Wolfe gap: the surrogate's maximum over inputs
-    # is at most its best value plus this; inf when the search is uncertified
+    # is at most its best value plus this, at most GAP_TOL when certified and
+    # inf when the search is uncertified
     input_gap_bits: float = math.inf
     metadata: dict = field(default_factory=dict)
 
@@ -186,10 +193,10 @@ def evaluate_bounds(
     d = channel.input_dim
     # the output state's rank is at most the number of Kraus operators
     rank = min(len(channel.kraus_ops), d * channel.output_dim)
-    if d * channel.output_dim * rank > squash_cfg.dim_cap:
+    if d * channel.output_dim * rank > DIM_CAP:
         raise TooLarge(
             f"output state dim {d * channel.output_dim} x squash output dim up to "
-            f"{rank} exceeds cap {squash_cfg.dim_cap}"
+            f"{rank} exceeds cap {DIM_CAP}"
         )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
@@ -200,6 +207,8 @@ def evaluate_bounds(
     for i, partition in enumerate(partitions):
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
+        if not partition.nontrivial:
+            raise SpecError(f"partition {partition} has one block: it bounds no rate")
         if partition in partitions[:i]:
             raise SpecError(f"partition {partition} is repeated")
     out = []
@@ -218,7 +227,7 @@ def evaluate_bounds(
             value, grad = value_and_grad(theta)
             if not certified:
                 gap = _input_gap(theta, grad, d)
-                if gap <= cfg.tol:
+                if gap <= GAP_TOL:
                     certified[:] = value, theta.copy(), gap
             return -value, -grad
 
@@ -226,7 +235,7 @@ def evaluate_bounds(
             if certified:
                 raise StopIteration
 
-        # no stop but the gap, max_iters or a failed line search; scipy
+        # no stop but the gap, the iteration cap or a failed line search; scipy
         # reports success false after a callback stop
         res = minimize(
             certifying,
@@ -234,7 +243,7 @@ def evaluate_bounds(
             jac=True,
             method="L-BFGS-B",
             callback=stop_when_certified,
-            options={"maxiter": cfg.max_iters, "ftol": 0.0, "gtol": 0.0},
+            options={"maxiter": _MAX_ITERS, "ftol": 0.0, "gtol": 0.0},
         )
         if certified:
             best, best_params, gap = certified
@@ -247,7 +256,7 @@ def evaluate_bounds(
                     rng.uniform(-1.0, 1.0, 2 * d * d),
                     jac=True,
                     method="L-BFGS-B",
-                    options={"maxiter": cfg.max_iters, "ftol": cfg.tol},
+                    options={"maxiter": _MAX_ITERS, "ftol": _FTOL},
                 )
                 if -res.fun > best:
                     best = -float(res.fun)

@@ -20,7 +20,6 @@ gives one, and we cannot certify convergence to the true infimum.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,27 +54,22 @@ def _check_count(name: str, value, least: int):
         raise QbcError(f"{name} must be at least {least}")
 
 
-def _check_search(restarts: int, max_iters: int, tol: float, seed: int):
-    """Settings of a multi-restart L-BFGS-B search (squash or input search)."""
-    _check_count("restarts", restarts, 1)
-    _check_count("max_iters", max_iters, 1)
-    _check_count("seed", seed, 0)
-    # written so that NaN, for which every comparison is false, fails it
-    if not 0 < tol < math.inf:
-        raise QbcError("tol must be positive and finite")
+# largest state dim x purifier dim the variational squash takes on
+DIM_CAP = 64
+# L-BFGS-B's relative-decrease stop for a squash restart
+_FTOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SquashConfig:
     restarts: int = 20
     max_iters: int = 2000
-    tol: float = 1e-8
     seed: int = 0
-    dim_cap: int = 64
 
     def __post_init__(self):
-        _check_search(self.restarts, self.max_iters, self.tol, self.seed)
-        _check_count("dim_cap", self.dim_cap, 1)
+        _check_count("restarts", self.restarts, 1)
+        _check_count("max_iters", self.max_iters, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,7 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
             rng.uniform(-np.pi, np.pi, npar),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": config.max_iters, "ftol": config.tol, "gtol": _GTOL},
+            options={"maxiter": config.max_iters, "ftol": _FTOL, "gtol": _GTOL},
         )
         if res.fun < best_val:
             best_val = float(res.fun)
@@ -263,9 +257,8 @@ def esq_upper_variational(
     """
     reduced, psi = _reduced_purification(state, partition)
     d_e = psi.shape[1]
-    if d_e > 1 and reduced.dim * d_e > config.dim_cap:
+    if d_e > 1 and reduced.dim * d_e > DIM_CAP:
         raise TooLarge(
-            f"state dim {reduced.dim} x squash output dim {d_e} exceeds cap "
-            f"{config.dim_cap}"
+            f"state dim {reduced.dim} x squash output dim {d_e} exceeds cap {DIM_CAP}"
         )
     return _squash_purified(psi, reduced.dims, reduced.labels, partition, measure, config)

@@ -28,6 +28,8 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 RANK_TOL = 1e-12
 PURE_TOL = 1e-9
+# largest trace distance at which check_private_state accepts a private state
+PRIVATE_TOL = 1e-8
 
 
 def _frozen_array(a, what: str) -> np.ndarray:
@@ -91,8 +93,8 @@ class MultipartiteState:
         except ValueError:
             raise LabelNotFound(f"label {label!r} not in {self.labels}") from None
 
-    def is_pure(self, tol: float = PURE_TOL) -> bool:
-        return bool(np.linalg.eigvalsh(self.matrix)[-1] >= 1.0 - tol)
+    def is_pure(self) -> bool:
+        return bool(np.linalg.eigvalsh(self.matrix)[-1] >= 1.0 - PURE_TOL)
 
 
 @dataclass(frozen=True)
@@ -200,15 +202,18 @@ def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     keep_idx = [i for i, lab in enumerate(state.labels) if lab in keep]
     if len(keep_idx) == n:
         return state
-    t = state.matrix.reshape(state.dims + state.dims)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = list(letters[:n])
-    col = [letters[n + i] if i in keep_idx else letters[i] for i in range(n)]
-    out = [letters[i] for i in keep_idx] + [letters[n + i] for i in keep_idx]
-    expr = "".join(row) + "".join(col) + "->" + "".join(out)
+    # rows and columns reordered to (kept labels, the rest) by flat-index
+    # arithmetic: one array axis per label would cap the label count at
+    # numpy's axis limit (32 before numpy 2)
+    order = keep_idx + [i for i in range(n) if i not in keep_idx]
+    strides = [int(np.prod(state.dims[i + 1 :])) for i in range(n)]
+    flat = np.zeros(1, dtype=np.intp)
+    for i in order:
+        flat = (flat[:, None] + strides[i] * np.arange(state.dims[i])).ravel()
     kd = tuple(state.dims[i] for i in keep_idx)
     m = int(np.prod(kd))
-    red = np.einsum(expr, t).reshape(m, m)
+    r = state.dim // m
+    red = np.einsum("ajbj->ab", state.matrix[np.ix_(flat, flat)].reshape(m, r, m, r))
     red = (red + red.conj().T) / 2
     return MultipartiteState(
         red, tuple(state.labels[i] for i in keep_idx), kd
@@ -336,7 +341,7 @@ def measurement_channel(d: int, label: str) -> QuantumChannel:
 
 
 def check_private_state(
-    state: MultipartiteState, key_labels, shield_labels, d: int, tol: float = 1e-8
+    state: MultipartiteState, key_labels, shield_labels, d: int
 ) -> tuple[bool, float]:
     """Evaluate the defining secret-key condition of a private state.
 
@@ -344,7 +349,7 @@ def check_private_state(
     measures the trace distance to the ideal perfectly-correlated key that
     is product with the purifying system.  Every system that is not a key is
     traced as shield; ``shield_labels`` may name them or be empty.  Returns
-    (verdict, deviation).
+    (deviation <= PRIVATE_TOL, deviation).
     """
     key_labels = tuple(key_labels)
     for lab in key_labels:
@@ -369,7 +374,7 @@ def check_private_state(
     sigma = sigma / tr if tr > 1e-12 else np.eye(de) / de
     blocks[correlated] -= sigma / d
     dev = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(blocks))))
-    return dev <= tol, dev
+    return dev <= PRIVATE_TOL, dev
 
 
 def _permute(state: MultipartiteState, order) -> MultipartiteState:

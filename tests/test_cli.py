@@ -20,7 +20,7 @@ from qbcbound import (
     state_to_json,
     theorem3_report,
 )
-from qbcbound import bosonic
+from qbcbound import bosonic, rates
 from qbcbound.cli import MAX_SWEEP_STEPS, main
 from qbcbound.sampling import random_channel, random_state, random_unitary
 from qbcbound.states import channel_to_json
@@ -311,6 +311,35 @@ def test_qinfo(capsys, ghz_path):
     assert doc["cmi_total"] == 2.0
 
 
+def _many_labels(n_trivial):
+    """A Bell pair on two qubits among ``n_trivial`` labels of dimension 1, or
+    only the trivial labels (one entry 1) when ``n_trivial`` is 30."""
+    labels = [f"L{i}" for i in range(n_trivial)]
+    if n_trivial == 30:
+        return {"labels": labels, "dims": [1] * 30, "matrix": [[[1.0, 0.0]]]}
+    bell = np.zeros((4, 4))
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    return {
+        "labels": labels + ["P", "Q"],
+        "dims": [1] * n_trivial + [2, 2],
+        "matrix": [[[x, 0.0] for x in row] for row in bell.tolist()],
+    }
+
+
+@pytest.mark.parametrize("n_trivial", [30, 25])
+def test_qinfo_more_than_26_labels(capsys, tmp_path, n_trivial):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(_many_labels(n_trivial)))
+    code, out, err = run(capsys, "qinfo", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["pure"] is True
+    assert doc["entropy_total"] == 0.0
+    assert all(doc["entropy_by_label"][f"L{i}"] == 0.0 for i in range(n_trivial))
+    if n_trivial == 25:
+        assert abs(doc["entropy_by_label"]["P"] - 1.0) < 1e-12
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -455,6 +484,19 @@ def test_bounds_finite_repeated_partition_exits_2(capsys, copy_channel_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: partition B|C|R is repeated\n"
+
+
+def test_bounds_finite_one_block_partition_exits_2(capsys, monkeypatch, copy_channel_path):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran before the partitions were checked")
+
+    monkeypatch.setattr(rates, "minimize", no_search)
+    code, out, err = run(
+        capsys, "bounds-finite", copy_channel_path, "--partition", "R|B|C",
+        "--partition", "R,B,C",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: partition B,C,R has one block: it bounds no rate\n"
 
 
 def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):

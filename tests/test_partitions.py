@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qbcbound import (
@@ -128,3 +130,33 @@ def test_complete_partition_special_case():
     assert c_of(g) == subsets_geq2(ground)
     for m, k in constraint_coefficients(g).as_dict().items():
         assert k == len(m)
+
+
+def _by_size(sets):
+    return sorted((tuple(sorted(s)) for s in sets), key=lambda s: (len(s), s))
+
+
+def _brute_force(partition):
+    """C(G) and each A(M, G) straight from the definitions: unions of one
+    subset per block (each possibly empty), less the empty set, singletons
+    and sets inside one block; A(M, G) the non-empty block intersections."""
+    blocks = [set(b) for b in partition.blocks]
+    per_block = [
+        [set(c) for r in range(len(b) + 1) for c in itertools.combinations(b, r)]
+        for b in blocks
+    ]
+    unions = {frozenset().union(*choice) for choice in itertools.product(*per_block)}
+    collection = _by_size(m for m in unions if len(m) >= 2 and not any(m <= b for b in blocks))
+    return collection, {m: _by_size(b & set(m) for b in blocks if b & set(m)) for m in collection}
+
+
+_SMALL_PARTITIONS = [g for n in range(2, 7) for g in nontrivial_partitions("ABCDEF"[:n])]
+
+
+@pytest.mark.parametrize("g", _SMALL_PARTITIONS, ids=str)
+def test_coefficients_match_the_definitions(g):
+    collection, a = _brute_force(g)
+    assert c_of(g) == collection
+    for m in collection:
+        assert a_of(m, g) == a[m]
+    assert constraint_coefficients(g).terms == tuple((m, len(a[m])) for m in collection)

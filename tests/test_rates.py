@@ -26,7 +26,7 @@ from qbcbound import (
     trace_distance,
     two_receiver_report,
 )
-from qbcbound import rates
+from qbcbound import rates, squash
 from qbcbound.rates import (
     _input_amplitudes,
     _input_gap,
@@ -37,7 +37,7 @@ from qbcbound.rates import (
 from qbcbound.sampling import random_channel
 from qbcbound.squash import _measure_kernel
 
-FAST_SEARCH = InputSearchConfig(restarts=2, max_iters=150)
+FAST_SEARCH = InputSearchConfig(restarts=2)
 FAST_SQUASH = SquashConfig(restarts=2, max_iters=200)
 
 
@@ -140,7 +140,7 @@ def test_more_restarts_never_decreases_bound():
     p = part(("R",), ("B",), ("C",))
     vals = []
     for restarts in (1, 3):
-        cfg = InputSearchConfig(restarts=restarts, max_iters=150, seed=2)
+        cfg = InputSearchConfig(restarts=restarts, seed=2)
         (rc,) = evaluate_bounds(copy_channel(), [p], cfg, FAST_SQUASH)
         vals.append(rc.bound_bits)
     assert vals[1] >= vals[0] - 1e-12
@@ -294,6 +294,15 @@ def test_repeated_partition_rejected(monkeypatch):
         evaluate_bounds(copy_channel(), [part("R", "B", "C"), part("C", "B", "R")])
 
 
+def test_one_block_partition_rejected_before_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran before the partitions were checked")
+
+    monkeypatch.setattr(rates, "minimize", no_search)
+    with pytest.raises(SpecError, match=r"partition B,C,R has one block"):
+        evaluate_bounds(copy_channel(), [part("R", "B", "C"), part(("R", "B", "C"))])
+
+
 def _input_from_rho(rho):
     """Search parameters of the input phi = sqrt(rho)^T, whose rho_A is rho."""
     w, u = np.linalg.eigh(rho)
@@ -368,7 +377,7 @@ def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
     for partition in nontrivial_partitions(("R", "B", "C")):
         seen.clear()
         (rc,) = evaluate_bounds(channel, [partition], squash_cfg=FAST_SQUASH)
-        assert rc.input_gap_bits <= InputSearchConfig().tol, partition
+        assert rc.input_gap_bits <= rates.GAP_TOL, partition
         best = max(seen)
         surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
         for _ in range(200):
@@ -388,7 +397,7 @@ def test_certified_search_runs_once_per_cut(monkeypatch):
     monkeypatch.setattr(rates, "minimize", recording)
     constraints = evaluate_bounds(SURROGATE_CHANNELS["seed0"](), None, squash_cfg=FAST_SQUASH)
     assert len(calls) == len(constraints) == 4
-    assert all(rc.input_gap_bits <= InputSearchConfig().tol for rc in constraints)
+    assert all(rc.input_gap_bits <= rates.GAP_TOL for rc in constraints)
     # 152 evaluations in 20 searches without the certificate
     assert sum(calls) <= 40
 
@@ -435,7 +444,7 @@ def test_uncertified_search_falls_back_to_every_restart(monkeypatch):
         rng = np.random.default_rng(cfg.seed)
         for x0, kwargs, _ in rest:
             assert np.array_equal(x0, rng.uniform(-1.0, 1.0, 2 * 3 * 3))
-            assert kwargs["options"] == {"maxiter": cfg.max_iters, "ftol": cfg.tol}
+            assert kwargs["options"] == {"maxiter": rates._MAX_ITERS, "ftol": squash._FTOL}
             assert "callback" not in kwargs
     # 266 before the certificate, plus restart 0's extra evaluations
     assert sum(nfev for _, _, nfev in calls) <= 276
