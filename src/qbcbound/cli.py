@@ -13,12 +13,17 @@ All output is deterministic given --seed: floats are rendered with 12
 significant digits, divergent bounds as the string "inf", and JSON keys are
 sorted.  Exit code 2 signals a validation failure, with the violated
 invariant named on stderr.
+
+In-process ``main`` calls share one parser, built on first use: parsing
+returns a fresh namespace and never changes the parser, so nothing carries
+over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -347,8 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # a parser takes longer to build than a small command takes to run
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     # UnicodeDecodeError: an input file that is not UTF-8 text

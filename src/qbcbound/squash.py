@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotPure, QbcError, TooLarge
+from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import _PURIFIER, _cmi_dual, _cmi_total, _pure_entropy_sums
 from .partitions import Partition
 from .states import MultipartiteState, _purification, partial_trace
@@ -90,7 +90,10 @@ def _half_measure(partition: Partition, measure, conditioning=()) -> dict[frozen
 def _reduced_purification(state: MultipartiteState, partition: Partition):
     """The state on the labels of ``partition`` (``LabelNotFound`` if one is
     missing) and its purification amplitudes: the other labels join the
-    purifier."""
+    purifier.  A one-block partition, whose measure is identically 0, is
+    refused before any work."""
+    if not partition.nontrivial:
+        raise SpecError(f"partition {partition} has one block: it measures no entanglement")
     reduced = partial_trace(state, partition.ground)
     return reduced, _purification(reduced.matrix)
 

@@ -8,6 +8,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qbcbound import (
     BlockSpec,
@@ -16,6 +17,7 @@ from qbcbound import (
     Partition,
     PrivateStateSpec,
     QuantumChannel,
+    SpecError,
     SquashConfig,
     a_of,
     asymptotic_bound,
@@ -193,6 +195,13 @@ def test_criterion_6_ghz_product_formula():
             expect = 0.0
             for m_set, coeff in constraint_coefficients(g).as_dict().items():
                 expect += 0.5 * coeff * rates.get(m_set, 0)
+            if not part.nontrivial:
+                # every factor lies inside one block: the formula gives 0,
+                # and a one-block partition is refused
+                ok = ok and expect == 0.0
+                with pytest.raises(SpecError, match="has one block"):
+                    esq_exact_pure(psi, part, Measure.E_SQ)
+                continue
             got = esq_exact_pure(psi, part, Measure.E_SQ)
             ok = ok and abs(got - expect) < 1e-9
     report("GHZ-product value matches coefficient formula", ok)

@@ -20,7 +20,7 @@ from qbcbound import (
     state_to_json,
     theorem3_report,
 )
-from qbcbound import bosonic, rates
+from qbcbound import bosonic, cli, rates, squash
 from qbcbound.cli import MAX_SWEEP_STEPS, main
 from qbcbound.sampling import random_channel, random_state, random_unitary
 from qbcbound.states import channel_to_json
@@ -499,6 +499,19 @@ def test_bounds_finite_one_block_partition_exits_2(capsys, monkeypatch, copy_cha
     assert err == "error: partition B,C,R has one block: it bounds no rate\n"
 
 
+def test_esq_one_block_partition_exits_2(capsys, monkeypatch, tmp_path):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the squash ran before the partition was checked")
+
+    monkeypatch.setattr(squash, "minimize", no_search)
+    path = tmp_path / "rank3.json"
+    rank3 = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
+    path.write_text(state_to_json(rank3))
+    code, out, err = run(capsys, "esq", str(path), "--partition", "A,B,C")
+    assert (code, out) == (2, "")
+    assert err == "error: partition A,B,C has one block: it measures no entanglement\n"
+
+
 def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
     # the seed-0 noisy channel at the CLI defaults; the coherent information
     # of the maximally entangled input across a cut is an achievable rate
@@ -566,3 +579,50 @@ assert not loaded, loaded
         [sys.executable, "-c", script, *commands], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "bounds-bosonic", "--eta-b", "0.25")[0] == 0
+    assert len(built) == 1
+    # the public builder itself is not memoised
+    assert build_parser() is not build_parser()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "first, code, then",
+    [
+        (["bounds-finite", "{channel}", "--partition", "R|B|C"], 0, ["bounds-finite", "{channel}"]),
+        (["esq", "{state}"], 2, ["esq", "{state}", "--partition", "A|B|C"]),
+        (["--version"], 0, ["esq", "{state}", "--partition", "A|B|C"]),
+    ],
+    ids=["partition", "usage-error", "version"],
+)
+def test_reused_parser_carries_nothing_between_calls(
+    capsys, copy_channel_path, ghz_path, first, code, then
+):
+    first, then = (
+        [a.format(channel=copy_channel_path, state=ghz_path) for a in argv] for argv in (first, then)
+    )
+    cli._parser.cache_clear()
+    alone = run(capsys, *then)
+    cli._parser.cache_clear()
+    assert _exit_code(first) == code
+    capsys.readouterr()
+    assert run(capsys, *then) == alone

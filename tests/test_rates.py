@@ -18,11 +18,13 @@ from qbcbound import (
     channel_output_state,
     cmi_dual_measure,
     cmi_total,
+    entropy,
     esq_exact_pure,
     evaluate_bounds,
     make_ghz,
     nontrivial_partitions,
     purify,
+    theorem3_report,
     trace_distance,
     two_receiver_report,
 )
@@ -450,3 +452,41 @@ def test_uncertified_search_falls_back_to_every_restart(monkeypatch):
     assert sum(nfev for _, _, nfev in calls) <= 276
     for rc in evaluate_bounds(flag_channel(), None, cfg, FAST_SQUASH):
         assert rc.input_gap_bits == math.inf
+
+
+def single_rail_loss_channel(eta_b, eta_c):
+    """The pure-loss broadcast channel on at most one photon: a qubit input
+    (|0>, |1> photons) split into qubit receivers B and C, with the lost
+    photon in a qubit environment."""
+    k0 = np.zeros((4, 2))
+    k0[0, 0] = 1  # |00><0|
+    k0[2, 1] = math.sqrt(eta_b)  # |10><1|
+    k0[1, 1] = math.sqrt(eta_c)  # |01><1|
+    k1 = np.zeros((4, 2))
+    k1[0, 1] = math.sqrt(1 - eta_b - eta_c)  # |00><1|
+    return QuantumChannel((k0, k1), 2, ("B", "C"), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "eta_b, eta_c",
+    [(0.3, 0.2), (0.5, 0.1), (0.2, 0.2), (0.45, 0.45), (0.7, 0.05), (0.1, 0.05)],
+)
+def test_single_rail_loss_bounds_lie_between_hashing_and_closed_forms(eta_b, eta_c):
+    # every qubit input has mean photon number at most 1, so each finite-engine
+    # bound lies below the paper's beamsplitter-squash bound at N_s = 1, and
+    # each cut bound above the coherent information of the maximally
+    # entangled input across that cut, an achievable rate
+    channel = single_rail_loss_channel(eta_b, eta_c)
+    report = two_receiver_report(channel)
+    closed = theorem3_report(eta_b, eta_c, 1).finite_ns
+    omega = channel_output_state(channel, make_ghz(("R", "A"), 2))
+    h_all = entropy(omega, {"R", "B", "C"})
+    cuts = {
+        "b_cut": ({"R", "C"}, {"B"}),
+        "c_cut": ({"R", "B"}, {"C"}),
+        "bc_cut": ({"R"}, {"B", "C"}),
+    }
+    for name, (x, y) in cuts.items():
+        hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
+        assert hashing <= report[name]["bound_bits"] <= closed[name], name
+    assert 0 <= report["tripartite"]["bound_bits"] <= closed["tripartite"]

@@ -15,6 +15,7 @@ from qbcbound import (
     PrivateStateSpec,
     QbcError,
     QuantumChannel,
+    SpecError,
     SquashConfig,
     TooLarge,
     apply_channel,
@@ -289,6 +290,19 @@ def test_size_cap_checked_before_the_kernel(monkeypatch):
     mixed = MultipartiteState(np.eye(27) / 27, ("A", "B", "C"), (3, 3, 3))
     with pytest.raises(TooLarge):
         esq_upper_variational(mixed, part(("A",), ("B",), ("C",)))
+
+
+@pytest.mark.parametrize("run", [esq_exact_pure, esq_upper_variational])
+def test_one_block_partition_rejected_before_any_work(monkeypatch, run):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the squash ran before the partition was checked")
+
+    monkeypatch.setattr(squash, "partial_trace", no_work)
+    monkeypatch.setattr(squash, "minimize", no_work)
+    mixed = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
+    for state in (mixed, make_ghz(("A", "B", "C"), 2)):
+        with pytest.raises(SpecError, match=r"^partition A,B,C has one block"):
+            run(state, part(("A", "B", "C")))
 
 
 @pytest.mark.parametrize("noise", [0.0, 9e-10])
