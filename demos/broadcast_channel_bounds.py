@@ -7,7 +7,7 @@ tuple (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC).
 
 import numpy as np
 
-from qbcbound import InputSearchConfig, QuantumChannel, SquashConfig, two_receiver_report
+from qbcbound import QuantumChannel, SquashConfig, two_receiver_report
 from qbcbound.rates import RATE_TUPLE
 
 k = np.zeros((4, 2))
@@ -15,11 +15,7 @@ k[0, 0] = 1.0
 k[3, 1] = 1.0
 copy_channel = QuantumChannel((k,), 2, ("B", "C"), (2, 2))
 
-report = two_receiver_report(
-    copy_channel,
-    InputSearchConfig(restarts=3, seed=0),
-    SquashConfig(restarts=2, max_iters=300, seed=0),
-)
+report = two_receiver_report(copy_channel, SquashConfig(restarts=2, max_iters=300, seed=0))
 
 print("rate tuple order:", ", ".join(RATE_TUPLE))
 for name, row in report.items():

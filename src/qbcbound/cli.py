@@ -37,10 +37,11 @@ from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_columns, t
 from .errors import QbcError
 from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
-from .rates import FINAL_SQUASH, InputSearchConfig, evaluate_bounds, two_receiver_report
+from .rates import FINAL_SQUASH, channel_output_state, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
 from .squash import Measure, SquashConfig, _check_count, esq_exact_pure, esq_upper_variational
 from .states import (
+    QuantumChannel,
     apply_channel,
     channel_from_json,
     make_ghz,
@@ -177,11 +178,10 @@ def _cmd_esq(args) -> int:
 
 def _cmd_bounds_finite(args) -> int:
     channel = channel_from_json(_read_text(args.channel))
-    cfg = InputSearchConfig(restarts=args.restarts, seed=args.seed)
     squash_cfg = dataclasses.replace(FINAL_SQUASH, seed=args.seed)
     doc = {"version": __version__, "seed": args.seed}
     if not args.partition and len(channel.output_labels) == 2:
-        doc["report"] = two_receiver_report(channel, cfg, squash_cfg)
+        doc["report"] = two_receiver_report(channel, squash_cfg)
     else:
         partitions = [parse_partition(p) for p in args.partition] if args.partition else None
         doc["constraints"] = [
@@ -192,7 +192,7 @@ def _cmd_bounds_finite(args) -> int:
                 "measure_used": rc.measure_used,
                 "metadata": rc.metadata,
             }
-            for rc in evaluate_bounds(channel, partitions, cfg, squash_cfg)
+            for rc in evaluate_bounds(channel, partitions, squash_cfg)
         ]
     _emit(json.dumps(_fmt(doc), sort_keys=True, indent=2) + "\n", args.output)
     return 0
@@ -222,6 +222,19 @@ def _cmd_sweep(args) -> int:
     _emit_rows(np.column_stack([eta_b, eta_c] + [cols[c] for c in SWEEP_COLUMNS[2:]]),
                args.format, args.output)
     return 0
+
+
+def _single_rail_loss_channel(eta_b: float, eta_c: float) -> QuantumChannel:
+    """The pure-loss broadcast channel on at most one photon: a qubit input
+    (|0>, |1> photons) split into qubit receivers B and C, with the lost
+    photon in a qubit environment."""
+    k0 = np.zeros((4, 2))
+    k0[0, 0] = 1  # |00><0|
+    k0[2, 1] = math.sqrt(eta_b)  # |10><1|
+    k0[1, 1] = math.sqrt(eta_c)  # |01><1|
+    k1 = np.zeros((4, 2))
+    k1[0, 1] = math.sqrt(1 - eta_b - eta_c)  # |00><1|
+    return QuantumChannel((k0, k1), 2, ("B", "C"), (2, 2))
 
 
 def _selftest_checks(seed: int):
@@ -265,6 +278,19 @@ def _selftest_checks(seed: int):
     # bosonic stationarity root for symmetric transmissivities
     spec = BosonicBroadcastSpec((0.25, 0.25))
     yield ("symmetric loss squashing root 4/7", abs(optimal_eta_star(spec) - 4 / 7) < 1e-9)
+    # the finite engine against the paper's closed form: every input of the
+    # single-rail channel has mean photon number at most 1, so its b cut bound
+    # lies between the coherent information at the maximally entangled input
+    # and the N_s = 1 bound
+    eta_b, eta_c = 0.3, 0.2
+    rail = _single_rail_loss_channel(eta_b, eta_c)
+    (rc,) = evaluate_bounds(rail, [Partition((("R", "C"), ("B",)))])
+    omega = channel_output_state(rail, make_ghz(("R", "A"), 2))
+    hashing = max(entropy(omega, {"R", "C"}), entropy(omega, {"B"})) - entropy(
+        omega, {"R", "B", "C"}
+    )
+    closed = theorem3_report(eta_b, eta_c, 1).finite_ns["b_cut"]
+    yield ("single-rail loss b cut between hashing and N_s = 1", hashing <= rc.bound_bits <= closed)
 
 
 def _cmd_selftest(args) -> int:
@@ -325,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to this partition (repeatable); default: all nontrivial",
     )
-    sp.add_argument("--restarts", type=int, default=5, help="input-search restarts (default 5)")
     common(sp)
     sp.set_defaults(fn=_cmd_bounds_finite)
 

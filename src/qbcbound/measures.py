@@ -61,6 +61,10 @@ def entropy(state: MultipartiteState, subset) -> float:
     # partial_trace raises LabelNotFound for a label missing from the state
     ev = np.linalg.eigvalsh(partial_trace(state, subset).matrix)
     ev = ev[ev > _EIG_FLOOR]
+    if len(ev) == 1:
+        # a pure reduction: the floor zeroes the rest and the trace makes the
+        # survivor 1, so its rounding noise is not an entropy
+        return 0.0
     return float(-np.sum(ev * np.log2(ev)))
 
 

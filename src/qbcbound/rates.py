@@ -15,15 +15,17 @@ environment, which equals trivial squashing of any purification and is
 exact for isometric channels.  A search point is a complex d x d matrix X
 (its real and imaginary parts), and the input is phi_RA = X / ||X||, which
 reaches every pure input with |R| = |A| = d.  The surrogate depends on the
-input only through rho_A and is concave in it, so one L-BFGS-B search on
-its exact gradient, from X = I (the maximally entangled input), is enough
-whenever it can be certified: the Frank-Wolfe duality gap
-lambda_max(G) - tr(G rho_A), G = df/d rho_A, bounds how far the maximum
-lies above the value found, and the search stops once the gap is at most
-``GAP_TOL`` bits.  Only when that search ends uncertified (its best input is
-rank-deficient, say, where G is not defined) do the random restarts run, each
-stopping on the squash's relative-decrease tolerance.  Every search is capped
-at ``_MAX_ITERS`` iterations.
+input only through rho_A = X^T conj(X) / ||X||^2 and is concave in it, so
+every local maximum over X is global: at a full-rank X the map X -> rho_A is
+locally onto, and a rank-deficient local maximum of a concave f(Y Y^dag) is
+global too (Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2010).
+One L-BFGS-B search on the surrogate's exact gradient, from X = I (the
+maximally entangled input), therefore runs per partition, and nothing runs
+after it.  It stops once the Frank-Wolfe duality gap lambda_max(G) -
+tr(G rho_A), G = df/d rho_A, which bounds how far the maximum lies above the
+value found, is at most ``GAP_TOL`` bits, or after ``_MAX_ITERS`` iterations.
+A search that ends uncertified (its best input is rank-deficient, say, where
+G is not defined) reports its point with ``input_gap_bits`` inf.
 The full variational squashing optimization runs once, at the best input
 found, on the purification of that input's output vector over the support
 of the output state.
@@ -43,16 +45,7 @@ from .partitions import (
     constraint_coefficients,
     nontrivial_partitions,
 )
-from .squash import (
-    DIM_CAP,
-    _FTOL,
-    Measure,
-    SquashConfig,
-    _check_count,
-    _measure_kernel,
-    _squash_purified,
-    minimize,
-)
+from .squash import DIM_CAP, Measure, SquashConfig, _measure_kernel, _squash_purified, minimize
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
@@ -60,23 +53,8 @@ SENDER_LABEL = "R"
 FINAL_SQUASH = SquashConfig(restarts=3, max_iters=400)
 # the Frank-Wolfe gap, in bits, at which the search from X = I is certified
 GAP_TOL = 1e-8
-# iteration cap of every input-search restart
+# iteration cap of the input search
 _MAX_ITERS = 400
-
-
-@dataclass(frozen=True)
-class InputSearchConfig:
-    """Settings of the input search.  Restart 0 starts at X = I and stops once
-    its Frank-Wolfe gap is at most ``GAP_TOL`` bits; restarts 1 ... ``restarts``-1
-    start from random X drawn with ``seed`` and run only when that search ends
-    uncertified, so ``restarts`` is a cap."""
-
-    restarts: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_count("restarts", self.restarts, 1)
-        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +161,6 @@ def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinesp
 def evaluate_bounds(
     channel: QuantumChannel,
     partitions: list[Partition] | None = None,
-    cfg: InputSearchConfig = InputSearchConfig(),
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
     """One RateConstraint per partition, maximizing over pure inputs."""
@@ -202,7 +179,7 @@ def evaluate_bounds(
         partitions = nontrivial_partitions(ground)
     stinespring = _stinespring(channel)
     iso, shape, labels = stinespring
-    # restart 0 starts at X = I, the maximally entangled input
+    # the search starts at X = I, the maximally entangled input
     identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
     for i, partition in enumerate(partitions):
         if set(partition.ground) != set(ground):
@@ -214,21 +191,17 @@ def evaluate_bounds(
     out = []
     for partition in partitions:
         value_and_grad = _input_value_and_grad(channel, partition, stinespring)
-        # restart 0 scores every point it evaluates, line-search trials
+        # the search scores every point it evaluates, line-search trials
         # included: near the maximum L-BFGS-B accepts iterates on values that
         # differ only by rounding, and their gaps stall above ones the trials reach
         certified = []
-
-        def negated(theta):
-            value, grad = value_and_grad(theta)
-            return -value, -grad
 
         def certifying(theta):
             value, grad = value_and_grad(theta)
             if not certified:
                 gap = _input_gap(theta, grad, d)
                 if gap <= GAP_TOL:
-                    certified[:] = value, theta.copy(), gap
+                    certified[:] = theta.copy(), gap
             return -value, -grad
 
         def stop_when_certified(theta):
@@ -245,22 +218,7 @@ def evaluate_bounds(
             callback=stop_when_certified,
             options={"maxiter": _MAX_ITERS, "ftol": 0.0, "gtol": 0.0},
         )
-        if certified:
-            best, best_params, gap = certified
-        else:
-            best, best_params, gap = -float(res.fun), res.x, math.inf
-            rng = np.random.default_rng(cfg.seed)
-            for _ in range(1, cfg.restarts):
-                res = minimize(
-                    negated,
-                    rng.uniform(-1.0, 1.0, 2 * d * d),
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": _MAX_ITERS, "ftol": _FTOL},
-                )
-                if -res.fun > best:
-                    best = -float(res.fun)
-                    best_params = res.x
+        best_params, gap = certified or (res.x, math.inf)
         # the output vector at the best input, M[(r, out), env]; its
         # purification over the support of omega = M M^dag feeds the squash
         phi = _input_amplitudes(best_params, d)[0]
@@ -281,8 +239,7 @@ def evaluate_bounds(
                 input_gap_bits=gap,
                 metadata={
                     "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
-                    "restarts": cfg.restarts,
-                    "seed": cfg.seed,
+                    "seed": squash_cfg.seed,
                     "estimate_only": psi.shape[1] > 1,
                 },
             )
@@ -295,9 +252,7 @@ RATE_TUPLE = ("E_AB", "E_AC", "E_BC", "E_ABC", "K_AB", "K_AC", "K_BC", "K_ABC")
 
 
 def two_receiver_report(
-    channel: QuantumChannel,
-    cfg: InputSearchConfig = InputSearchConfig(),
-    squash_cfg: SquashConfig = FINAL_SQUASH,
+    channel: QuantumChannel, squash_cfg: SquashConfig = FINAL_SQUASH
 ) -> dict[str, dict]:
     """The four named two-receiver inequalities with explicit coefficient
     vectors over (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC)."""
@@ -316,7 +271,7 @@ def two_receiver_report(
         "bc_cut": Partition(((SENDER_LABEL,), (b, c))),
         "tripartite": Partition(((SENDER_LABEL,), (b,), (c,))),
     }
-    constraints = evaluate_bounds(channel, list(named.values()), cfg, squash_cfg)
+    constraints = evaluate_bounds(channel, list(named.values()), squash_cfg)
     by_partition = {rc.partition: rc for rc in constraints}
     report = {}
     for name, partition in named.items():

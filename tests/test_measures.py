@@ -37,6 +37,17 @@ def test_entropy_examples():
     assert abs(entropy(mm, {"A"}) - np.log2(3)) < 1e-12
 
 
+def test_pure_reduction_has_entropy_exactly_zero():
+    # eigvalsh puts GHZ's top eigenvalue at 1 - 2.2e-16, which summed as
+    # -w log2 w would read 3.2e-16
+    ghz = make_ghz(("A", "B", "C"), 2)
+    assert entropy(ghz, {"A", "B", "C"}) == 0.0
+    # white noise above the eigenvalue floor is still an entropy
+    eps = 9e-10
+    noisy = MultipartiteState((1 - eps) * ghz.matrix + eps * np.eye(8) / 8, ghz.labels, ghz.dims)
+    assert entropy(noisy, {"A", "B", "C"}) > 0
+
+
 def test_entropy_empty_subset_raises():
     with pytest.raises(EmptySubset):
         entropy(make_ghz(("A", "B"), 2), set())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qbcbound import (
     BlockSpec,
-    InputSearchConfig,
     LabelNotFound,
     Measure,
     MultipartiteState,
@@ -320,12 +319,8 @@ def test_variational_exact_on_large_pure_state(noise):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: InputSearchConfig(restarts=0),
         lambda: SquashConfig(max_iters=-5),
         lambda: SquashConfig(max_iters=0),
-        lambda: InputSearchConfig(restarts=2.5),
-        lambda: InputSearchConfig(restarts=True),
-        lambda: InputSearchConfig(seed=-1),
         lambda: SquashConfig(seed=-1),
         lambda: SquashConfig(seed=True),
         lambda: esq_cq_average(
@@ -337,12 +332,8 @@ def test_variational_exact_on_large_pure_state(noise):
         ),
     ],
     ids=[
-        "search-restarts-0",
         "squash-max-iters-negative",
         "squash-max-iters-0",
-        "search-restarts-float",
-        "search-restarts-bool",
-        "search-seed-negative",
         "squash-seed-negative",
         "squash-seed-bool",
         "cq-average-nan-weight",
