@@ -15,7 +15,7 @@ k[0, 0] = 1.0
 k[3, 1] = 1.0
 copy_channel = QuantumChannel((k,), 2, ("B", "C"), (2, 2))
 
-report = two_receiver_report(copy_channel, SquashConfig(restarts=2, max_iters=300, seed=0))
+report = two_receiver_report(copy_channel, SquashConfig(restarts=2, seed=0))
 
 print("rate tuple order:", ", ".join(RATE_TUPLE))
 for name, row in report.items():

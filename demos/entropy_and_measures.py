@@ -8,7 +8,7 @@ of the identities that make them trustworthy.
 import numpy as np
 
 from qbcbound import (
-    BlockSpec,
+    Partition,
     cmi_dual_measure,
     cmi_total,
     entropy,
@@ -25,17 +25,14 @@ print(f"H(ABC)    = {entropy(ghz, {'A', 'B', 'C'}):.6f} bits  (globally pure)")
 print(f"I(A;B|C)  = {qcmi(ghz, {'A'}, {'B'}, {'C'}):.6f} bits")
 
 print("\n== the two multipartite informations ==")
-spec = BlockSpec((frozenset("A"), frozenset("B"), frozenset("C")))
+spec = Partition((("A",), ("B",), ("C",)))
 print(f"total-correlation form on GHZ: {cmi_total(ghz, spec):.6f}")
 print(f"dual form on GHZ:              {cmi_dual_measure(ghz, spec):.6f}")
 
 print("\n== identities on a random state ==")
 rng = np.random.default_rng(0)
 rho = random_state(rng, ("A", "B", "C", "E"), (2, 2, 2, 2))
-spec_e = BlockSpec(
-    (frozenset("A"), frozenset("B"), frozenset("C")), frozenset("E")
-)
-lhs = cmi_total(rho, spec_e) + cmi_dual_measure(rho, spec_e)
+lhs = cmi_total(rho, spec, {"E"}) + cmi_dual_measure(rho, spec, {"E"})
 rhs = (
     qcmi(rho, {"A"}, {"B", "C"}, {"E"})
     + qcmi(rho, {"B"}, {"A", "C"}, {"E"})

@@ -55,6 +55,6 @@ for g in nontrivial_partitions(("A", "B", "C")):
     got = esq_exact_pure(psi, Partition(blocks), Measure.E_SQ)
     expect = sum(
         0.5 * coeff * rates.get(m_set, 0)
-        for m_set, coeff in constraint_coefficients(g).as_dict().items()
+        for m_set, coeff in constraint_coefficients(g).items()
     )
     print(f"partition {str(g):10s}: computed {got:.4f}, formula {expect:.4f}")

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_columns, theorem3_report
 from .errors import QbcError
-from .measures import BlockSpec, cmi_dual_measure, cmi_total, entropy, qcmi
+from .measures import cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import FINAL_SQUASH, channel_output_state, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
@@ -137,10 +137,9 @@ def _cmd_qinfo(args) -> int:
     }
     if args.partition:
         partition = parse_partition(args.partition)
-        spec = BlockSpec(tuple(frozenset(b) for b in partition.blocks))
         doc["partition"] = str(partition)
-        doc["cmi_total"] = cmi_total(state, spec)
-        doc["cmi_dual"] = cmi_dual_measure(state, spec)
+        doc["cmi_total"] = cmi_total(state, partition)
+        doc["cmi_dual"] = cmi_dual_measure(state, partition)
     _emit(json.dumps(_fmt(doc), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 

@@ -6,51 +6,24 @@ and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
 ``eigvalsh`` per subset) serves only the public density-matrix API, and
 ``_pure_entropy_sums`` (a state vector, with gradients) every value of
 ``squash`` and ``rates``, the exact pure-state values included.
+
+The multipartite informations take their grouping of labels as a
+``partitions.Partition`` and a conditioning set E.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
+from .partitions import Partition
 from .states import MultipartiteState, partial_trace
 
 _EIG_FLOOR = 1e-12
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
 _PURIFIER = object()
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Disjoint label blocks A_1;...;A_m plus an optional conditioning set E."""
-
-    blocks: tuple[frozenset, ...]
-    conditioning: frozenset = frozenset()
-
-    def __post_init__(self):
-        blocks = tuple(frozenset(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "conditioning", frozenset(self.conditioning))
-        if not blocks:
-            raise SpecError("at least one block required")
-        if any(not b for b in blocks):
-            raise SpecError("blocks must be non-empty")
-        seen: set = set()
-        for b in blocks:
-            if seen & b:
-                raise SpecError("blocks are not pairwise disjoint")
-            seen |= b
-        if seen & self.conditioning:
-            raise SpecError("conditioning set overlaps a block")
-
-    def validate_for(self, state: MultipartiteState):
-        known = set(state.labels)
-        for lab in set().union(*self.blocks) | self.conditioning:
-            if lab not in known:
-                raise SpecError(f"label {lab!r} not present on the state")
 
 
 def entropy(state: MultipartiteState, subset) -> float:
@@ -212,14 +185,28 @@ def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> fl
     return sum((c * entropy(state, s) for s, c in coeffs.items() if s), 0.0)
 
 
-def cmi_total(state: MultipartiteState, spec: BlockSpec) -> float:
-    """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E)."""
-    spec.validate_for(state)
-    return _entropy_sum(state, _cmi_total(spec.blocks, spec.conditioning))
+def _conditioning(state: MultipartiteState, partition: Partition, conditioning) -> frozenset:
+    """The conditioning set E of a measure over the blocks of ``partition``,
+    checked before any entropy is taken: E must meet no block, and every
+    label must be on the state (``LabelNotFound`` otherwise)."""
+    e = frozenset(conditioning)
+    if not e.isdisjoint(partition.ground):
+        raise SpecError("conditioning set overlaps a block")
+    for lab in partition.ground + tuple(sorted(e)):
+        state.index_of(lab)
+    return e
 
 
-def cmi_dual_measure(state: MultipartiteState, spec: BlockSpec) -> float:
+def cmi_total(state: MultipartiteState, partition: Partition, conditioning=()) -> float:
+    """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E) over the
+    blocks A_i of ``partition``, E = ``conditioning``."""
+    e = _conditioning(state, partition, conditioning)
+    return _entropy_sum(state, _cmi_total(partition.blocks, e))
+
+
+def cmi_dual_measure(state: MultipartiteState, partition: Partition, conditioning=()) -> float:
     """Dual conditional multipartite information:
-    sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E)."""
-    spec.validate_for(state)
-    return _entropy_sum(state, _cmi_dual(spec.blocks, spec.conditioning))
+    sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) over the blocks A_i of
+    ``partition``, E = ``conditioning``."""
+    e = _conditioning(state, partition, conditioning)
+    return _entropy_sum(state, _cmi_dual(partition.blocks, e))

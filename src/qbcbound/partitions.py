@@ -1,9 +1,11 @@
 """Set combinatorics behind the rate constraints.
 
-Partitions of the party set drive every multipartite measure.  From a
-nontrivial partition G we derive the collection C(G) of cross-block
+A ``Partition`` of the party set is the one description of a grouping of
+labels: every multipartite measure and every rate constraint takes one.
+From a nontrivial partition G we derive the collection C(G) of cross-block
 subsets and, for each M in C(G), the block-intersection pattern A(M, G)
-whose size is the coefficient of (E_M + K_M) in the rate constraint.
+whose size is the coefficient of (E_M + K_M) in the rate constraint; the
+coefficients are a plain M -> |A(M, G)| dict.
 
 Sets are represented as sorted label tuples for canonical equality and
 deterministic ordering.  Brute-force enumeration is fine at the target
@@ -60,18 +62,6 @@ def parse_partition(text: str) -> Partition:
             raise SpecError(f"empty block in partition string {text!r}")
         blocks.append(tuple(labs))
     return Partition(tuple(blocks))
-
-
-@dataclass(frozen=True)
-class ConstraintCoefficients:
-    """Map from each M in C(G) to the positive integer |A(M, G)|."""
-
-    ground_set: LabelSet
-    partition: Partition
-    terms: tuple[tuple[LabelSet, int], ...]
-
-    def as_dict(self) -> dict[LabelSet, int]:
-        return dict(self.terms)
 
 
 def subsets_geq2(ground) -> list[LabelSet]:
@@ -132,12 +122,11 @@ def a_of(m, partition: Partition) -> list[LabelSet]:
     return sorted(met, key=lambda s: (len(s), s))
 
 
-def constraint_coefficients(partition: Partition) -> ConstraintCoefficients:
-    """Coefficients |A(M, G)| for every M in C(G).
+def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
+    """M -> |A(M, G)| for every M in C(G), in ``c_of`` order.
 
     The rate constraint reads (1/2) sum_M |A(M, G)| (K_M + E_M) <= bound.
     """
     if not partition.nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
-    terms = tuple((m, len(_met(set(m), partition))) for m in c_of(partition))
-    return ConstraintCoefficients(partition.ground, partition, terms)
+    return {m: len(_met(set(m), partition)) for m in c_of(partition)}

@@ -39,18 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
-from .partitions import (
-    ConstraintCoefficients,
-    Partition,
-    constraint_coefficients,
-    nontrivial_partitions,
-)
+from .partitions import Partition, constraint_coefficients, nontrivial_partitions
 from .squash import DIM_CAP, Measure, SquashConfig, _measure_kernel, _squash_purified, minimize
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
 # the variational squash that runs once per partition at the best input
-FINAL_SQUASH = SquashConfig(restarts=3, max_iters=400)
+FINAL_SQUASH = SquashConfig(restarts=3)
 # the Frank-Wolfe gap, in bits, at which the search from X = I is certified
 GAP_TOL = 1e-8
 # iteration cap of the input search
@@ -60,7 +55,8 @@ _MAX_ITERS = 400
 @dataclass(frozen=True)
 class RateConstraint:
     partition: Partition
-    coefficients: ConstraintCoefficients
+    # M -> |A(M, G)| over C(G), as constraint_coefficients returns it
+    coefficients: dict
     bound_bits: float
     measure_used: str
     # the input search's Frank-Wolfe gap: the surrogate's maximum over inputs
@@ -71,7 +67,7 @@ class RateConstraint:
 
     def weights(self) -> dict:
         """Per-subset weight |A(M, G)| / 2, the pre-divided presentation."""
-        return {m: c / 2.0 for m, c in self.coefficients.terms}
+        return {m: c / 2.0 for m, c in self.coefficients.items()}
 
 
 def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, float]:

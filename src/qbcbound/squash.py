@@ -58,17 +58,17 @@ def _check_count(name: str, value, least: int):
 DIM_CAP = 64
 # L-BFGS-B's relative-decrease stop for a squash restart
 _FTOL = 1e-8
+# L-BFGS-B's iteration cap for a squash restart; no search has come near it
+_MAX_ITERS = 2000
 
 
 @dataclass(frozen=True)
 class SquashConfig:
     restarts: int = 20
-    max_iters: int = 2000
     seed: int = 0
 
     def __post_init__(self):
         _check_count("restarts", self.restarts, 1)
-        _check_count("max_iters", self.max_iters, 1)
         _check_count("seed", self.seed, 0)
 
 
@@ -220,7 +220,7 @@ def _squash_purified(psi: np.ndarray, dims, labels, partition, measure, config) 
             rng.uniform(-np.pi, np.pi, npar),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": config.max_iters, "ftol": _FTOL, "gtol": _GTOL},
+            options={"maxiter": _MAX_ITERS, "ftol": _FTOL, "gtol": _GTOL},
         )
         if res.fun < best_val:
             best_val = float(res.fun)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,8 @@ class MultipartiteState:
             raise DimMismatch("labels and dims length mismatch")
         if any(d < 1 for d in self.dims):
             raise DimMismatch("subsystem dimensions must be positive")
-        n = int(np.prod(self.dims))
+        # math.prod: numpy's int64 product would wrap on huge dims
+        n = math.prod(self.dims)
         if m.ndim != 2 or m.shape != (n, n):
             raise DimMismatch(
                 f"matrix shape {m.shape} inconsistent with dims product {n}"
@@ -116,7 +118,7 @@ class QuantumChannel:
             raise LabelCollision(f"duplicate output labels {self.output_labels}")
         if len(self.output_labels) != len(self.output_dims):
             raise DimMismatch("output labels/dims length mismatch")
-        dout = int(np.prod(self.output_dims))
+        dout = self.output_dim
         if not self.kraus_ops:
             raise DimMismatch("channel needs at least one Kraus operator")
         for k in self.kraus_ops:
@@ -130,7 +132,7 @@ class QuantumChannel:
 
     @property
     def output_dim(self) -> int:
-        return int(np.prod(self.output_dims))
+        return math.prod(self.output_dims)
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class PrivateStateSpec:
         object.__setattr__(self, "shield_dims", tuple(int(d) for d in self.shield_dims))
         if len(self.shield_dims) != self.num_parties:
             raise DimMismatch("one shield dimension per party required")
-        ds = int(np.prod(self.shield_dims))
+        ds = math.prod(self.shield_dims)
         if self.twist_unitaries is not None:
             tw = tuple(_frozen_array(u, "twist unitary") for u in self.twist_unitaries)
             object.__setattr__(self, "twist_unitaries", tw)
@@ -190,6 +192,19 @@ def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
     return MultipartiteState(mat, tuple(labels), tuple(dims))
 
 
+def _reordered(state: MultipartiteState, order) -> np.ndarray:
+    """The state's matrix with its subsystems in the index order ``order``.
+
+    Rows and columns are re-indexed by flat-index arithmetic: one array axis
+    per row label and one per column label would cap a state at 32 labels
+    (16 before numpy 2)."""
+    strides = [math.prod(state.dims[i + 1 :]) for i in range(len(state.dims))]
+    flat = np.zeros(1, dtype=np.intp)
+    for i in order:
+        flat = (flat[:, None] + strides[i] * np.arange(state.dims[i])).ravel()
+    return state.matrix[np.ix_(flat, flat)]
+
+
 def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     """Reduced state on ``keep`` labels, preserving their relative order."""
     keep = set(keep)
@@ -202,18 +217,11 @@ def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     keep_idx = [i for i, lab in enumerate(state.labels) if lab in keep]
     if len(keep_idx) == n:
         return state
-    # rows and columns reordered to (kept labels, the rest) by flat-index
-    # arithmetic: one array axis per label would cap the label count at
-    # numpy's axis limit (32 before numpy 2)
-    order = keep_idx + [i for i in range(n) if i not in keep_idx]
-    strides = [int(np.prod(state.dims[i + 1 :])) for i in range(n)]
-    flat = np.zeros(1, dtype=np.intp)
-    for i in order:
-        flat = (flat[:, None] + strides[i] * np.arange(state.dims[i])).ravel()
     kd = tuple(state.dims[i] for i in keep_idx)
-    m = int(np.prod(kd))
+    m = math.prod(kd)
     r = state.dim // m
-    red = np.einsum("ajbj->ab", state.matrix[np.ix_(flat, flat)].reshape(m, r, m, r))
+    red = _reordered(state, keep_idx + [i for i in range(n) if i not in keep_idx])
+    red = np.einsum("ajbj->ab", red.reshape(m, r, m, r))
     red = (red + red.conj().T) / 2
     return MultipartiteState(
         red, tuple(state.labels[i] for i in keep_idx), kd
@@ -382,12 +390,8 @@ def _permute(state: MultipartiteState, order) -> MultipartiteState:
     if order == list(state.labels):
         return state
     perm = [state.index_of(lab) for lab in order]
-    n = len(state.labels)
-    t = state.matrix.reshape(state.dims + state.dims)
-    t = np.transpose(t, perm + [n + p for p in perm])
     dims = tuple(state.dims[p] for p in perm)
-    dd = int(np.prod(dims))
-    return MultipartiteState(t.reshape(dd, dd), tuple(order), dims)
+    return MultipartiteState(_reordered(state, perm), tuple(order), dims)
 
 
 def trace_distance(a: MultipartiteState, b: MultipartiteState) -> float:

@@ -303,6 +303,13 @@ def test_esq_repeated_label_exits_2(capsys, ghz_path):
     assert "repeated" in err
 
 
+@pytest.mark.parametrize("command", ["qinfo", "esq"])
+def test_partition_label_missing_from_state_exits_2(capsys, ghz_path, command):
+    code, out, err = run(capsys, command, ghz_path, "--partition", "A|Z")
+    assert (code, out) == (2, "")
+    assert err == "error: label 'Z' not in ('A', 'B', 'C')\n"
+
+
 def test_qinfo(capsys, ghz_path):
     code, out, _ = run(capsys, "qinfo", ghz_path, "--partition", "A|B,C")
     assert code == 0
@@ -437,6 +444,41 @@ def test_bounds_bosonic_non_finite_exits_2(capsys, flag):
     code, out, err = run(capsys, "bounds-bosonic", *[x for kv in argv.items() for x in kv])
     assert (code, out) == (2, "")
     assert "finite" in err
+
+
+# 7 * 7905747460161236407 = 3 * 2**64 + 1, which numpy's int64 product wraps to 1
+_WRAPPING_DIMS = [7, 7905747460161236407]
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("qinfo", {"labels": ["A", "B"], "dims": _WRAPPING_DIMS, "matrix": [[[1.0, 0.0]]]}, []),
+        (
+            "esq",
+            {"labels": ["A", "B"], "dims": _WRAPPING_DIMS, "matrix": [[[1.0, 0.0]]]},
+            ["--partition", "A|B"],
+        ),
+        (
+            "bounds-finite",
+            {
+                "input_dim": 1,
+                "output_labels": ["B", "C"],
+                "output_dims": _WRAPPING_DIMS,
+                "kraus": [[[[1.0, 0.0]]]],
+            },
+            [],
+        ),
+    ],
+    ids=["qinfo", "esq", "bounds-finite"],
+)
+def test_dims_product_past_int64_exits_2(capsys, tmp_path, command, doc, extra):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(bad), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert str(math.prod(_WRAPPING_DIMS)) in err
 
 
 def test_invalid_state_names_invariant(capsys, tmp_path):

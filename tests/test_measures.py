@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbcbound import (
-    BlockSpec,
     EmptySubset,
     LabelCollision,
+    LabelNotFound,
     MultipartiteState,
+    Partition,
+    SpecError,
     apply_channel,
     cmi_dual_measure,
     cmi_total,
@@ -25,8 +27,8 @@ from qbcbound.measures import _EIG_FLOOR, _cmi_dual, _cmi_total, _pure_entropy_s
 from qbcbound.sampling import random_channel, random_pure_state, random_state
 
 
-def blocks(*bs, e=()):
-    return BlockSpec(tuple(frozenset(b) for b in bs), frozenset(e))
+def blocks(*bs):
+    return Partition(tuple(tuple(b) for b in bs))
 
 
 def test_entropy_examples():
@@ -111,10 +113,10 @@ def test_bipartite_reduction_to_qcmi():
     rng = np.random.default_rng(8)
     for _ in range(10):
         st = random_state(rng, ("A", "B", "C"), (2, 2, 2))
-        spec = blocks({"A"}, {"B"}, e={"C"})
+        spec = blocks({"A"}, {"B"})
         q = qcmi(st, {"A"}, {"B"}, {"C"})
-        assert abs(cmi_total(st, spec) - q) < 1e-10
-        assert abs(cmi_dual_measure(st, spec) - q) < 1e-10
+        assert abs(cmi_total(st, spec, {"C"}) - q) < 1e-10
+        assert abs(cmi_dual_measure(st, spec, {"C"}) - q) < 1e-10
 
 
 def test_duality_identity():
@@ -122,8 +124,8 @@ def test_duality_identity():
     rng = np.random.default_rng(9)
     for _ in range(50):
         st = random_state(rng, ("A", "B", "C", "E"), (2, 2, 2, 2))
-        spec = blocks({"A"}, {"B"}, {"C"}, e={"E"})
-        lhs = cmi_total(st, spec) + cmi_dual_measure(st, spec)
+        spec = blocks({"A"}, {"B"}, {"C"})
+        lhs = cmi_total(st, spec, {"E"}) + cmi_dual_measure(st, spec, {"E"})
         rhs = (
             qcmi(st, {"A"}, {"B", "C"}, {"E"})
             + qcmi(st, {"B"}, {"A", "C"}, {"E"})
@@ -136,8 +138,8 @@ def test_chain_rule_total():
     rng = np.random.default_rng(10)
     for _ in range(20):
         st = random_state(rng, ("B", "A1", "A2", "E"), (2, 2, 2, 2))
-        lhs = cmi_total(st, blocks({"B", "A1"}, {"A2"}, e={"E"}))
-        rhs = cmi_total(st, blocks({"A1"}, {"A2"}, e={"B", "E"})) + qcmi(
+        lhs = cmi_total(st, blocks({"B", "A1"}, {"A2"}), {"E"})
+        rhs = cmi_total(st, blocks({"A1"}, {"A2"}), {"B", "E"}) + qcmi(
             st, {"B"}, {"A2"}, {"E"}
         )
         assert abs(lhs - rhs) < 1e-9
@@ -147,8 +149,8 @@ def test_chain_rule_dual():
     rng = np.random.default_rng(11)
     for _ in range(20):
         st = random_state(rng, ("B", "A1", "A2", "E"), (2, 2, 2, 2))
-        lhs = cmi_dual_measure(st, blocks({"B", "A1"}, {"A2"}, e={"E"}))
-        rhs = cmi_dual_measure(st, blocks({"A1"}, {"A2"}, e={"B", "E"})) + qcmi(
+        lhs = cmi_dual_measure(st, blocks({"B", "A1"}, {"A2"}), {"E"})
+        rhs = cmi_dual_measure(st, blocks({"A1"}, {"A2"}), {"B", "E"}) + qcmi(
             st, {"B"}, {"A2"}, {"E"}
         )
         assert abs(lhs - rhs) < 1e-9
@@ -158,8 +160,8 @@ def test_grouping_identity():
     rng = np.random.default_rng(12)
     for _ in range(20):
         st = random_state(rng, ("A1", "A2", "A3", "E"), (2, 2, 2, 2))
-        fine = cmi_total(st, blocks({"A1"}, {"A2"}, {"A3"}, e={"E"}))
-        coarse = cmi_total(st, blocks({"A1", "A2"}, {"A3"}, e={"E"}))
+        fine = cmi_total(st, blocks({"A1"}, {"A2"}, {"A3"}), {"E"})
+        coarse = cmi_total(st, blocks({"A1", "A2"}, {"A3"}), {"E"})
         assert abs(fine - coarse - qcmi(st, {"A1"}, {"A2"}, {"E"})) < 1e-9
 
 
@@ -168,9 +170,47 @@ def test_grouping_identity_dual():
     rng = np.random.default_rng(13)
     for _ in range(20):
         st = random_state(rng, ("A1", "A2", "A3", "E"), (2, 2, 2, 2))
-        fine = cmi_dual_measure(st, blocks({"A1"}, {"A2"}, {"A3"}, e={"E"}))
-        coarse = cmi_dual_measure(st, blocks({"A1", "A2"}, {"A3"}, e={"E"}))
+        fine = cmi_dual_measure(st, blocks({"A1"}, {"A2"}, {"A3"}), {"E"})
+        coarse = cmi_dual_measure(st, blocks({"A1", "A2"}, {"A3"}), {"E"})
         assert abs(fine - coarse - qcmi(st, {"A1"}, {"A2"}, {"A3", "E"})) < 1e-9
+
+
+def test_conditioning_overlapping_a_block_rejected():
+    ghz = make_ghz(("A", "B", "C"), 2)
+    for fn in (cmi_total, cmi_dual_measure):
+        with pytest.raises(SpecError, match="conditioning set overlaps a block"):
+            fn(ghz, blocks({"A"}, {"B"}), {"B", "C"})
+
+
+def test_label_repeated_across_blocks_rejected():
+    with pytest.raises(SpecError, match="a label is repeated"):
+        blocks({"A"}, {"A", "B"})
+
+
+@pytest.mark.parametrize("fn", [cmi_total, cmi_dual_measure])
+@pytest.mark.parametrize(
+    "spec, conditioning",
+    [(({"A"}, {"Z"}), ()), (({"A"}, {"B"}), {"Z"})],
+    ids=["block", "conditioning"],
+)
+def test_missing_label_rejected_before_any_entropy(monkeypatch, fn, spec, conditioning):
+    ghz = make_ghz(("A", "B", "C"), 2)
+
+    def no_entropy(*args):
+        raise AssertionError("an entropy was taken")
+
+    monkeypatch.setattr("qbcbound.measures.entropy", no_entropy)
+    # the text partial_trace gives a missing label
+    with pytest.raises(LabelNotFound, match=r"^label 'Z' not in \('A', 'B', 'C'\)$"):
+        fn(ghz, blocks(*spec), conditioning)
+
+
+def test_one_block_partition_measures_zero():
+    ghz = make_ghz(("A", "B", "C"), 2)
+    one = blocks({"A", "B"})
+    assert not one.nontrivial
+    assert cmi_total(ghz, one) == 0.0
+    assert cmi_dual_measure(ghz, one, {"C"}) == 0.0
 
 
 def test_monotone_under_local_channels():

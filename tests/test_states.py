@@ -277,6 +277,23 @@ def test_trace_distance_values():
     assert abs(trace_distance(z0, mixed) - 0.5) < 1e-12
 
 
+def test_trace_distance_across_label_orders_past_the_axis_limit():
+    # 33 labels: one array axis per row and per column label would need 66
+    rho = random_state(np.random.default_rng(12), ("P", "Q"), (2, 2))
+    labels = tuple(f"L{i}" for i in range(31)) + ("P", "Q")
+    a = MultipartiteState(rho.matrix, labels, (1,) * 31 + (2, 2))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    b = MultipartiteState(swap @ rho.matrix @ swap, labels[::-1], (2, 2) + (1,) * 31)
+    assert trace_distance(a, b) == 0.0
+
+
+def test_shield_dims_product_past_int64_rejected():
+    # 7 * 7905747460161236407 = 3 * 2**64 + 1, which numpy's int64 product
+    # wraps to 1; states and channels are checked through the CLI
+    with pytest.raises(DimMismatch, match="shield state has wrong dimension"):
+        PrivateStateSpec(2, 2, (7, 7905747460161236407), shield_state=np.eye(1))
+
+
 def test_json_roundtrip_state_and_channel():
     rng = np.random.default_rng(11)
     st = random_state(rng, ("A", "B"), (2, 3))
