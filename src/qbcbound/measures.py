@@ -2,10 +2,10 @@
 multipartite informations (the total-correlation form and its dual form).
 
 All results are in bits.  Each measure is one subset -> coefficient map,
-and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
+and two engines evaluate such maps: ``_entropy_sum`` (a marginal and one
 ``eigvalsh`` per subset) serves only the public density-matrix API, and
-``_pure_entropy_sums`` (a state vector, with gradients) every value of
-``squash`` and ``rates``, the exact pure-state values included.
+``_pure_entropy_sums`` (stacks of state vectors, with gradients) every value
+of ``squash`` and ``rates``, the exact pure-state values included.
 
 The multipartite informations take their grouping of labels as a
 ``partitions.Partition`` and a conditioning set E.
@@ -13,13 +13,14 @@ The multipartite informations take their grouping of labels as a
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
 from .partitions import Partition
-from .states import MultipartiteState, partial_trace
+from .states import MultipartiteState, _marginal
 
 _EIG_FLOOR = 1e-12
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -31,8 +32,8 @@ def entropy(state: MultipartiteState, subset) -> float:
     subset = set(subset)
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
-    # partial_trace raises LabelNotFound for a label missing from the state
-    ev = np.linalg.eigvalsh(partial_trace(state, subset).matrix)
+    # _marginal raises LabelNotFound for a label missing from the state
+    ev = np.linalg.eigvalsh(_marginal(state, subset)[0])
     ev = ev[ev > _EIG_FLOOR]
     if len(ev) == 1:
         # a pure reduction: the floor zeroes the rest and the trace makes the
@@ -42,97 +43,138 @@ def entropy(state: MultipartiteState, subset) -> float:
 
 
 def _pure_entropy_sums(shape, labels, forms):
-    """Compile the signed entropy sums ``forms`` (subset -> coefficient maps)
-    on pure states with amplitude tensor of ``shape``: one axis per label,
-    then unlabeled axes that are never kept.
+    """Compile signed entropy sums on stacks of pure states with amplitude
+    tensors of ``shape``: one axis per label, then unlabeled axes that are
+    never kept.  ``forms[p]`` lists the sums of problem p as subset ->
+    coefficient maps, the same number K of them for every problem.
 
-    Returns ``evaluate(psi) -> (values, grad)``: ``values[k]`` is sum k and
-    ``grad(k)`` its gradient with respect to conj(psi), so a path psi(t)
-    changes sum k at rate 2 Re <grad(k), dpsi/dt>.  Each distinct cut is
-    diagonalized once, from the Gram matrix G = M M^dag of its smaller side
-    (a marginal and its complement share their spectrum); d H / d conj(M) =
-    -(log2 G + 1/ln 2) M, eigenvalues under the floor contributing 0.  The
-    cuts whose smaller sides share a dimension are gathered from psi into one
-    (cuts, side, rest) stack, so each side dimension costs one stacked Gram
-    product and one stacked ``eigh``, whatever the number of its cuts.  A
-    side of dimension 1 has entropy 0 on a pure state and is skipped; the
-    evaluated paths keep psi normalized, so its gradient drops out too.
+    Returns ``evaluate(psi, rows) -> (values, grad)`` for a stack psi of
+    ``len(rows)`` such tensors, row i a state of problem ``rows[i]``:
+    ``values[i, k]`` is its sum k, and ``grad(pick)`` stacks the gradients of
+    sums ``pick[i]`` with respect to conj(psi), so a path psi_i(t) changes
+    its sum at rate 2 Re <grad_i, dpsi_i/dt>.
+
+    Each cut of a problem is diagonalized once, from the Gram matrix
+    G = M M^dag of its smaller side (a marginal and its complement share
+    their spectrum); d H / d conj(M) = -(log2 G + 1/ln 2) M, eigenvalues under
+    the floor contributing 0.  A problem's cuts are grouped by the dimension
+    of their smaller side, and every problem carries, per side dimension, the
+    same number of cuts, padded with zero-coefficient cuts; so each side
+    dimension costs one stacked Gram product and one stacked ``eigh`` over
+    (rows, cuts), and each row is computed as it would be alone.  A side of
+    dimension 1 has entropy 0 on a pure state and is skipped; the evaluated
+    paths keep psi normalized, so its gradient drops out too.
     """
     axis = {lab: i for i, lab in enumerate(labels)}
     every = frozenset(range(len(shape)))
-
-    def size(side):
-        return math.prod(shape[i] for i in side)
-
-    def cut_of(subset) -> tuple[int, ...]:
-        keep = frozenset(axis[lab] for lab in subset)
-        return min(tuple(sorted(keep)), tuple(sorted(every - keep)), key=lambda s: (size(s), s))
-
-    cuts: dict[tuple[int, ...], int] = {}
-    entries = []
-    for k, form in enumerate(forms):
-        for subset, c in form.items():
-            cut = cut_of(subset)
-            if size(cut) > 1:
-                entries.append((k, cuts.setdefault(cut, len(cuts)), c))
-    coeff = np.zeros((len(forms), len(cuts)))
-    for k, j, c in entries:
-        coeff[k, j] += c
-    # per side dimension: its cuts, the flat positions of psi that lay out
-    # each cut as a (side, rest) matrix with the side's axes first, the flat
-    # positions in the stacked matrices of psi's amplitudes in order, and the
-    # negated coefficients of every sum
-    cut_list = list(cuts)
-    by_side: dict[int, list[int]] = {}
-    for j, cut in enumerate(cut_list):
-        by_side.setdefault(size(cut), []).append(j)
     n = math.prod(shape)
     flat = np.arange(n).reshape(shape)
-    groups = []
-    for side, members in by_side.items():
-        perms = [cut_list[j] + tuple(sorted(every - set(cut_list[j]))) for j in members]
-        gather = np.stack([flat.transpose(perm).reshape(side, -1) for perm in perms])
-        scatter = np.argsort(gather.reshape(len(members), -1), axis=1)
-        scatter += n * np.arange(len(members))[:, None]
-        groups.append((members, gather, scatter, -coeff[:, members, None, None]))
-    # the gradient of sum k adds the cuts of nonzero coefficient in cut
-    # order, each as (group, row)
-    place = {j: (g, i) for g, group in enumerate(groups) for i, j in enumerate(group[0])}
-    terms = [[place[j] for j in range(len(cuts)) if coeff[k, j]] for k in range(len(forms))]
 
-    def evaluate(psi: np.ndarray):
-        amplitudes = psi.reshape(-1)
-        ent = np.zeros(len(cuts))
+    def cut_of(subset) -> tuple[tuple[int, ...], int]:
+        """The smaller side of the cut between ``subset`` and the rest, and
+        its dimension."""
+        keep = frozenset(axis[lab] for lab in subset)
+        sides = [tuple(sorted(keep)), tuple(sorted(every - keep))]
+        return min((math.prod(shape[i] for i in side), side) for side in sides)[::-1]
+
+    # per problem, side dimension -> its cuts in order of first appearance,
+    # and (form, cut, coefficient) entries
+    problems = []
+    for sums in forms:
+        by_side: dict[int, list] = {}
+        entries = []
+        for k, form in enumerate(sums):
+            for subset, c in form.items():
+                cut, side = cut_of(subset)
+                if side > 1:
+                    cuts = by_side.setdefault(side, [])
+                    if cut not in cuts:
+                        cuts.append(cut)
+                    entries.append((k, cut, c))
+        problems.append((by_side, entries))
+    sides = sorted({side for by_side, _ in problems for side in by_side})
+    # side dimension -> padded width and first slot in a problem's row
+    width = {side: max(len(by_side.get(side, ())) for by_side, _ in problems) for side in sides}
+    offset = dict(zip(sides, itertools.accumulate([0] + [width[s] for s in sides])))
+    n_cuts = sum(width.values())
+    n_sums = len(forms[0]) if forms else 0
+    # per cut, the flat positions of psi that lay it out as a (side, rest)
+    # matrix with the side's axes first, and their inverse
+    layouts = {}
+
+    def layout(cut, side):
+        if cut not in layouts:
+            gather = flat.transpose(cut + tuple(sorted(every - set(cut)))).reshape(side, -1)
+            layouts[cut] = gather, np.argsort(gather.reshape(-1))
+        return layouts[cut]
+
+    coeff = np.zeros((len(forms), n_sums, n_cuts))
+    gathers = {
+        side: np.zeros((len(forms), width[side], side, n // side), dtype=np.intp) for side in sides
+    }
+    scatter = np.zeros((len(forms), n_cuts, n), dtype=np.intp)
+    for p, (by_side, entries) in enumerate(problems):
+        slot = {}
+        for side in sides:
+            cuts = by_side.get(side, [])
+            # a padding slot repeats a cut of the same side dimension; its
+            # coefficients stay 0
+            pad = cuts[0] if cuts else next(c for b, _ in problems for c in b.get(side, ()))
+            for w in range(width[side]):
+                cut = cuts[w] if w < len(cuts) else pad
+                if w < len(cuts):
+                    slot[cut] = offset[side] + w
+                gathers[side][p, w], scatter[p, offset[side] + w] = layout(cut, side)
+        for k, cut, c in entries:
+            coeff[p, k, slot[cut]] += c
+    # the gradient reads slot j of a row's stacked parts from j * n on
+    scatter += n * np.arange(n_cuts)[:, None]
+    gathers = [gathers[side] for side in sides]
+    spans = [(offset[side], offset[side] + width[side]) for side in sides]
+
+    def evaluate(psi: np.ndarray, rows):
+        count = len(rows)
+        amplitudes = psi.reshape(count, n)
+        at = np.arange(count)
+        ent = np.zeros((count, 1, n_cuts))
         spectra = []
-        for members, gather, _, _ in groups:
-            m = amplitudes[gather]
-            w, v = np.linalg.eigh(m @ m.conj().transpose(0, 2, 1))
+        for gather, (lo, hi) in zip(gathers, spans):
+            m = amplitudes[at[:, None, None, None], gather[rows]]
+            w, v = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
             pos = w > _EIG_FLOOR
             log_w = np.zeros(w.shape)
             log_w[pos] = np.log2(w[pos])
-            # eigh sorts each spectrum ascending, so a cut's eigenvalues over
-            # the floor end its row; one dot per cut sums them in the order a
-            # lone cut's spectrum is summed
-            neg_w = -w
-            skip = (w.shape[1] - pos.sum(axis=1)).tolist()
-            for i, j in enumerate(members):
-                ent[j] = neg_w[i, skip[i] :] @ log_w[i, skip[i] :]
+            ent[:, 0, lo:hi] = -(w * log_w).sum(axis=-1)
             log_w[pos] += 1.0 / math.log(2.0)
             spectra.append((m, v, log_w))
+        c = coeff[rows]
+        # a running sum adds the slots in order, so a padding slot adds an
+        # exact 0 and a row's values do not depend on the widths other
+        # problems set
+        if n_cuts:
+            values = np.add.accumulate(c * ent, axis=2)[:, :, -1]
+        else:
+            values = np.zeros((count, n_sums))
 
-        def grad(k: int) -> np.ndarray:
-            # per group, the stacked -c (v dlog)(v^dag M) in psi's order
+        def grad(pick) -> np.ndarray:
+            # per side dimension, the stacked -c (v dlog)(v^dag M), then each
+            # row's cuts added back in psi's order
+            scale = -c[at, pick]
             parts = [
-                ((scale[k] * (v * dlog[:, None, :])) @ (v.conj().transpose(0, 2, 1) @ m))
-                .reshape(-1)[scatter]
-                for (_, _, scatter, scale), (m, v, dlog) in zip(groups, spectra)
+                (
+                    (scale[:, lo:hi, None, None] * (v * dlog[..., None, :]))
+                    @ (v.conj().swapaxes(-1, -2) @ m)
+                ).reshape(count, -1)
+                for (m, v, dlog), (lo, hi) in zip(spectra, spans)
             ]
-            g = np.zeros(amplitudes.shape, dtype=complex)
-            for grp, i in terms[k]:
-                g += parts[grp][i]
-            return g.reshape(psi.shape)
+            if not parts:
+                return np.zeros(psi.shape, dtype=complex)
+            stacked = np.concatenate(parts, axis=1)
+            g = stacked[at[:, None], scatter[rows].reshape(count, -1)]
+            # a sum over a slow axis adds the slots in order, padding included
+            return g.reshape(count, n_cuts, n).sum(axis=1).reshape(psi.shape)
 
-        return coeff @ ent, grad
+        return values, grad
 
     return evaluate
 
@@ -144,6 +186,7 @@ def conditional_entropy(state: MultipartiteState, subset, given) -> float:
         raise EmptySubset("conditional entropy of an empty subset")
     if subset & given:
         raise LabelCollision("subset overlaps conditioning set")
+    _check_labels(state, sorted(subset | given))
     return _entropy_sum(state, {frozenset(subset | given): 1.0, frozenset(given): -1.0})
 
 
@@ -154,6 +197,7 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
         raise EmptySubset("QCMI needs non-empty A and B")
     if a & b or a & e or b & e:
         raise LabelCollision("A, B, E must be pairwise disjoint")
+    _check_labels(state, sorted(a | b | e))
     return _entropy_sum(state, _cmi_total((a, b), e))
 
 
@@ -185,6 +229,13 @@ def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> fl
     return sum((c * entropy(state, s) for s, c in coeffs.items() if s), 0.0)
 
 
+def _check_labels(state: MultipartiteState, labels):
+    """``LabelNotFound`` for the first of ``labels`` missing from the state,
+    raised before any entropy is taken."""
+    for lab in labels:
+        state.index_of(lab)
+
+
 def _conditioning(state: MultipartiteState, partition: Partition, conditioning) -> frozenset:
     """The conditioning set E of a measure over the blocks of ``partition``,
     checked before any entropy is taken: E must meet no block, and every
@@ -192,8 +243,7 @@ def _conditioning(state: MultipartiteState, partition: Partition, conditioning) 
     e = frozenset(conditioning)
     if not e.isdisjoint(partition.ground):
         raise SpecError("conditioning set overlaps a block")
-    for lab in partition.ground + tuple(sorted(e)):
-        state.index_of(lab)
+    _check_labels(state, partition.ground + tuple(sorted(e)))
     return e
 
 

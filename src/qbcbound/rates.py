@@ -19,16 +19,20 @@ input only through rho_A = X^T conj(X) / ||X||^2 and is concave in it, so
 every local maximum over X is global: at a full-rank X the map X -> rho_A is
 locally onto, and a rank-deficient local maximum of a concave f(Y Y^dag) is
 global too (Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2010).
-One L-BFGS-B search on the surrogate's exact gradient, from X = I (the
+One L-BFGS search on the surrogate's exact gradient, from X = I (the
 maximally entangled input), therefore runs per partition, and nothing runs
-after it.  It stops once the Frank-Wolfe duality gap lambda_max(G) -
-tr(G rho_A), G = df/d rho_A, which bounds how far the maximum lies above the
-value found, is at most ``GAP_TOL`` bits, or after ``_MAX_ITERS`` iterations.
-A search that ends uncertified (its best input is rank-deficient, say, where
-G is not defined) reports its point with ``input_gap_bits`` inf.
-The full variational squashing optimization runs once, at the best input
-found, on the purification of that input's output vector over the support
-of the output state.
+after it.  It stops at the first point it evaluates whose Frank-Wolfe
+duality gap lambda_max(G) - tr(G rho_A), G = df/d rho_A, which bounds how far
+the maximum lies above the value found, is at most ``GAP_TOL`` bits, or
+after ``_MAX_ITERS`` iterations.  A search that ends uncertified (its best
+input is rank-deficient, say, where G is not defined) reports its point with
+``input_gap_bits`` inf.  The full variational squashing optimization runs
+once, at the best input found, on the purification of that input's output
+vector over the support of the output state.
+
+``evaluate_bounds`` runs in two phases, each one ``minimize`` batch: every
+partition's input search, then every (partition, measure, restart) squash,
+one batch per purifier dimension.
 """
 
 from __future__ import annotations
@@ -70,12 +74,13 @@ class RateConstraint:
         return {m: c / 2.0 for m, c in self.coefficients.items()}
 
 
-def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, float]:
-    """Amplitudes phi[r, a] = X / ||X|| of a pure phi_RA (|R| = |A| = d), with
-    X = params[:d*d] + i params[d*d:] as a d x d matrix, and ||X||."""
-    x = (params[: d * d] + 1j * params[d * d :]).reshape(d, d)
-    norm = float(np.linalg.norm(x))
-    return x / norm, norm
+def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes phi[..., r, a] = X / ||X|| of pure inputs phi_RA (|R| = |A| =
+    d), one per leading index of ``params``, with X = params[..., :d*d] +
+    i params[..., d*d:] as a d x d matrix, and the norms ||X||."""
+    x = (params[..., : d * d] + 1j * params[..., d * d :]).reshape(params.shape[:-1] + (d, d))
+    norm = np.linalg.norm(x, axis=(-2, -1))
+    return x / norm[..., None, None], norm
 
 
 # least ratio of the input's smallest to largest singular value at which
@@ -84,22 +89,25 @@ def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, float]:
 _GAP_FLOOR = 1e-4
 
 
-def _input_gap(params: np.ndarray, grad: np.ndarray, d: int) -> float:
-    """The Frank-Wolfe duality gap lambda_max(G) - tr(G rho_A) of the surrogate
-    f at the input phi = X / ||X||, G = df/d rho_A and rho_A = phi^T conj(phi).
-    f is concave in rho_A, so max f <= f(phi) + gap.  ``grad`` is the projected
-    gradient of ``_input_value_and_grad``: as a matrix times ||X|| / 2 it is
-    g = phi G^T minus the radial part, a multiple of phi, which shifts G by a
-    multiple of I that the gap does not see.  inf below the rank floor."""
+def _input_gap(params: np.ndarray, grad: np.ndarray, d: int) -> np.ndarray:
+    """The Frank-Wolfe duality gaps lambda_max(G) - tr(G rho_A) of the
+    surrogate f at the inputs phi = X / ||X||, one per leading index of
+    ``params``, G = df/d rho_A and rho_A = phi^T conj(phi).  f is concave in
+    rho_A, so max f <= f(phi) + gap.  ``grad`` is the projected gradient of
+    ``_input_value_and_grad``: as a matrix times ||X|| / 2 it is g = phi G^T
+    minus the radial part, a multiple of phi, which shifts G by a multiple of
+    I that the gap does not see.  inf below the rank floor."""
     phi, norm = _input_amplitudes(params, d)
     u, s, wh = np.linalg.svd(phi)
-    if not s[-1] > _GAP_FLOOR * s[0]:
-        return math.inf
-    g = (grad[: d * d] + 1j * grad[d * d :]).reshape(d, d) * (norm / 2)
-    # phi^-1 g = (G - c I)^T, whose gap is G's, and tr((G - c I) rho_A) = tr(phi^dag g)
-    g_t = (wh.conj().T / s) @ (u.conj().T @ g)
-    top = np.linalg.eigvalsh((g_t + g_t.conj().T) / 2)[-1]
-    return float(top - np.vdot(phi, g).real)
+    full = s[..., -1] > _GAP_FLOOR * s[..., 0]
+    g = (grad[..., : d * d] + 1j * grad[..., d * d :]).reshape(phi.shape)
+    g *= (norm / 2)[..., None, None]
+    # phi^-1 g = (G - c I)^T, whose gap is G's, and tr((G - c I) rho_A) = tr(phi^dag g);
+    # an input below the floor divides by 1 instead, and its gap is inf
+    inv_s = 1.0 / np.where(full[..., None], s, 1.0)
+    g_t = (wh.conj().swapaxes(-1, -2) * inv_s[..., None, :]) @ (u.conj().swapaxes(-1, -2) @ g)
+    top = np.linalg.eigvalsh((g_t + g_t.conj().swapaxes(-1, -2)) / 2)[..., -1]
+    return np.where(full, top - (phi.conj() * g).real.sum(axis=(-2, -1)), np.inf)
 
 
 def channel_output_state(
@@ -128,28 +136,32 @@ def _stinespring(channel: QuantumChannel):
     return stinespring, shape, (SENDER_LABEL,) + channel.output_labels
 
 
-def _input_value_and_grad(channel: QuantumChannel, partition: Partition, stinespring):
-    """params -> (value, gradient) of the partition value of (1 (x) V)|phi>
-    conditioned on the environment.  On a 3-block partition the value is the
-    smaller of the two measures and the gradient is that measure's.
+def _input_value_and_grad(channel: QuantumChannel, partitions, stinespring):
+    """(params, rows) -> (values, gradients): row i of ``params`` is an input
+    of partition ``partitions[rows[i]]``, and its value is the partition value
+    of (1 (x) V)|phi> conditioned on the environment.  On a 3-block partition
+    the value is the smaller of the two measures and the gradient is that
+    measure's (on a bipartition the two coincide, and the first is taken).
     ``stinespring`` is ``_stinespring(channel)``."""
     d = channel.input_dim
     stinespring, shape, labels = stinespring
-    measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
-    evaluate = _measure_kernel(shape, labels, partition, measures)
+    evaluate = _measure_kernel(shape, labels, [(p, list(Measure)) for p in partitions])
     # V as matrices: [a, (out, env)] for the output, conj [(out, env), a] for
     # the gradient
     v_rows = stinespring.transpose(2, 0, 1).reshape(d, -1)
     v_conj = stinespring.conj().reshape(-1, d)
 
-    def value_and_grad(params):
+    def value_and_grad(params, rows):
+        count = len(rows)
         phi, norm = _input_amplitudes(params, d)
-        values, grad = evaluate(phi.dot(v_rows).reshape(shape))
-        k = int(np.argmin(values))
-        g_phi = grad(k).reshape(d, -1).dot(v_conj)
+        values, grad = evaluate((phi @ v_rows).reshape((count,) + shape), rows)
+        k = np.argmin(values, axis=1)
+        g_phi = grad(k).reshape(count, d, -1) @ v_conj
         # phi = X / ||X||: drop the radial part, which leaves phi unchanged
-        g_x = (g_phi - np.vdot(phi, g_phi).real * phi) / norm
-        return float(values[k]), 2 * np.concatenate([g_x.real.ravel(), g_x.imag.ravel()])
+        radial = (phi.conj() * g_phi).real.sum(axis=(1, 2))
+        g_x = (g_phi - radial[:, None, None] * phi) / norm[:, None, None]
+        grads = np.concatenate([g_x.real.reshape(count, -1), g_x.imag.reshape(count, -1)], axis=1)
+        return values[np.arange(count), k], 2 * grads
 
     return value_and_grad
 
@@ -159,7 +171,12 @@ def evaluate_bounds(
     partitions: list[Partition] | None = None,
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
-    """One RateConstraint per partition, maximizing over pure inputs."""
+    """One RateConstraint per partition, maximizing over pure inputs.
+
+    Every partition's input search runs as one row of one ``minimize`` batch,
+    and then every (partition, measure, restart) squash as one row of one
+    batch per purifier dimension; each row's result is the one it would have
+    alone."""
     ground = (SENDER_LABEL,) + channel.output_labels
     if SENDER_LABEL in channel.output_labels:
         raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
@@ -173,10 +190,6 @@ def evaluate_bounds(
         )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
-    stinespring = _stinespring(channel)
-    iso, shape, labels = stinespring
-    # the search starts at X = I, the maximally entangled input
-    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
     for i, partition in enumerate(partitions):
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
@@ -184,55 +197,48 @@ def evaluate_bounds(
             raise SpecError(f"partition {partition} has one block: it bounds no rate")
         if partition in partitions[:i]:
             raise SpecError(f"partition {partition} is repeated")
-    out = []
-    for partition in partitions:
-        value_and_grad = _input_value_and_grad(channel, partition, stinespring)
-        # the search scores every point it evaluates, line-search trials
-        # included: near the maximum L-BFGS-B accepts iterates on values that
-        # differ only by rounding, and their gaps stall above ones the trials reach
-        certified = []
+    stinespring = _stinespring(channel)
+    iso, shape, labels = stinespring
+    value_and_grad = _input_value_and_grad(channel, partitions, stinespring)
 
-        def certifying(theta):
-            value, grad = value_and_grad(theta)
-            if not certified:
-                gap = _input_gap(theta, grad, d)
-                if gap <= GAP_TOL:
-                    certified[:] = theta.copy(), gap
-            return -value, -grad
+    def descent(params, rows):
+        values, grads = value_and_grad(params, rows)
+        return -values, -grads
 
-        def stop_when_certified(theta):
-            if certified:
-                raise StopIteration
-
-        # no stop but the gap, the iteration cap or a failed line search; scipy
-        # reports success false after a callback stop
-        res = minimize(
-            certifying,
-            identity,
-            jac=True,
-            method="L-BFGS-B",
-            callback=stop_when_certified,
-            options={"maxiter": _MAX_ITERS, "ftol": 0.0, "gtol": 0.0},
-        )
-        best_params, gap = certified or (res.x, math.inf)
-        # the output vector at the best input, M[(r, out), env]; its
-        # purification over the support of omega = M M^dag feeds the squash
-        phi = _input_amplitudes(best_params, d)[0]
+    # every search starts at X = I, the maximally entangled input, and stops
+    # at the first point it evaluates, line-search trials included, whose gap
+    # is certified: near the maximum iterates differ only by rounding in
+    # value, and their gaps stall above ones the trials reach
+    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
+    res = minimize(
+        descent,
+        np.tile(identity, (len(partitions), 1)),
+        max_iters=_MAX_ITERS,
+        stop=lambda params, grads, rows: _input_gap(params, -grads, d) <= GAP_TOL,
+    )
+    gaps = _input_gap(res.x, -res.jac, d)
+    # the output vector at each best input, M[(r, out), env]; its
+    # purification over the support of omega = M M^dag feeds the squash
+    phis = _input_amplitudes(res.x, d)[0]
+    problems, psis = [], []
+    for phi, partition in zip(phis, partitions):
         m = np.tensordot(phi, iso, axes=(1, 2)).reshape(-1, shape[-1])
-        psi = _purification(m @ m.conj().T)
-        value, measure_used = _partition_value(
-            lambda measure: _squash_purified(
-                psi, shape[:-1], labels, partition, measure, squash_cfg
-            ).value_bits,
-            partition,
-        )
+        psis.append(_purification(m @ m.conj().T))
+        measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
+        problems += [(psis[-1], partition, measure) for measure in measures]
+    squashed = _squash_purified(problems, shape[:-1], labels, squash_cfg)
+    value = {(p, r.measure): r.value_bits for (_, p, _), r in zip(problems, squashed)}
+    out = []
+    for phi, psi, gap, partition in zip(phis, psis, gaps.tolist(), partitions):
+        bound, measure_used = _partition_value(lambda m: value[partition, m], partition)
         out.append(
             RateConstraint(
                 partition=partition,
                 coefficients=constraint_coefficients(partition),
-                bound_bits=value,
+                bound_bits=bound,
                 measure_used=measure_used,
-                input_gap_bits=gap,
+                # a search that ended uncertified has no gap
+                input_gap_bits=gap if gap <= GAP_TOL else math.inf,
                 metadata={
                     "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
                     "seed": squash_cfg.seed,

@@ -593,8 +593,10 @@ def test_negative_seed_exits_2(capsys, copy_channel_path, ghz_path, argv):
     assert err == "error: seed must be at least 0\n"
 
 
-def test_commands_without_a_search_load_no_scipy(tmp_path, ghz_path):
-    # a fresh interpreter, since this one has imported scipy already
+def test_commands_without_a_search_load_no_scipy(tmp_path, ghz_path, copy_channel_path):
+    # a fresh interpreter, since this one has imported scipy already; the
+    # searches are numpy's too, so bounds-finite and esq at its default
+    # restarts load no scipy either
     script = """
 import sys
 from qbcbound.cli import main
@@ -613,6 +615,8 @@ assert not loaded, loaded
         f"bounds-bosonic --eta-b 0.5 --eta-c 0.2 --ns 1.0 --output {out}",
         f"qinfo {ghz_path} --partition A|B,C --output {out}",
         f"esq {mixed} --partition A|B|C --restarts 1 --output {out}",
+        f"bounds-finite {copy_channel_path} --output {out}",
+        f"esq {mixed} --partition A|B|C --output {out}",
     ]
     src = str(Path(qbcbound.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

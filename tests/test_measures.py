@@ -247,8 +247,9 @@ def test_entropy_via_purification_marginals():
 
 
 def _per_cut_entropy_sums(shape, labels, forms):
-    """Reference for ``_pure_entropy_sums``: the same cuts and coefficients,
-    with one transpose, Gram product and ``eigh`` per cut."""
+    """Reference for one problem of ``_pure_entropy_sums``: the same cuts and
+    coefficients, with one transpose, Gram product and ``eigh`` per cut, the
+    cuts ordered by the dimension of their smaller side."""
     axis = {lab: i for i, lab in enumerate(labels)}
     every = frozenset(range(len(shape)))
 
@@ -265,13 +266,14 @@ def _per_cut_entropy_sums(shape, labels, forms):
             cut = cut_of(subset)
             if size(cut) > 1:
                 entries.append((k, cuts.setdefault(cut, len(cuts)), c))
+    order = sorted(cuts, key=lambda cut: (size(cut), cuts[cut]))
     coeff = np.zeros((len(forms), len(cuts)))
     for k, j, c in entries:
-        coeff[k, j] += c
-    perms = [cut + tuple(sorted(every - set(cut))) for cut in cuts]
+        coeff[k, order.index(list(cuts)[j])] += c
+    perms = [cut + tuple(sorted(every - set(cut))) for cut in order]
     inverses = [tuple(np.argsort(perm)) for perm in perms]
     moved = [tuple(shape[i] for i in perm) for perm in perms]
-    sides = [size(cut) for cut in cuts]
+    sides = [size(cut) for cut in order]
 
     def evaluate(psi):
         ent = np.zeros(len(perms))
@@ -282,7 +284,7 @@ def _per_cut_entropy_sums(shape, labels, forms):
             pos = w > _EIG_FLOOR
             log_w = np.zeros_like(w)
             log_w[pos] = np.log2(w[pos])
-            ent[j] = -w[pos] @ log_w[pos]
+            ent[j] = -(w * log_w).sum()
             log_w[pos] += 1.0 / math.log(2.0)
             spectra.append((m, v, log_w))
 
@@ -294,7 +296,11 @@ def _per_cut_entropy_sums(shape, labels, forms):
                     g += gm.reshape(moved[j]).transpose(inverses[j])
             return g
 
-        return coeff @ ent, grad
+        # slot by slot, as the kernel adds them
+        values = np.zeros(len(forms))
+        for j in range(len(perms)):
+            values += coeff[:, j] * ent[j]
+        return values, grad
 
     return evaluate
 
@@ -308,7 +314,9 @@ def _per_cut_entropy_sums(shape, labels, forms):
 )
 def test_batched_kernel_equals_per_cut_loop(dims, trailing, n_blocks, seed):
     # qubit, qutrit and one-dimensional axes, unlabeled trailing axes, and
-    # both measures over 2 or 3 blocks with the other labels conditioned on
+    # both measures over 2 or 3 blocks with the other labels conditioned on,
+    # stacked as problems of different cuts; each row matches the per-cut
+    # loop on its own problem exactly
     rng = np.random.default_rng(seed)
     labels = tuple("ABCD"[: len(dims)])
     shape = tuple(dims) + tuple(trailing)
@@ -319,18 +327,57 @@ def test_batched_kernel_equals_per_cut_loop(dims, trailing, n_blocks, seed):
     blocks = [frozenset(b) for b in np.split(np.array(order[:in_blocks]), bounds)]
     e = frozenset(order[in_blocks:])
     some = frozenset(order[: int(rng.integers(1, len(labels) + 1))])
-    forms = [
-        {s: 0.5 * c for s, c in _cmi_total(blocks, e).items()},
-        {s: 0.5 * c for s, c in _cmi_dual(blocks, e).items()},
-        # a subset and its complement among the labels: the same cut, and a
-        # zero coefficient, when there are no unlabeled axes
-        {some: 1.5, frozenset(labels) - some: -1.5},
-        {},
-    ]
-    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    psi /= np.linalg.norm(psi)
-    values, grad = _pure_entropy_sums(shape, labels, forms)(psi)
-    ref_values, ref_grad = _per_cut_entropy_sums(shape, labels, forms)(psi)
-    assert np.array_equal(values, ref_values)
-    for k in range(len(forms)):
-        assert np.array_equal(grad(k), ref_grad(k))
+    total = {s: 0.5 * c for s, c in _cmi_total(blocks, e).items()}
+    dual = {s: 0.5 * c for s, c in _cmi_dual(blocks, e).items()}
+    # a subset and its complement among the labels: the same cut, and a zero
+    # coefficient, when there are no unlabeled axes
+    split = {some: 1.5, frozenset(labels) - some: -1.5}
+    problems = [[total, dual], [split, {}], [dual, total], [{}, {}]]
+    rows = [0, 1, 2, 3, 2, 0]
+    psi = rng.normal(size=(len(rows),) + shape) + 1j * rng.normal(size=(len(rows),) + shape)
+    psi /= np.linalg.norm(psi.reshape(len(rows), -1), axis=1).reshape((-1,) + (1,) * len(shape))
+    evaluate = _pure_entropy_sums(shape, labels, problems)
+    values, grad = evaluate(psi, rows)
+    for k in range(2):
+        grads = grad(np.full(len(rows), k))
+        for i, p in enumerate(rows):
+            ref_values, ref_grad = _per_cut_entropy_sums(shape, labels, problems[p])(psi[i])
+            assert np.array_equal(values[i, k], ref_values[k])
+            assert np.array_equal(grads[i], ref_grad(k))
+    # a row alone is computed exactly as in the stack
+    pick = rng.integers(0, 2, len(rows))
+    grads = grad(pick)
+    for i, p in enumerate(rows):
+        alone_values, alone_grad = evaluate(psi[i : i + 1], [p])
+        assert np.array_equal(alone_values[0], values[i])
+        assert np.array_equal(alone_grad(pick[i : i + 1])[0], grads[i])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda st: qcmi(st, {"A"}, {"Z"}),
+        lambda st: qcmi(st, {"A"}, {"B"}, {"Z"}),
+        lambda st: conditional_entropy(st, {"A"}, {"Z"}),
+        lambda st: conditional_entropy(st, {"Z"}, {"A"}),
+    ],
+    ids=["qcmi-b", "qcmi-e", "conditional-given", "conditional-subset"],
+)
+def test_qcmi_checks_labels_before_any_entropy(monkeypatch, call):
+    ghz = make_ghz(("A", "B", "C"), 2)
+
+    def no_entropy(*args):
+        raise AssertionError("an entropy was taken")
+
+    monkeypatch.setattr("qbcbound.measures.entropy", no_entropy)
+    with pytest.raises(LabelNotFound, match=r"^label 'Z' not in \('A', 'B', 'C'\)$"):
+        call(ghz)
+    # the pinned errors come first, in their order
+    with pytest.raises(EmptySubset):
+        qcmi(ghz, set(), {"Z"})
+    with pytest.raises(LabelCollision):
+        qcmi(ghz, {"Z"}, {"Z"})
+    with pytest.raises(EmptySubset):
+        conditional_entropy(ghz, set(), {"Z"})
+    with pytest.raises(LabelCollision):
+        conditional_entropy(ghz, {"Z"}, {"Z"})

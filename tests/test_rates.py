@@ -168,11 +168,23 @@ def _search_points(d, count, seed):
     return [identity] + [rng.uniform(-2, 2, 2 * d * d) for _ in range(count)]
 
 
+def _surrogate(channel, partition):
+    """params -> (value, gradient) of the input search's objective on one
+    partition: a one-row batch of ``_input_value_and_grad``."""
+    value_and_grad = _input_value_and_grad(channel, [partition], _stinespring(channel))
+
+    def at(params):
+        values, grads = value_and_grad(params[None], np.zeros(1, dtype=int))
+        return values[0], grads[0]
+
+    return at
+
+
 def test_surrogate_equals_conditioning_on_rank_purifier():
     # four Kraus operators: the environment is larger than the purifier rank
     channel = random_channel(np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=4)
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
+        surrogate = _surrogate(channel, partition)
         for params in _search_points(2, 4, 0):
             phi = purify(_output(channel, params), "E")
 
@@ -187,7 +199,7 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
 def test_surrogate_is_exact_on_copy_channel():
     channel = copy_channel()
     for partition in nontrivial_partitions(("R", "B", "C")):
-        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
+        surrogate = _surrogate(channel, partition)
         for params in _search_points(2, 4, 1):
             omega = _output(channel, params)
             expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
@@ -228,7 +240,7 @@ SURROGATE_CHANNELS = {
 def test_surrogate_gradient_matches_central_differences(name, choice, seed):
     channel = SURROGATE_CHANNELS[name]()
     partition = nontrivial_partitions(("R", "B", "C"))[choice]
-    value_and_grad = _input_value_and_grad(channel, partition, _stinespring(channel))
+    value_and_grad = _surrogate(channel, partition)
     rng = np.random.default_rng(seed)
     d = channel.input_dim
     params = rng.uniform(-2, 2, 2 * d * d)
@@ -249,10 +261,10 @@ def test_input_search_reaches_the_bc_cut_maximum(monkeypatch):
     def recording(*args):
         value_and_grad = _input_value_and_grad(*args)
 
-        def wrapped(params):
-            value, grad = value_and_grad(params)
-            seen.append(value)
-            return value, grad
+        def wrapped(params, rows):
+            values, grads = value_and_grad(params, rows)
+            seen.extend(values.tolist())
+            return values, grads
 
         return wrapped
 
@@ -305,10 +317,10 @@ def _gap_from_full_gradient(channel, partition, params):
     d = channel.input_dim
     iso, shape, labels = _stinespring(channel)
     measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
-    evaluate = _measure_kernel(shape, labels, partition, measures)
+    evaluate = _measure_kernel(shape, labels, [(partition, measures)])
     phi = _input_amplitudes(params, d)[0]
-    values, grad = evaluate(np.tensordot(phi, iso, axes=(1, 2)).reshape(shape))
-    g_phi = grad(int(np.argmin(values))).reshape(d, -1) @ iso.conj().reshape(-1, d)
+    values, grad = evaluate(np.tensordot(phi, iso, axes=(1, 2)).reshape((1,) + shape), [0])
+    g_phi = grad(np.argmin(values, axis=1))[0].reshape(d, -1) @ iso.conj().reshape(-1, d)
     g = np.linalg.solve(phi, g_phi).T
     rho = phi.T @ phi.conj()
     gap = np.linalg.eigvalsh((g + g.conj().T) / 2)[-1] - np.trace(g @ rho).real
@@ -324,7 +336,7 @@ def _gap_from_full_gradient(channel, partition, params):
 def test_input_gap_matches_full_gradient(name, choice, seed):
     channel = SURROGATE_CHANNELS[name]()
     partition = nontrivial_partitions(("R", "B", "C"))[choice]
-    value_and_grad = _input_value_and_grad(channel, partition, _stinespring(channel))
+    value_and_grad = _surrogate(channel, partition)
     rng = np.random.default_rng(seed)
     d = channel.input_dim
     params = rng.uniform(-2, 2, 2 * d * d)
@@ -354,10 +366,10 @@ def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
     def recording(*args):
         value_and_grad = _input_value_and_grad(*args)
 
-        def wrapped(params):
-            value, grad = value_and_grad(params)
-            seen.append(value)
-            return value, grad
+        def wrapped(params, rows):
+            values, grads = value_and_grad(params, rows)
+            seen.extend(values.tolist())
+            return values, grads
 
         return wrapped
 
@@ -368,7 +380,7 @@ def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
         (rc,) = evaluate_bounds(channel, [partition], squash_cfg=FAST_SQUASH)
         assert rc.input_gap_bits <= rates.GAP_TOL, partition
         best = max(seen)
-        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
+        surrogate = _surrogate(channel, partition)
         for _ in range(200):
             value = surrogate(rng.uniform(-1, 1, 2 * d * d))[0]
             assert value <= best + rc.input_gap_bits + 1e-12, (partition, value, best)
@@ -376,19 +388,33 @@ def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
 
 def test_certified_search_runs_once_per_cut(monkeypatch):
     calls = []
-    scipy_minimize = rates.minimize
+    real_minimize = rates.minimize
 
     def recording(fun, x0, **kwargs):
-        res = scipy_minimize(fun, x0, **kwargs)
-        calls.append(res.nfev)
+        res = real_minimize(fun, x0, **kwargs)
+        calls.append((len(x0), res.nfev))
         return res
 
     monkeypatch.setattr(rates, "minimize", recording)
     constraints = evaluate_bounds(SURROGATE_CHANNELS["seed0"](), None, squash_cfg=FAST_SQUASH)
-    assert len(calls) == len(constraints) == 4
+    # one batch, one row per cut
+    ((rows, nfev),) = calls
+    assert rows == len(constraints) == 4
     assert all(rc.input_gap_bits <= rates.GAP_TOL for rc in constraints)
     # 152 evaluations in 20 searches without the certificate
-    assert sum(calls) <= 40
+    assert nfev <= 40
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partition_bound_is_the_same_alone_or_in_the_report(seed):
+    # each partition's searches are rows of shared batches, whose arithmetic
+    # is each row's own: alone, a partition gets the same numbers, bit for bit
+    channel = random_channel(np.random.default_rng(seed), 2, ("B", "C"), (2, 2), env_dim=1 + seed)
+    for rc in evaluate_bounds(channel):
+        (alone,) = evaluate_bounds(channel, [rc.partition])
+        assert alone.bound_bits == rc.bound_bits
+        assert alone.input_gap_bits == rc.input_gap_bits
+        assert alone.metadata == rc.metadata
 
 
 def test_rank_deficient_input_has_no_gap():
@@ -412,11 +438,11 @@ def flag_channel():
 
 def test_uncertified_search_runs_once_per_cut(monkeypatch):
     calls = []
-    scipy_minimize = rates.minimize
+    real_minimize = rates.minimize
 
     def recording(fun, x0, **kwargs):
-        res = scipy_minimize(fun, x0, **kwargs)
-        calls.append(kwargs)
+        res = real_minimize(fun, x0, **kwargs)
+        calls.append((x0, kwargs))
         return res
 
     monkeypatch.setattr(rates, "minimize", recording)
@@ -424,9 +450,12 @@ def test_uncertified_search_runs_once_per_cut(monkeypatch):
     expected = {"b_cut": 1.0, "c_cut": 1.0, "bc_cut": 1.0, "tripartite": 1.5}
     for name, value in expected.items():
         assert abs(report[name]["bound_bits"] - value) < 1e-9, name
-    # one search per cut, the certifying one from X = I, and nothing after it
-    assert len(calls) == 4
-    assert all("callback" in kwargs for kwargs in calls)
+    # one search per cut, the certifying one from X = I, all in one batch,
+    # and nothing after it
+    ((x0, kwargs),) = calls
+    identity = np.concatenate([np.eye(3).ravel(), np.zeros(9)])
+    assert np.array_equal(x0, np.tile(identity, (4, 1)))
+    assert kwargs["stop"] is not None
     for rc in evaluate_bounds(flag_channel(), None, FAST_SQUASH):
         assert rc.input_gap_bits == math.inf
 
@@ -449,11 +478,11 @@ def test_uncertified_search_beats_random_inputs(monkeypatch, name):
     channel = UNCERTIFIED_CHANNELS[name]()
     d = channel.input_dim
     found = []
-    scipy_minimize = rates.minimize
+    real_minimize = rates.minimize
 
     def recording(fun, x0, **kwargs):
-        res = scipy_minimize(fun, x0, **kwargs)
-        found.append(-res.fun)
+        res = real_minimize(fun, x0, **kwargs)
+        found.extend((-res.fun).tolist())
         return res
 
     monkeypatch.setattr(rates, "minimize", recording)
@@ -467,7 +496,7 @@ def test_uncertified_search_beats_random_inputs(monkeypatch, name):
         uncertified += 1
         # an uncertified cut reports the search's last point, whose value this is
         (best,) = found
-        surrogate = _input_value_and_grad(channel, partition, _stinespring(channel))
+        surrogate = _surrogate(channel, partition)
         for _ in range(200):
             value = surrogate(rng.uniform(-1, 1, 2 * d * d))[0]
             assert value <= best + 1e-12, (partition, value, best)

@@ -54,6 +54,21 @@ def identity_kraus(d_e):
     return k.reshape(2 * d_e, d_e)
 
 
+def squash_objective(psi, dims, labels, partition, measure):
+    """params -> (value, gradient) of the squash of one problem: a one-row
+    batch of ``_squash_value_and_grad``."""
+    owner = np.zeros(1, dtype=int)
+    value_and_grad = _squash_value_and_grad(
+        psi[None], dims, labels, [(partition, [measure])], owner
+    )
+
+    def at(params):
+        values, grads = value_and_grad(params[None], owner)
+        return values[0], grads[0]
+
+    return at
+
+
 def entropy_bits(rho):
     w = np.linalg.eigvalsh(rho)
     w = w[w > 1e-12]
@@ -158,7 +173,7 @@ def test_exact_values_never_reach_the_density_engine(monkeypatch):
         raise AssertionError("an exact value went through a density matrix")
 
     monkeypatch.setattr(measures, "_entropy_sum", density_engine)
-    monkeypatch.setattr(measures, "partial_trace", density_engine)
+    monkeypatch.setattr(measures, "_marginal", density_engine)
     ghz = make_ghz(("A", "B", "C"), 2)
     p = part(("A",), ("B",), ("C",))
     assert abs(esq_exact_pure(ghz, p) - 1.5) < 1e-12
@@ -355,7 +370,7 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
     params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
-    value = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)(params)[0]
+    value = squash_objective(psi, state.dims, state.labels, partition, measure)(params)[0]
 
     # the polar factor V of K, into Eout (x) a qubit ancilla
     iso = _isometry_and_pullback(params, d_e)[0]
@@ -413,7 +428,7 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     psi = _purifying_amplitudes(*_support(state.matrix))
     d_e = psi.shape[1]
     params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
-    value_and_grad = _squash_value_and_grad(psi, state.dims, state.labels, partition, measure)
+    value_and_grad = squash_objective(psi, state.dims, state.labels, partition, measure)
     value, grad = value_and_grad(params)
     # central differences along random directions, relative 1e-6
     step = 1e-6
@@ -443,8 +458,9 @@ def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed
     d_e = psi.shape[1]
     shape = state.dims + (d_e,)
     for partition in nontrivial_partitions(labels):
-        identity = _measure_kernel(shape, labels, partition, [measure])(psi.reshape(shape))[0][0]
-        value, grad = _squash_value_and_grad(psi, state.dims, labels, partition, measure)(
+        evaluate = _measure_kernel(shape, labels, [(partition, [measure])])
+        identity = evaluate(psi.reshape((1,) + shape), [0])[0][0, 0]
+        value, grad = squash_objective(psi, state.dims, labels, partition, measure)(
             as_params(identity_kraus(d_e))
         )
         assert abs(value - identity) <= 1e-12
@@ -464,8 +480,10 @@ def test_identity_restart_needs_no_search(monkeypatch, restarts):
     st = random_state(np.random.default_rng(7), ("A", "B"), (2, 2), rank=2)
     p = part(("A",), ("B",))
     res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=restarts, seed=3))
-    assert len(calls) == restarts - 1
-    assert all(not np.array_equal(x0, as_params(identity_kraus(2))) for x0 in calls)
+    # the random starts run as one batch, one row each
+    assert len(calls) == (restarts > 1)
+    assert sum(len(x0) for x0 in calls) == restarts - 1
+    assert all(not np.array_equal(row, as_params(identity_kraus(2))) for x0 in calls for row in x0)
     if restarts == 1:
         trivial = 0.5 * cmi_total(st, p)
         assert abs(res.value_bits - trivial) < 1e-12
@@ -482,7 +500,7 @@ def test_params_round_trip():
     psi = _purification(st.matrix)
     d_e = psi.shape[1]
     assert params.shape == (4 * d_e * d_e,)
-    value = _squash_value_and_grad(psi, st.dims, st.labels, p, Measure.E_SQ)(params)[0]
+    value = squash_objective(psi, st.dims, st.labels, p, Measure.E_SQ)(params)[0]
     assert abs(value - res.value_bits) <= 1e-12
     v = _isometry_and_pullback(params, d_e)[0]
     assert np.max(np.abs(v.conj().T @ v - np.eye(d_e))) < 1e-12
@@ -518,3 +536,81 @@ def test_squash_of_large_purifier_lies_between_hashing_and_identity(rank):
     assert res.extension_description["params"] is not None  # a search beat identity
     assert coherent - 1e-9 <= res.value_bits <= identity + 1e-12
     assert res.value_bits <= _EXP_IH_VALUES[rank] + 1e-8
+
+
+def test_minimize_reaches_the_minimum_of_separable_rows():
+    # one batch of independent rows: quadratics conditioned up to 1e4 with
+    # known minimizers, and Rosenbrock functions, minimized at the ones
+    rng = np.random.default_rng(0)
+    n = 4
+    targets = rng.uniform(-2, 2, (4, n))
+    weights = [10.0 ** (c * np.arange(n) / (n - 1)) for c in range(4)]
+
+    def fun(x, rows):
+        values, grads = np.zeros(len(rows)), np.zeros((len(rows), n))
+        for i, (xi, r) in enumerate(zip(x, rows.tolist())):
+            if r < 4:
+                dx = xi - targets[r]
+                values[i], grads[i] = weights[r] @ dx**2, 2 * weights[r] * dx
+            else:
+                a, b = xi[:-1], xi[1:]
+                values[i] = np.sum(100 * (b - a**2) ** 2 + (1 - a) ** 2)
+                grads[i, :-1] = -400 * a * (b - a**2) - 2 * (1 - a)
+                grads[i, 1:] += 200 * (b - a**2)
+        return values, grads
+
+    x0 = np.concatenate([np.zeros((4, n)), [[-1.2, 1.0, -1.2, 1.0], [2.0, -1.0, 0.5, 2.0]]])
+    res = squash.minimize(fun, x0, max_iters=1000, ftol=1e-15, gtol=1e-9)
+    assert res.success and res.converged.all()
+    assert np.max(np.abs(res.x[:4] - targets)) < 1e-8
+    assert np.max(np.abs(res.x[4:] - 1.0)) < 1e-6
+    assert np.max(res.fun) < 1e-12
+    assert res.nfev >= res.nit > 0
+
+
+def test_search_is_the_same_alone_or_in_a_batch():
+    # every row's arithmetic is its own: run alone, a row ends where it ends
+    # in the batch, bit for bit, after the same iterations and evaluations
+    st = random_state(np.random.default_rng(3), ("A", "B", "C"), (2, 2, 2), rank=3)
+    psi = _purification(st.matrix)
+    d_e = psi.shape[1]
+    problems = [
+        (p, [m])
+        for p in nontrivial_partitions(st.labels)
+        for m in (list(Measure) if len(p.blocks) == 3 else [Measure.E_SQ])
+    ]
+    owner = np.repeat(np.arange(len(problems)), 2)
+    psis = np.stack([psi] * len(problems))
+    value_and_grad = _squash_value_and_grad(psis, st.dims, st.labels, problems, owner)
+    x0 = np.random.default_rng(0).uniform(-np.pi, np.pi, (len(owner), 4 * d_e * d_e))
+    settings = dict(max_iters=squash._MAX_ITERS, ftol=squash._FTOL, gtol=squash._GTOL)
+    batch = squash.minimize(value_and_grad, x0, **settings)
+    nit = nfev = 0
+    for i in range(len(owner)):
+        alone = squash.minimize(
+            lambda x, rows: value_and_grad(x, rows + i), x0[i : i + 1], **settings
+        )
+        assert np.array_equal(alone.x[0], batch.x[i])
+        assert np.array_equal(alone.fun[0], batch.fun[i])
+        assert np.array_equal(alone.jac[0], batch.jac[i])
+        assert alone.converged[0] == batch.converged[i]
+        nit, nfev = nit + alone.nit, nfev + alone.nfev
+    assert (nit, nfev) == (batch.nit, batch.nfev)
+
+
+def test_stacked_squash_kernel_matches_one_row():
+    # every partition and measure of R|B|C, each on its own purified state,
+    # in one stack: each row matches its problem evaluated alone
+    rng = np.random.default_rng(11)
+    labels, dims = ("R", "B", "C"), (2, 2, 2)
+    problems = [(p, [m]) for p in nontrivial_partitions(labels) for m in Measure]
+    psis = np.stack(
+        [_purification(random_state(rng, labels, dims, rank=2).matrix) for _ in problems]
+    )
+    owner = np.arange(len(problems))
+    params = rng.uniform(-np.pi, np.pi, (len(problems), 16))
+    values, grads = _squash_value_and_grad(psis, dims, labels, problems, owner)(params, owner)
+    for i, (partition, (measure,)) in enumerate(problems):
+        value, grad = squash_objective(psis[i], dims, labels, partition, measure)(params[i])
+        assert abs(values[i] - value) <= 1e-13
+        assert np.max(np.abs(grads[i] - grad)) <= 1e-13
