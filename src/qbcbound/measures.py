@@ -2,7 +2,7 @@
 multipartite informations (the total-correlation form and its dual form).
 
 All results are in bits.  Each measure is one subset -> coefficient map,
-and two engines evaluate such maps: ``_entropy_sum`` (a marginal and one
+and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
 ``eigvalsh`` per subset) serves only the public density-matrix API, and
 ``_pure_entropy_sums`` (stacks of state vectors, with gradients) every value
 of ``squash`` and ``rates``, the exact pure-state values included.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
 from .partitions import Partition
-from .states import MultipartiteState, _marginal
+from .states import MultipartiteState, partial_trace
 
 _EIG_FLOOR = 1e-12
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -32,8 +32,8 @@ def entropy(state: MultipartiteState, subset) -> float:
     subset = set(subset)
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
-    # _marginal raises LabelNotFound for a label missing from the state
-    ev = np.linalg.eigvalsh(_marginal(state, subset)[0])
+    # partial_trace raises LabelNotFound for a label missing from the state
+    ev = np.linalg.eigvalsh(partial_trace(state, subset).matrix)
     ev = ev[ev > _EIG_FLOOR]
     if len(ev) == 1:
         # a pure reduction: the floor zeroes the rest and the trace makes the

@@ -287,14 +287,18 @@ def minimize(fun, x0, *, max_iters: int, ftol: float = 0.0, gtol: float = 0.0, s
         slopes = (g_try * direction[r]).sum(axis=1).tolist()
         accept = np.zeros(r.size, dtype=bool)
         for j, (i, value) in enumerate(zip(r.tolist(), f_try.tolist())):
+            # Python floats throughout, so a zero divisor raises
             try:
-                nxt = searches[i].next(step[i], value, slopes[j])
+                nxt = searches[i].next(float(step[i]), value, slopes[j])
             except ZeroDivisionError:
-                nxt, trials[i] = step[i], _TRIALS
+                nxt = math.nan
             if nxt is None:
                 accept[j] = True
-            else:
+            elif math.isfinite(nxt):
                 step[i] = nxt
+            else:
+                # rounding left the trial step undefined: the search fails
+                trials[i] = _TRIALS
         failed = r[~accept & (trials[r] >= _TRIALS)]
         if failed.size:
             # the row keeps its last point: it stops if the search followed
@@ -346,6 +350,9 @@ DIM_CAP = 64
 _FTOL = 1e-8
 # the squash's iteration cap per restart; no search has come near it
 _MAX_ITERS = 2000
+# most rows in one squash batch: larger restart counts run in slices, so
+# memory does not grow with the number of restarts
+_BATCH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -493,8 +500,9 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
     point, a stationary point scored without a search; restarts 1, 2, ...
     start from the same random Kraus matrices for every problem, drawn from
     ``default_rng(config.seed)``.  Every restart of every problem with the
-    same purifier dimension is one row of one ``minimize`` batch.  Exact
-    when e has one value."""
+    same purifier dimension is one row of one ``minimize`` batch, or, past
+    ``_BATCH_ROWS`` rows, of one of a run of batches over successive slices
+    of the restarts.  Exact when e has one value."""
     out: list = [None] * len(problems)
     by_dim: dict[int, list[int]] = {}
     for i, (psi, _, _) in enumerate(problems):
@@ -515,24 +523,29 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
             for j, i in enumerate(members):
                 out[i] = SquashResult(identity[j], kinds[j][1][0], True, dict(kind))
             continue
-        starts = np.random.default_rng(config.seed).uniform(
-            -np.pi, np.pi, (config.restarts - 1, (2 * d_e) ** 2)
-        )
-        owner = np.repeat(every, len(starts))
-        res = minimize(
-            _squash_value_and_grad(psis, dims, labels, kinds, owner),
-            np.tile(starts, (len(members), 1)),
-            max_iters=_MAX_ITERS,
-            ftol=_FTOL,
-            gtol=_GTOL,
-        )
+        # per problem: the best value, its search point and convergence
+        best = [(value, None, True) for value in identity]
+        rng = np.random.default_rng(config.seed)
+        per_slice = max(1, _BATCH_ROWS // len(members))
+        for first in range(1, config.restarts, per_slice):
+            # the next slice of starts, drawn in restart order
+            starts = rng.uniform(
+                -np.pi, np.pi, (min(per_slice, config.restarts - first), (2 * d_e) ** 2)
+            )
+            owner = np.repeat(every, len(starts))
+            res = minimize(
+                _squash_value_and_grad(psis, dims, labels, kinds, owner),
+                np.tile(starts, (len(members), 1)),
+                max_iters=_MAX_ITERS,
+                ftol=_FTOL,
+                gtol=_GTOL,
+            )
+            for row, (j, value) in enumerate(zip(owner.tolist(), res.fun.tolist())):
+                if value < best[j][0]:
+                    best[j] = (value, res.x[row].tolist(), bool(res.converged[row]))
         for j, i in enumerate(members):
-            best_val, best, converged = identity[j], None, True
-            for row in range(j * len(starts), (j + 1) * len(starts)):
-                if res.fun[row] < best_val:
-                    best_val, best = float(res.fun[row]), res.x[row].tolist()
-                    converged = bool(res.converged[row])
-            out[i] = SquashResult(best_val, kinds[j][1][0], converged, {"params": best})
+            best_val, params, converged = best[j]
+            out[i] = SquashResult(best_val, kinds[j][1][0], converged, {"params": params})
     return out
 
 
@@ -551,7 +564,7 @@ def esq_upper_variational(
     Kraus matrix K, maps the d_e-dimensional purifier into a space of its own
     dimension and a traced-out qubit ancilla.  Restart 0 is the identity
     squashing point, scored without a search, and ``config.restarts`` counts
-    it; the other restarts run as one batch.  Labels the partition leaves out
+    it; the other restarts run as one batch (in slices of ``_BATCH_ROWS``).  Labels the partition leaves out
     join the purifier.  A state pure on the partition's labels (as
     ``is_pure`` judges it), of any size, gets its exact value, with no search
     and no size cap, described as ``{"trivial": True}``.

@@ -205,35 +205,27 @@ def _reordered(state: MultipartiteState, order) -> np.ndarray:
     return state.matrix[np.ix_(flat, flat)]
 
 
-def _marginal(state: MultipartiteState, keep) -> tuple[np.ndarray, tuple, tuple]:
-    """The matrix, labels and dims of the reduction to the non-empty label set
-    ``keep``, in the state's label order, with no validation of the reduced
-    matrix: a trusted input gives a density matrix.  The state's own matrix
-    when ``keep`` is every label."""
+def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
+    """Reduced state on ``keep`` labels, preserving their relative order."""
+    keep = set(keep)
+    if not keep:
+        raise QbcError("cannot keep an empty label set")
     for lab in keep:
         if lab not in state.labels:
             raise LabelNotFound(f"label {lab!r} not in {state.labels}")
     n = len(state.labels)
     keep_idx = [i for i, lab in enumerate(state.labels) if lab in keep]
     if len(keep_idx) == n:
-        return state.matrix, state.labels, state.dims
+        return state
     kd = tuple(state.dims[i] for i in keep_idx)
     m = math.prod(kd)
     r = state.dim // m
     red = _reordered(state, keep_idx + [i for i in range(n) if i not in keep_idx])
     red = np.einsum("ajbj->ab", red.reshape(m, r, m, r))
-    return (red + red.conj().T) / 2, tuple(state.labels[i] for i in keep_idx), kd
-
-
-def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
-    """Reduced state on ``keep`` labels, preserving their relative order."""
-    keep = set(keep)
-    if not keep:
-        raise QbcError("cannot keep an empty label set")
-    matrix, labels, dims = _marginal(state, keep)
-    if labels == state.labels:
-        return state
-    return MultipartiteState(matrix, labels, dims)
+    red = (red + red.conj().T) / 2
+    return MultipartiteState(
+        red, tuple(state.labels[i] for i in keep_idx), kd
+    )
 
 
 def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

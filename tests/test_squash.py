@@ -173,7 +173,7 @@ def test_exact_values_never_reach_the_density_engine(monkeypatch):
         raise AssertionError("an exact value went through a density matrix")
 
     monkeypatch.setattr(measures, "_entropy_sum", density_engine)
-    monkeypatch.setattr(measures, "_marginal", density_engine)
+    monkeypatch.setattr(measures, "partial_trace", density_engine)
     ghz = make_ghz(("A", "B", "C"), 2)
     p = part(("A",), ("B",), ("C",))
     assert abs(esq_exact_pure(ghz, p) - 1.5) < 1e-12
@@ -489,6 +489,26 @@ def test_identity_restart_needs_no_search(monkeypatch, restarts):
         assert abs(res.value_bits - trivial) < 1e-12
         assert res.converged
         assert res.extension_description["params"] is None
+
+
+def test_restarts_past_the_batch_cap_run_in_slices(monkeypatch):
+    # slices of restarts draw the same starts and give the same result as
+    # one batch, bit for bit
+    st = random_state(np.random.default_rng(8), ("A", "B", "C"), (2, 2, 2), rank=3)
+    p = part(("A",), ("B",), ("C",))
+    config = SquashConfig(restarts=8, seed=2)
+    whole = esq_upper_variational(st, p, Measure.E_SQ, config)
+    calls = []
+    real_minimize = squash.minimize
+
+    def counting(fun, x0, **kwargs):
+        calls.append(len(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(squash, "minimize", counting)
+    monkeypatch.setattr(squash, "_BATCH_ROWS", 3)
+    assert esq_upper_variational(st, p, Measure.E_SQ, config) == whole
+    assert calls == [3, 3, 1]
 
 
 def test_params_round_trip():
