@@ -71,8 +71,8 @@ MAX_SWEEP_STEPS = 10**6
 
 
 def _fmt(x):
-    """Render a value deterministically: 12 significant digits, "inf"
-    sentinel for divergent bounds, recursion into containers."""
+    """Render a value deterministically: 12 significant digits, "inf" for
+    divergent bounds, recursion into containers (json.dumps sorts keys)."""
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, float):
@@ -82,7 +82,7 @@ def _fmt(x):
             return "inf" if x > 0 else "-inf"
         return float(f"{x:.12g}")
     if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in sorted(x.items())}
+        return {k: _fmt(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_fmt(v) for v in x]
     return _fmt(float(x))
@@ -148,12 +148,7 @@ def _cmd_esq(args) -> int:
     state = state_from_json(_read_text(args.state))
     partition = parse_partition(args.partition)
     cfg = SquashConfig(restarts=args.restarts, seed=args.seed)
-    measures = {
-        "esq": [Measure.E_SQ],
-        "esq-tilde": [Measure.E_SQ_TILDE],
-        "both": [Measure.E_SQ, Measure.E_SQ_TILDE],
-        "min": [Measure.E_SQ, Measure.E_SQ_TILDE],
-    }[args.measure]
+    measures = list(Measure) if args.measure in ("both", "min") else [Measure(args.measure)]
     values = {}
     for m in measures:
         res = esq_upper_variational(state, partition, m, cfg)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
+from .measures import _pure_entropy_sums
 from .partitions import Partition, constraint_coefficients, nontrivial_partitions
 from .squash import DIM_CAP, Measure, SquashConfig, _measure_kernel, _squash_purified, minimize
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
@@ -67,6 +68,10 @@ class RateConstraint:
     # is at most its best value plus this, at most GAP_TOL when certified and
     # inf when the search is uncertified
     input_gap_bits: float = math.inf
+    # the coherent information max(H(X), H(Y)) - H(XY) across a bipartite cut
+    # X|Y at the reported input, an achievable rate that the bound is checked
+    # against; None on a cut of three or more blocks
+    achievable_bits: float | None = None
     metadata: dict = field(default_factory=dict)
 
     def weights(self) -> dict:
@@ -166,17 +171,37 @@ def _input_value_and_grad(channel: QuantumChannel, partitions, stinespring):
     return value_and_grad
 
 
+def _coherent_information(outputs, partitions, shape, labels) -> dict:
+    """Partition -> max(H(X), H(Y)) - H(XY) for each bipartite cut X|Y, on its
+    output vector ``outputs[i]``, amplitudes M[(r, out), env] of a pure state
+    of ``shape`` on ``labels`` and the environment; H(XY) is the
+    environment's entropy."""
+    cuts = [i for i, p in enumerate(partitions) if len(p.blocks) == 2]
+    if not cuts:
+        return {}
+    everything = frozenset(labels)
+    forms = [[{x: 1.0} for x in partitions[i].blocks] + [{everything: 1.0}] for i in cuts]
+    entropies = _pure_entropy_sums(shape, labels, forms)(
+        np.stack([outputs[i] for i in cuts]).reshape((len(cuts),) + shape), np.arange(len(cuts))
+    )[0]
+    achievable = np.maximum(entropies[:, 0], entropies[:, 1]) - entropies[:, 2]
+    return {partitions[i]: a for i, a in zip(cuts, achievable.tolist())}
+
+
 def evaluate_bounds(
     channel: QuantumChannel,
     partitions: list[Partition] | None = None,
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
-    """One RateConstraint per partition, maximizing over pure inputs.
+    """One RateConstraint per partition, in the order of ``partitions`` (a
+    repeated partition is refused), maximizing over pure inputs.
 
     Every partition's input search runs as one row of one ``minimize`` batch,
     and then every (partition, measure, restart) squash as one row of one
     batch per purifier dimension; each row's result is the one it would have
-    alone."""
+    alone.  A bipartite cut's bound is checked against the coherent
+    information at the reported input, an achievable rate that every valid
+    bound reaches; a bound below it raises ``QbcError``."""
     ground = (SENDER_LABEL,) + channel.output_labels
     if SENDER_LABEL in channel.output_labels:
         raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
@@ -220,17 +245,24 @@ def evaluate_bounds(
     # the output vector at each best input, M[(r, out), env]; its
     # purification over the support of omega = M M^dag feeds the squash
     phis = _input_amplitudes(res.x, d)[0]
-    problems, psis = [], []
+    problems, psis, outputs = [], [], []
     for phi, partition in zip(phis, partitions):
         m = np.tensordot(phi, iso, axes=(1, 2)).reshape(-1, shape[-1])
+        outputs.append(m)
         psis.append(_purification(m @ m.conj().T))
         measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
         problems += [(psis[-1], partition, measure) for measure in measures]
     squashed = _squash_purified(problems, shape[:-1], labels, squash_cfg)
     value = {(p, r.measure): r.value_bits for (_, p, _), r in zip(problems, squashed)}
+    achievable = _coherent_information(outputs, partitions, shape, labels)
     out = []
     for phi, psi, gap, partition in zip(phis, psis, gaps.tolist(), partitions):
         bound, measure_used = _partition_value(lambda m: value[partition, m], partition)
+        if partition in achievable and bound < achievable[partition] - 1e-9:
+            raise QbcError(
+                f"cut {partition}: bound {bound!r} bits lies below the achievable "
+                f"{achievable[partition]!r} bits"
+            )
         out.append(
             RateConstraint(
                 partition=partition,
@@ -239,6 +271,7 @@ def evaluate_bounds(
                 measure_used=measure_used,
                 # a search that ended uncertified has no gap
                 input_gap_bits=gap if gap <= GAP_TOL else math.inf,
+                achievable_bits=achievable.get(partition),
                 metadata={
                     "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
                     "seed": squash_cfg.seed,
@@ -257,36 +290,26 @@ def two_receiver_report(
     channel: QuantumChannel, squash_cfg: SquashConfig = FINAL_SQUASH
 ) -> dict[str, dict]:
     """The four named two-receiver inequalities with explicit coefficient
-    vectors over (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC)."""
+    vectors over (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC): a cut's
+    ``weights()`` at AB, AC, BC and ABC, once for E and once for K."""
     if len(channel.output_labels) != 2:
         raise SpecError("two_receiver_report needs exactly two receivers")
     b, c = channel.output_labels
-    subset_name = {
-        tuple(sorted((SENDER_LABEL, b))): "AB",
-        tuple(sorted((SENDER_LABEL, c))): "AC",
-        tuple(sorted((b, c))): "BC",
-        tuple(sorted((SENDER_LABEL, b, c))): "ABC",
-    }
     named = {
         "b_cut": Partition(((SENDER_LABEL, c), (b,))),
         "c_cut": Partition(((SENDER_LABEL, b), (c,))),
         "bc_cut": Partition(((SENDER_LABEL,), (b, c))),
         "tripartite": Partition(((SENDER_LABEL,), (b,), (c,))),
     }
-    constraints = evaluate_bounds(channel, list(named.values()), squash_cfg)
-    by_partition = {rc.partition: rc for rc in constraints}
+    # RATE_TUPLE's subsets, A the sender and B, C the receivers
+    label = dict(zip("ABC", (SENDER_LABEL, b, c)))
+    subsets = [tuple(sorted(label[x] for x in key[2:])) for key in RATE_TUPLE]
     report = {}
-    for name, partition in named.items():
-        rc = by_partition[partition]
-        vec = {f"E_{s}": 0.0 for s in ("AB", "AC", "BC", "ABC")}
-        vec.update({f"K_{s}": 0.0 for s in ("AB", "AC", "BC", "ABC")})
-        for m, w in rc.weights().items():
-            s = subset_name[m]
-            vec[f"E_{s}"] = w
-            vec[f"K_{s}"] = w
+    for name, rc in zip(named, evaluate_bounds(channel, list(named.values()), squash_cfg)):
+        weights = rc.weights()
         report[name] = {
             "partition": str(rc.partition),
-            "coefficients": tuple(vec[k] for k in RATE_TUPLE),
+            "coefficients": tuple(weights.get(m, 0.0) for m in subsets),
             "bound_bits": rc.bound_bits,
             "measure_used": rc.measure_used,
             "metadata": rc.metadata,

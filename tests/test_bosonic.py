@@ -347,3 +347,119 @@ def test_cut_bound_lies_above_plob_capacity(eta):
     # -log2(1 - eta): the reverse coherent information of a pure-loss
     # channel, an achievable rate and its capacity (PLOB)
     assert -math.log2(1 - eta) <= theorem3_report(eta, 0).bound_b_cut
+
+
+# ---------------------------------------------------------------------------
+# Gaussian oracle: the pure-loss broadcast channel as covariance matrices, in
+# shot-noise units (the vacuum's is the identity), quadratures ordered
+# (x_1, p_1, x_2, p_2, ...).  Modes: R, A of a two-mode squeezed vacuum, then
+# the vacua that A's beamsplitters and the squash's mix in.  Each entropy is
+# sum g((nu - 1) / 2) over the symplectic eigenvalues nu of a marginal
+# (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)); nothing below reads
+# the closed forms.
+
+R, B, C, E_SQ, F = 0, 1, 2, 3, 4  # E_SQ is E', F takes the rest of E
+
+
+def _thermal_entropy(n: np.ndarray) -> float:
+    # a vacuum mode's nu is 1 up to rounding, and g's slope diverges at 0;
+    # every populated mode on the grid below holds more than 1e-3 photons
+    n = n[n > 1e-10]
+    return float(np.sum((n + 1) * np.log2(n + 1) - n * np.log2(n)))
+
+
+def _beamsplitter(modes: int, i: int, j: int, t: float) -> np.ndarray:
+    """Symplectic matrix sending mode i to sqrt(t) i + sqrt(1 - t) j, and
+    mode j to the orthogonal combination."""
+    u = np.eye(modes)
+    u[[i, i, j, j], [i, j, i, j]] = math.sqrt(t), math.sqrt(1 - t), -math.sqrt(1 - t), math.sqrt(t)
+    return np.kron(u, np.eye(2))
+
+
+def _broadcast_covariance(eta_b, eta_c, ns, x) -> np.ndarray:
+    """R, B, C, E', F after A of a two-mode squeezed vacuum of mean photon
+    number ns goes to B (eta_b), C (eta_c) and E (the rest), and E through a
+    squash beamsplitter of transmissivity x into E' and F."""
+    nu = 2 * ns + 1
+    cov = np.eye(10)
+    cov[:4, :4] = np.block(
+        [[nu * np.eye(2), math.sqrt(nu * nu - 1) * np.diag([1.0, -1.0])],
+         [math.sqrt(nu * nu - 1) * np.diag([1.0, -1.0]), nu * np.eye(2)]]
+    )
+    # A (mode 1) keeps the B share; C and then E split off the remainder into
+    # modes 2 and 3, and the squash splits E between modes 3 and 4
+    s = _beamsplitter(5, B, C, eta_b)
+    s = _beamsplitter(5, C, E_SQ, eta_c / (1 - eta_b)) @ s
+    s = _beamsplitter(5, E_SQ, F, x) @ s
+    return s @ cov @ s.T
+
+
+def _entropy(cov: np.ndarray, modes) -> float:
+    idx = [2 * m + q for m in sorted(modes) for q in (0, 1)]
+    v = cov[np.ix_(idx, idx)]
+    omega = np.kron(np.eye(len(modes)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    w, u = np.linalg.eigh(v)
+    root = (u * np.sqrt(w)) @ u.T
+    # the eigenvalues of i V^1/2 Omega V^1/2 are +-nu
+    nu = np.linalg.eigvalsh(1j * root @ omega @ root)[len(modes):]
+    return _thermal_entropy((nu - 1) / 2)
+
+
+def _with_e(cov, e):
+    """H(groups... E) as a function of the groups."""
+    return lambda *groups: _entropy(cov, set(e).union(*groups))
+
+
+def _half_cmi(cov, blocks, e=(E_SQ,)) -> float:
+    """(1/2) [sum_i H(A_i E) - H(A_1 ... A_m E) - (m - 1) H(E)]."""
+    h = _with_e(cov, e)
+    return 0.5 * (sum(h(b) for b in blocks) - h(*blocks) - (len(blocks) - 1) * h())
+
+
+def _half_dual(cov, blocks, e=(E_SQ,)) -> float:
+    """(1/2) [sum_i H(A_[m]\\{i} E) - (m - 1) H(A_1 ... A_m E) - H(E)]."""
+    h = _with_e(cov, e)
+    rest = [[b for b in blocks if b is not a] for a in blocks]
+    return 0.5 * (sum(h(*r) for r in rest) - (len(blocks) - 1) * h(*blocks) - h())
+
+
+_GAUSSIAN_GRID = [
+    (eta_b, eta_c, ns)
+    for eta_b in (0.1, 0.3, 0.45)
+    for eta_c in (0.05, 0.2, 0.4)
+    for ns in (0.2, 1.0, 5.0)
+]
+
+
+def test_gaussian_oracle_vacuum_and_thermal_marginals():
+    cov = _broadcast_covariance(0.3, 0.2, 1.0, 0.5)
+    assert _entropy(cov, {R, B, C, E_SQ, F}) < 1e-12
+    assert _entropy(cov, {R}) == pytest.approx(g(1.0), abs=1e-12)
+    assert _entropy(cov, {B}) == pytest.approx(g(0.3), abs=1e-12)
+    assert _entropy(cov, {E_SQ}) == pytest.approx(g(0.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("eta_b, eta_c, ns", _GAUSSIAN_GRID)
+def test_finite_ns_bound_equals_gaussian_squash(eta_b, eta_c, ns):
+    spec = BosonicBroadcastSpec((eta_b, eta_c), ns)
+    for x in (0.2, 0.5, 0.8):
+        cov = _broadcast_covariance(eta_b, eta_c, ns, x)
+        blocks = ({R}, {B}, {C})
+        assert abs(finite_ns_bound(spec, x, "esq") - _half_cmi(cov, blocks)) < 1e-12, x
+        assert abs(finite_ns_bound(spec, x, "esq-tilde") - _half_dual(cov, blocks)) < 1e-12, x
+
+
+@pytest.mark.parametrize("eta_b, eta_c, ns", _GAUSSIAN_GRID)
+def test_finite_ns_cuts_against_the_beamsplitter_half_squash(eta_b, eta_c, ns):
+    finite = theorem3_report(eta_b, eta_c, ns).finite_ns
+    cov = _broadcast_covariance(eta_b, eta_c, ns, 0.5)
+    assert abs(finite["bc_cut"] - _half_cmi(cov, ({R}, {B, C}))) < 1e-12
+    cuts = {"b_cut": (B, C, eta_b, eta_c), "c_cut": (C, B, eta_c, eta_b)}
+    for name, (to, away, eta_to, eta_away) in cuts.items():
+        gaussian = _half_cmi(cov, ({R, away}, {to}))
+        # the reported cut value keeps N_s for the effective receiver, but
+        # only (1 - eta_away) N_s photons reach it past the sender's share:
+        # valid (g increases with N) and looser than the squash it names
+        assert finite[name] >= gaussian - 1e-12, name
+        effective = BosonicBroadcastSpec((eta_to / (1 - eta_away),), (1 - eta_away) * ns)
+        assert abs(gaussian - finite_ns_bound(effective, 0.5, "esq")) < 1e-12, name

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -574,6 +575,51 @@ def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
         hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
         assert hashing > 0.5  # not a vacuous check
         assert report[name]["bound_bits"] >= hashing, name
+
+
+@pytest.fixture
+def noisy_channel_path(tmp_path):
+    # the seed-0 reference noisy channel
+    channel = random_channel(np.random.default_rng(0), 2, ("B", "C"), (2, 2), env_dim=2)
+    path = tmp_path / "noisy.json"
+    path.write_text(channel_to_json(channel))
+    return str(path)
+
+
+def test_report_reads_the_constraints(capsys, noisy_channel_path):
+    code, out, _ = run(capsys, "bounds-finite", noisy_channel_path)
+    assert code == 0
+    report = json.loads(out)["report"]
+    cuts = ["R|B|C", "R|B,C", "R,B|C", "R,C|B"]
+    argv = [a for cut in cuts for a in ("--partition", cut)]
+    code, out, _ = run(capsys, "bounds-finite", noisy_channel_path, *argv)
+    assert code == 0
+    constraints = {c["partition"]: c for c in json.loads(out)["constraints"]}
+    assert list(constraints) == ["B|C|R", "B,C|R", "B,R|C", "B|C,R"]
+    assert sorted(r["partition"] for r in report.values()) == sorted(constraints)
+    # the rate tuple's subsets AB, AC, BC and ABC, A the sender R
+    subsets = ["B,R", "C,R", "B,C", "B,C,R"]
+    for name, r in report.items():
+        c = constraints[r["partition"]]
+        for key in ("bound_bits", "measure_used", "metadata"):
+            assert r[key] == c[key], (name, key)
+        half = [c["weights"].get(m, 0.0) for m in subsets]
+        assert r["coefficients"] == half + half, name
+
+
+def test_bound_below_the_coherent_information_exits_2(capsys, monkeypatch, noisy_channel_path):
+    real_squash = rates._squash_purified
+
+    def squash_to_zero(problems, dims, labels, config):
+        return [
+            dataclasses.replace(r, value_bits=0.0)
+            for r in real_squash(problems, dims, labels, config)
+        ]
+
+    monkeypatch.setattr(rates, "_squash_purified", squash_to_zero)
+    code, out, err = run(capsys, "bounds-finite", noisy_channel_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cut B|C,R: bound 0.0 bits lies below the achievable ")
 
 
 @pytest.mark.parametrize(

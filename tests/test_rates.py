@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qbcbound import (
     Measure,
     MultipartiteState,
     Partition,
+    QbcError,
     QuantumChannel,
     SpecError,
     SquashConfig,
@@ -503,10 +505,10 @@ def test_uncertified_search_beats_random_inputs(monkeypatch, name):
     assert uncertified > 0  # not a vacuous check
 
 
-@pytest.mark.parametrize(
-    "eta_b, eta_c",
-    [(0.3, 0.2), (0.5, 0.1), (0.2, 0.2), (0.45, 0.45), (0.7, 0.05), (0.1, 0.05)],
-)
+_SINGLE_RAIL_POINTS = [(0.3, 0.2), (0.5, 0.1), (0.2, 0.2), (0.45, 0.45), (0.7, 0.05), (0.1, 0.05)]
+
+
+@pytest.mark.parametrize("eta_b, eta_c", _SINGLE_RAIL_POINTS)
 def test_single_rail_loss_bounds_lie_between_hashing_and_closed_forms(eta_b, eta_c):
     # every qubit input has mean photon number at most 1, so each finite-engine
     # bound lies below the paper's beamsplitter-squash bound at N_s = 1, and
@@ -526,3 +528,72 @@ def test_single_rail_loss_bounds_lie_between_hashing_and_closed_forms(eta_b, eta
         hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
         assert hashing <= report[name]["bound_bits"] <= closed[name], name
     assert 0 <= report["tripartite"]["bound_bits"] <= closed["tripartite"]
+
+
+GUARD_CHANNELS = {
+    "seed0": lambda: random_channel(np.random.default_rng(0), 2, ("B", "C"), (2, 2), env_dim=2),
+    "seed1": lambda: random_channel(np.random.default_rng(1), 2, ("B", "C"), (2, 2), env_dim=2),
+    "copy": copy_channel,
+    **{
+        f"single-rail-{eta_b}-{eta_c}": (lambda b=eta_b, c=eta_c: single_rail_loss_channel(b, c))
+        for eta_b, eta_c in _SINGLE_RAIL_POINTS
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_CHANNELS))
+def test_bipartite_bounds_lie_above_the_coherent_information(name):
+    constraints = evaluate_bounds(GUARD_CHANNELS[name]())
+    guarded = [rc for rc in constraints if len(rc.partition.blocks) == 2]
+    assert len(guarded) == 3
+    for rc in guarded:
+        assert isinstance(rc.achievable_bits, float)
+        assert rc.bound_bits >= rc.achievable_bits - 1e-9, rc.partition
+    assert [rc.achievable_bits for rc in constraints if rc not in guarded] == [None]
+    # the guard is library state, not printed metadata
+    assert all("achievable_bits" not in rc.metadata for rc in constraints)
+
+
+def test_achievable_bits_is_the_coherent_information_at_the_reported_input(monkeypatch):
+    channel = GUARD_CHANNELS["seed0"]()
+    found = []
+    real_minimize = rates.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = real_minimize(fun, x0, **kwargs)
+        found.append(res.x)
+        return res
+
+    monkeypatch.setattr(rates, "minimize", recording)
+    constraints = evaluate_bounds(channel, squash_cfg=FAST_SQUASH)
+    (x,) = found
+    d = channel.input_dim
+    for phi, rc in zip(_input_amplitudes(x, d)[0], constraints):
+        if rc.achievable_bits is None:
+            continue
+        v = phi.reshape(-1)
+        omega = channel_output_state(
+            channel, MultipartiteState(np.outer(v, v.conj()), ("R", "A"), (d, d))
+        )
+        x_side, y_side = rc.partition.blocks
+        hashing = max(entropy(omega, x_side), entropy(omega, y_side)) - entropy(
+            omega, {"R", "B", "C"}
+        )
+        assert abs(rc.achievable_bits - hashing) < 1e-12, rc.partition
+
+
+def test_bound_below_the_coherent_information_raises(monkeypatch):
+    real_squash = rates._squash_purified
+
+    def squash_to_zero(problems, dims, labels, config):
+        return [
+            dataclasses.replace(r, value_bits=0.0)
+            for r in real_squash(problems, dims, labels, config)
+        ]
+
+    monkeypatch.setattr(rates, "_squash_purified", squash_to_zero)
+    with pytest.raises(QbcError, match=r"cut B\|C,R: bound 0\.0 bits lies below the achievable"):
+        evaluate_bounds(GUARD_CHANNELS["seed0"](), [part(("R", "C"), ("B",))])
+    # a cut of three blocks has no guard
+    (rc,) = evaluate_bounds(GUARD_CHANNELS["seed0"](), [part("R", "B", "C")])
+    assert rc.bound_bits == 0.0
