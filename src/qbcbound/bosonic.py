@@ -30,6 +30,23 @@ ulp on about one argument in a thousand, and a bisection step can turn on
 that bit.  Logarithms stay per element with ``math.log2``: ``np.log2`` runs
 NumPy's own SIMD kernel on AVX-512 hardware, which also differs in the last
 ulp on about two arguments in a thousand.
+
+The bisection keeps those bits while calling ``pow`` on few of its
+squares.  A step needs only the sign of the gap f = lhs - rhs at the
+midpoint, so it first computes f with ``_stationarity_gap``'s operations, in
+its order, but with ``u * u`` for ``_square(u)``.  That lhs is the exact
+gap's, and that rhs is within a few ulps of the exact gap's, so:
+  * where |f| > 64 eps (lhs + rhs), f has the exact gap's sign;
+  * where also |f| and the stored gap at the bracket's low end both exceed
+    2^-500, their product cannot underflow, and ``flo * fm <= 0`` decides
+    as it would on exact gaps.
+Every other active column (a NaN, a gap near 0 or a tiny one) takes its
+step from ``_stationarity_gap`` at both ends of its bracket, which is the
+step of a bisection over exact gaps.  So each midpoint, bracket and eta*
+keeps its bits.  On the benchmark's 10^4-point sweeps about 3 steps in 10^4
+take the exact path.  Over 3 * 10^6 random columns no such step had the
+fast sign wrong: the filter guarantees the bits rather than mending a case
+seen to break.
 """
 
 from __future__ import annotations
@@ -43,6 +60,11 @@ from .errors import DomainError, QbcError, RootError
 
 _BISECT_LO = 1e-9
 _BISECT_TOL = 1e-12
+# a bisection step trusts the sign of its gap f squared by ``u * u`` where
+# |f| > _CERTIFY_MARGIN * (lhs + rhs) and |f| and |f(lo)| exceed
+# _CERTIFY_FLOOR (see the module docstring)
+_CERTIFY_MARGIN = 64 * np.finfo(float).eps
+_CERTIFY_FLOOR = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -208,25 +230,72 @@ def _bisect_eta_star(etas: np.ndarray) -> np.ndarray:
 
     Each column keeps its own bracket and stops on its own width test, so it
     takes the same steps as a bisection of that column alone.  Every column
-    needs some eta_i > 0.
+    needs some eta_i > 0.  A step takes the sign of the gap computed with
+    ``u * u`` for ``_square(u)`` where that sign is certified, and the exact
+    gap's everywhere else (see the module docstring).
     """
     eta = _eta_total(etas)
-    lo = np.full(etas.shape[1], _BISECT_LO)
-    hi = np.full(etas.shape[1], 1.0 - _BISECT_LO)
+    n = etas.shape[1]
+    lo = np.full(n, _BISECT_LO)
+    hi = np.full(n, 1.0 - _BISECT_LO)
     # Python floats overflow to inf without a word; so do these
     with np.errstate(over="ignore"):
         flo = _stationarity_gap(etas, eta, lo)
         if np.any(flo * _stationarity_gap(etas, eta, hi) > 0):
             raise RootError("stationarity equation has no sign change in (0, 1)")
-        active = hi - lo > _BISECT_TOL
-        while active.any():
-            mid = 0.5 * (lo + hi)
-            fm = _stationarity_gap(etas, eta, mid)
-            left = flo * fm <= 0
-            hi = np.where(active & left, mid, hi)
-            lo = np.where(active & ~left, mid, lo)
-            flo = np.where(active & ~left, fm, flo)
-            active = hi - lo > _BISECT_TOL
+    dark = 1 - eta
+    mid, u, lhs, rhs, fm, bound, tmp = (np.empty(n) for _ in range(7))
+    terms = np.empty(etas.shape)
+    active, sure, left = (np.empty(n, dtype=bool) for _ in range(3))
+    # a receiver with eta_i = 0 divides by 0 and adds 1 / inf = 0 where the
+    # exact gap's mask adds 0
+    with np.errstate(over="ignore", divide="ignore"):
+        while True:
+            np.subtract(hi, lo, out=tmp)
+            np.greater(tmp, _BISECT_TOL, out=active)
+            if not active.any():
+                break
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            # _stationarity_gap's operations in its order, receivers stacked
+            np.multiply(mid, mid, out=lhs)
+            lhs *= dark
+            np.divide(lhs, etas, out=terms)
+            terms += mid
+            np.divide(1.0, terms, out=terms)
+            np.copyto(lhs, terms[0])
+            for t in terms[1:]:
+                lhs += t
+            np.subtract(1.0, mid, out=u)
+            np.multiply(u, u, out=rhs)
+            rhs *= dark
+            rhs /= eta
+            rhs += u
+            np.divide(1.0, rhs, out=rhs)
+            np.subtract(lhs, rhs, out=fm)
+            # certified: |f| > max(margin * (lhs + rhs), floor), |flo| > floor
+            np.add(lhs, rhs, out=bound)
+            bound *= _CERTIFY_MARGIN
+            np.maximum(bound, _CERTIFY_FLOOR, out=bound)
+            np.abs(fm, out=tmp)
+            np.greater(tmp, bound, out=sure)
+            np.abs(flo, out=tmp)
+            sure &= tmp > _CERTIFY_FLOOR
+            np.multiply(flo, fm, out=tmp)
+            np.less_equal(tmp, 0.0, out=left)
+            doubt = active & ~sure
+            if doubt.any():
+                # the step as exact gaps take it: the exact flo is the exact
+                # gap at lo, and fm is stored exact
+                k = np.flatnonzero(doubt)
+                cols, eta_k = etas[:, k], eta[k]
+                fm[k] = _stationarity_gap(cols, eta_k, mid[k])
+                left[k] = _stationarity_gap(cols, eta_k, lo[k]) * fm[k] <= 0
+            left &= active
+            hi = np.where(left, mid, hi)
+            left ^= active  # now the active columns whose lo moves
+            lo = np.where(left, mid, lo)
+            flo = np.where(left, fm, flo)
     return 0.5 * (lo + hi)
 
 
@@ -295,7 +364,9 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
     _check_etas(etas)
     eta_star = np.full(etas.shape[1], 0.5)
     live = _has_stationary_point(etas)
-    eta_star[live] = _bisect_eta_star(etas[:, live])
+    # not etas[:, live], which is Fortran-ordered: the bisection's buffers
+    # are C-ordered, and it reads each receiver's row whole
+    eta_star[live] = _bisect_eta_star(np.compress(live, etas, axis=1))
     return _theorem3_columns(etas, eta_star)
 
 

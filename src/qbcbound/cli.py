@@ -62,7 +62,6 @@ SWEEP_COLUMNS = (
     "tripartite_bound_as_printed",
     "eta_star",
 )
-_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
 # CSV rows are converted to Python floats and text this many at a time, so a
 # whole sweep never exists in both forms at once
 _CSV_CHUNK_ROWS = 1024
@@ -108,9 +107,18 @@ def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | No
         return
     if np.isnan(table).any():
         raise QbcError("NaN is never emitted")
-    # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent bound
+    # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent
+    # bound.  A column whose bits never change (a sweep's eta_c) is printed
+    # once, into the row template; the first column is always filled in per
+    # row, so that every row has a value to format
+    bits = table.view(np.int64)
+    fixed = (bits == bits[0]).all(axis=0)
+    fixed[0] = False
+    row = ",".join(["%.12g" % v if f else "%.12g" for v, f in zip(table[0].tolist(), fixed)])
+    row += "\n"
+    live = table[:, ~fixed]
     chunks = (
-        "".join([_CSV_ROW % tuple(r) for r in table[k : k + _CSV_CHUNK_ROWS].tolist()])
+        "".join([row % r for r in zip(*live[k : k + _CSV_CHUNK_ROWS].T.tolist())])
         for k in range(0, len(table), _CSV_CHUNK_ROWS)
     )
     _emit(itertools.chain([",".join(SWEEP_COLUMNS) + "\n"], chunks), output)

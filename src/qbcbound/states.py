@@ -76,7 +76,8 @@ class MultipartiteState:
             )
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise QbcError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise QbcError("matrix trace differs from 1 beyond tolerance")
         ev = np.linalg.eigvalsh(m)
         if ev[0] < -EIG_TOL:

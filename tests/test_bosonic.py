@@ -145,6 +145,83 @@ def test_square_and_log2_are_the_c_library_functions():
     assert np.array_equal(bosonic._log2(a), [math.log2(x) for x in a.tolist()])
 
 
+# ---------------------------------------------------------------------------
+# certified bisection steps: a step takes the sign of the gap squared by
+# u * u only where that sign is certified, and the exact gap elsewhere;
+# |lhs - rhs| <= lhs + rhs, so with a margin of 1 every step takes the exact
+# gap, and eta* must not move
+
+
+def _grid(eta_b, eta_c):
+    return np.array(np.broadcast_arrays(eta_b, eta_c), dtype=float)
+
+
+def _receiver_columns(rng, receivers, n):
+    """Columns uniform on the simplex of receivers plus environment."""
+    return np.ascontiguousarray(rng.dirichlet(np.ones(receivers + 1), n).T[:receivers])
+
+
+def _certified_grids():
+    rng = np.random.default_rng(23)
+    k = np.arange(1, 10**4 + 1) / 10**4
+    grids = {f"reference_{m}_{c}": _grid(m * k, c) for m, c in [(0.8, 0.1), (0.5, 0.3), (0.99, 0.0)]}
+    grids["simplex"] = _receiver_columns(rng, 2, 2 * 10**4)
+    # log-uniform eta_b down into the subnormal range, eta_c up to the rest
+    eta_b = 10.0 ** rng.uniform(-320, 0, 10**4)
+    grids["log_uniform"] = _grid(eta_b, (1 - eta_b) * 10.0 ** rng.uniform(-320, 0, 10**4))
+    grids["three_receivers"] = _receiver_columns(rng, 3, 5000)
+    grids["four_receivers"] = _receiver_columns(rng, 4, 5000)
+    grids["four_receivers_some_dark"] = grids["four_receivers"] * (rng.random((4, 5000)) < 0.5)
+    grids["empty"] = np.zeros((2, 0))
+    return grids
+
+
+@pytest.mark.parametrize(
+    "etas", [pytest.param(etas, id=name) for name, etas in _certified_grids().items()]
+)
+def test_certified_steps_keep_the_exact_gap_bits(monkeypatch, etas):
+    etas = np.compress(bosonic._has_stationary_point(etas), etas, axis=1)
+    fast = bosonic._bisect_eta_star(etas)
+    monkeypatch.setattr(bosonic, "_CERTIFY_MARGIN", 1.0)
+    exact = bosonic._bisect_eta_star(etas)
+    assert fast.shape == (etas.shape[1],)
+    assert fast.tobytes() == exact.tobytes()
+
+
+def _exact_gap_columns(monkeypatch, etas):
+    """Columns the exact gap evaluates in one bisection of etas."""
+    count = [0]
+    gap = bosonic._stationarity_gap
+
+    def counted(etas, eta, x):
+        count[0] += x.size
+        return gap(etas, eta, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(bosonic, "_stationarity_gap", counted)
+        bosonic._bisect_eta_star(etas)
+    return count[0]
+
+
+def test_certified_steps_leave_few_gaps_to_the_exact_path(monkeypatch):
+    # the first bosonic_sweep benchmark input at seed 0; each step of a
+    # column it cannot certify costs two exact gaps, and every column costs
+    # two before the first step
+    etas = _grid(0.8818480843660728 * np.arange(1, 10**4 + 1) / 10**4, 0.036187202825832224)
+    before = 2 * etas.shape[1]
+    doubtful = (_exact_gap_columns(monkeypatch, etas) - before) // 2
+    monkeypatch.setattr(bosonic, "_CERTIFY_MARGIN", 1.0)
+    steps = (_exact_gap_columns(monkeypatch, etas) - before) // 2
+    assert steps > 30 * etas.shape[1]
+    assert doubtful < 0.01 * steps
+
+
+def test_empty_sweep_grid_ends():
+    cols = theorem3_columns(np.zeros(3), 0.0)
+    assert cols["eta_star"].tolist() == [0.5] * 3
+    assert theorem3_columns([], [])["eta_star"].shape == (0,)
+
+
 def test_three_receiver_eta_star_value():
     assert optimal_eta_star(BosonicBroadcastSpec((0.2, 0.3, 0.1))) == 0.6171831012023283
 

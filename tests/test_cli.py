@@ -13,6 +13,7 @@ import pytest
 import qbcbound
 from qbcbound import (
     PrivateStateSpec,
+    QbcError,
     QuantumChannel,
     channel_output_state,
     entropy,
@@ -199,6 +200,76 @@ def test_sweep_steps_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--eta-b", "0.5", "--sweep-steps", str(MAX_SWEEP_STEPS + 1))
     assert (code, out) == (2, "")
     assert str(MAX_SWEEP_STEPS) in err
+
+
+# _emit_rows prints a column whose bits never change once, into the row
+# template: the CSV must still be the per-row "%.12g" rendering
+
+
+def _csv_reference(table):
+    rows = [",".join(cli.SWEEP_COLUMNS)] + [",".join("%.12g" % v for v in r) for r in table.tolist()]
+    return "\n".join(rows) + "\n"
+
+
+def _emit_tables():
+    table = np.random.default_rng(4).uniform(-1, 1, (1500, len(cli.SWEEP_COLUMNS)))
+    zero_with_one_negative = table.copy()
+    zero_with_one_negative[:, 3] = 0.0
+    zero_with_one_negative[1100, 3] = -0.0
+    constant = table.copy()
+    constant[:, 0] = 0.25
+    constant[:, 4] = -0.0
+    constant[:, 5] = math.inf
+    every_column_constant = np.tile(constant[:1], (3, 1))
+    return {
+        "zero_with_one_negative": zero_with_one_negative,
+        "constant_first_inf_negative_zero": constant,
+        "every_column_constant": every_column_constant,
+        "one_row": table[:1],
+    }
+
+
+@pytest.mark.parametrize(
+    "table", [pytest.param(t, id=name) for name, t in _emit_tables().items()]
+)
+def test_emit_rows_matches_per_row_format(capsys, table):
+    cli._emit_rows(table, "csv", None)
+    assert capsys.readouterr().out == _csv_reference(table)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bounds-bosonic --eta-b 0.25 --eta-c 0.1",
+        "bounds-bosonic --eta-b 0 --eta-c -0.0",
+        "sweep --eta-b 0.3 --eta-c 0.2 --sweep-steps 1",
+        "sweep --eta-b 0 --eta-c 0 --sweep-steps 5",
+        "sweep --eta-b 0.5 --eta-c -0.0 --sweep-steps 3",
+    ],
+)
+def test_cli_tables_match_per_row_format(capsys, monkeypatch, argv):
+    tables = []
+    emit_rows = cli._emit_rows
+
+    def recorded(table, *args):
+        tables.append(table)
+        return emit_rows(table, *args)
+
+    monkeypatch.setattr(cli, "_emit_rows", recorded)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out == _csv_reference(tables[0])
+
+
+def test_emit_rows_nan_raises_before_writing(capsys, tmp_path):
+    table = np.zeros((2000, len(cli.SWEEP_COLUMNS)))
+    table[1500, 6] = math.nan
+    path = tmp_path / "rows.csv"
+    for output in (None, str(path)):
+        with pytest.raises(QbcError, match="NaN"):
+            cli._emit_rows(table, "csv", output)
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
 
 
 def test_esq_ghz_both_measures(capsys, ghz_path):
