@@ -22,31 +22,10 @@ bisection would.  The scalar entry points (``optimal_eta_star``,
 same code, and a one-column call returns the same bits as a plain loop
 over Python floats (the tests keep such a loop as the reference).
 
-Squares go through ``np.float_power``, whose float64 loop calls the C
-library's ``pow`` once per element, in C: the function Python's ``x ** 2``
-and ``math.pow`` reach.  ``np.power`` (which squares by ``a * a`` when the
-exponent is 2), ``np.square`` and ``a * a`` differ from ``pow`` in the last
-ulp on about one argument in a thousand, and a bisection step can turn on
-that bit.  Logarithms stay per element with ``math.log2``: ``np.log2`` runs
-NumPy's own SIMD kernel on AVX-512 hardware, which also differs in the last
-ulp on about two arguments in a thousand.
-
-The bisection keeps those bits while calling ``pow`` on few of its
-squares.  A step needs only the sign of the gap f = lhs - rhs at the
-midpoint, so it first computes f with ``_stationarity_gap``'s operations, in
-its order, but with ``u * u`` for ``_square(u)``.  That lhs is the exact
-gap's, and that rhs is within a few ulps of the exact gap's, so:
-  * where |f| > 64 eps (lhs + rhs), f has the exact gap's sign;
-  * where also |f| and the stored gap at the bracket's low end both exceed
-    2^-500, their product cannot underflow, and ``flo * fm <= 0`` decides
-    as it would on exact gaps.
-Every other active column (a NaN, a gap near 0 or a tiny one) takes its
-step from ``_stationarity_gap`` at both ends of its bracket, which is the
-step of a bisection over exact gaps.  So each midpoint, bracket and eta*
-keeps its bits.  On the benchmark's 10^4-point sweeps about 3 steps in 10^4
-take the exact path.  Over 3 * 10^6 random columns no such step had the
-fast sign wrong: the filter guarantees the bits rather than mending a case
-seen to break.
+Squares are products (``x * x``), which IEEE 754 rounds the same way on
+every platform.  Logarithms stay per element through ``math.log2``: NumPy's
+``np.log2`` runs its own SIMD kernel on AVX-512 hardware, which differs
+from the C library's in the last ulp on about two arguments in a thousand.
 """
 
 from __future__ import annotations
@@ -60,11 +39,6 @@ from .errors import DomainError, QbcError, RootError
 
 _BISECT_LO = 1e-9
 _BISECT_TOL = 1e-12
-# a bisection step trusts the sign of its gap f squared by ``u * u`` where
-# |f| > _CERTIFY_MARGIN * (lhs + rhs) and |f| and |f(lo)| exceed
-# _CERTIFY_FLOOR (see the module docstring)
-_CERTIFY_MARGIN = 64 * np.finfo(float).eps
-_CERTIFY_FLOOR = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -140,13 +114,6 @@ def _log2(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, a.tolist()), float, a.size)
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    # the C library's pow per element, as Python's ``a ** 2`` takes it;
-    # np.power, np.square and a * a all square by multiplying, which differs
-    # from pow in the last ulp on about one argument in a thousand
-    return np.float_power(a, 2.0)
-
-
 def g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number x."""
     # written so that NaN, for which every comparison is false, fails it
@@ -219,10 +186,12 @@ def _stationarity_gap(etas: np.ndarray, eta: np.ndarray, x: np.ndarray) -> np.nd
     """Derivative condition of the direct-measure bound, per column at x; a
     receiver with eta_i = 0 adds nothing."""
     lhs = np.zeros(x.shape)
+    num = x * x * (1 - eta)  # shared by every receiver's term
     for ei in etas:
         on = ei > 0
-        lhs += np.where(on, 1.0 / (x * x * (1 - eta) / np.where(on, ei, 1.0) + x), 0.0)
-    return lhs - 1.0 / (_square(1 - x) * (1 - eta) / eta + (1 - x))
+        lhs += np.where(on, 1.0 / (num / np.where(on, ei, 1.0) + x), 0.0)
+    u = 1 - x
+    return lhs - 1.0 / (u * u * (1 - eta) / eta + u)
 
 
 def _bisect_eta_star(etas: np.ndarray) -> np.ndarray:
@@ -230,72 +199,28 @@ def _bisect_eta_star(etas: np.ndarray) -> np.ndarray:
 
     Each column keeps its own bracket and stops on its own width test, so it
     takes the same steps as a bisection of that column alone.  Every column
-    needs some eta_i > 0.  A step takes the sign of the gap computed with
-    ``u * u`` for ``_square(u)`` where that sign is certified, and the exact
-    gap's everywhere else (see the module docstring).
+    needs some eta_i > 0.  Each step evaluates ``_stationarity_gap``, whose
+    squares are products, so each midpoint, bracket and eta* has the bits of
+    the same bisection over Python floats with ``x * x``.
     """
     eta = _eta_total(etas)
-    n = etas.shape[1]
-    lo = np.full(n, _BISECT_LO)
-    hi = np.full(n, 1.0 - _BISECT_LO)
+    lo = np.full(etas.shape[1], _BISECT_LO)
+    hi = np.full(etas.shape[1], 1.0 - _BISECT_LO)
     # Python floats overflow to inf without a word; so do these
     with np.errstate(over="ignore"):
         flo = _stationarity_gap(etas, eta, lo)
         if np.any(flo * _stationarity_gap(etas, eta, hi) > 0):
             raise RootError("stationarity equation has no sign change in (0, 1)")
-    dark = 1 - eta
-    mid, u, lhs, rhs, fm, bound, tmp = (np.empty(n) for _ in range(7))
-    terms = np.empty(etas.shape)
-    active, sure, left = (np.empty(n, dtype=bool) for _ in range(3))
-    # a receiver with eta_i = 0 divides by 0 and adds 1 / inf = 0 where the
-    # exact gap's mask adds 0
-    with np.errstate(over="ignore", divide="ignore"):
-        while True:
-            np.subtract(hi, lo, out=tmp)
-            np.greater(tmp, _BISECT_TOL, out=active)
-            if not active.any():
-                break
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            # _stationarity_gap's operations in its order, receivers stacked
-            np.multiply(mid, mid, out=lhs)
-            lhs *= dark
-            np.divide(lhs, etas, out=terms)
-            terms += mid
-            np.divide(1.0, terms, out=terms)
-            np.copyto(lhs, terms[0])
-            for t in terms[1:]:
-                lhs += t
-            np.subtract(1.0, mid, out=u)
-            np.multiply(u, u, out=rhs)
-            rhs *= dark
-            rhs /= eta
-            rhs += u
-            np.divide(1.0, rhs, out=rhs)
-            np.subtract(lhs, rhs, out=fm)
-            # certified: |f| > max(margin * (lhs + rhs), floor), |flo| > floor
-            np.add(lhs, rhs, out=bound)
-            bound *= _CERTIFY_MARGIN
-            np.maximum(bound, _CERTIFY_FLOOR, out=bound)
-            np.abs(fm, out=tmp)
-            np.greater(tmp, bound, out=sure)
-            np.abs(flo, out=tmp)
-            sure &= tmp > _CERTIFY_FLOOR
-            np.multiply(flo, fm, out=tmp)
-            np.less_equal(tmp, 0.0, out=left)
-            doubt = active & ~sure
-            if doubt.any():
-                # the step as exact gaps take it: the exact flo is the exact
-                # gap at lo, and fm is stored exact
-                k = np.flatnonzero(doubt)
-                cols, eta_k = etas[:, k], eta[k]
-                fm[k] = _stationarity_gap(cols, eta_k, mid[k])
-                left[k] = _stationarity_gap(cols, eta_k, lo[k]) * fm[k] <= 0
-            left &= active
+        active = hi - lo > _BISECT_TOL
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            fm = _stationarity_gap(etas, eta, mid)
+            left = active & (flo * fm <= 0)
             hi = np.where(left, mid, hi)
             left ^= active  # now the active columns whose lo moves
             lo = np.where(left, mid, lo)
             flo = np.where(left, fm, flo)
+            active = hi - lo > _BISECT_TOL
     return 0.5 * (lo + hi)
 
 
@@ -364,8 +289,8 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
     _check_etas(etas)
     eta_star = np.full(etas.shape[1], 0.5)
     live = _has_stationary_point(etas)
-    # not etas[:, live], which is Fortran-ordered: the bisection's buffers
-    # are C-ordered, and it reads each receiver's row whole
+    # not etas[:, live], which is Fortran-ordered: each receiver row the gap
+    # reads would be a stride-2 view
     eta_star[live] = _bisect_eta_star(np.compress(live, etas, axis=1))
     return _theorem3_columns(etas, eta_star)
 

@@ -564,10 +564,11 @@ def esq_upper_variational(
     Kraus matrix K, maps the d_e-dimensional purifier into a space of its own
     dimension and a traced-out qubit ancilla.  Restart 0 is the identity
     squashing point, scored without a search, and ``config.restarts`` counts
-    it; the other restarts run as one batch (in slices of ``_BATCH_ROWS``).  Labels the partition leaves out
-    join the purifier.  A state pure on the partition's labels (as
-    ``is_pure`` judges it), of any size, gets its exact value, with no search
-    and no size cap, described as ``{"trivial": True}``.
+    it; the other restarts run as one batch (in slices of ``_BATCH_ROWS``).
+    Labels the partition leaves out join the purifier.  A state pure on the
+    partition's labels (as ``is_pure`` judges it), of any size, gets its
+    exact value, with no search and no size cap, described as
+    ``{"trivial": True}``.
 
     Otherwise ``extension_description["params"]`` is the best search point,
     None if none beat identity squashing: the 4 d_e^2 floats of the real and
