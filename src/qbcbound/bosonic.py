@@ -121,7 +121,11 @@ def g(x: float) -> float:
         raise DomainError("mean photon number must be finite and nonnegative")
     if x == 0:
         return 0.0
-    return (x + 1) * math.log2(x + 1) - x * math.log2(x)
+    # (x + 1) log(x + 1) - x log x, without subtracting two terms near x log x;
+    # below about 5.6e-309, 1 / x overflows and log1p(1 / x) is -log(x)
+    inv = 1 / x
+    tail = math.log1p(inv) if inv < math.inf else -math.log(x)
+    return (math.log1p(x) + x * tail) / math.log(2)
 
 
 def _pairings(x, measure: str):
@@ -247,14 +251,6 @@ def _bipartite_cut_bound(eta_to: np.ndarray, eta_away: np.ndarray) -> np.ndarray
     return out
 
 
-def effective_single_receiver(eta_to: float, eta_away: float) -> BosonicBroadcastSpec:
-    """Single-receiver spec equivalent to a bipartite cut in which the
-    eta_away fraction is held by the trusted sender side."""
-    if eta_away >= 1.0:
-        raise DomainError("trusted fraction must be below 1")
-    return BosonicBroadcastSpec((eta_to / (1.0 - eta_away),))
-
-
 def _has_stationary_point(etas: np.ndarray) -> np.ndarray:
     """Columns whose tripartite bound is minimised at a root of the
     stationarity gap: light reaches some receiver and the total is below 1.
@@ -305,6 +301,13 @@ def theorem3_report(
     ``tripartite_bound_as_printed`` pairs the same stationary point with the
     mirrored arrangement, which is a larger but still valid bound.  Both are
     reported.
+
+    ``finite_ns`` holds the values at mean photon number ``mean_photon``
+    when one is given and eta_b + eta_c < 1, and is None otherwise.  Each cut
+    is the beamsplitter-1/2 squash at the photon number that reaches it,
+    g((1 + eta_to - eta_away) N_s / 2) - g((1 - eta_to - eta_away) N_s / 2)
+    (Takeoka, Guha and Wilde, Nat. Commun. 5, 5235 (2014)); ``"tripartite"``
+    is ``finite_ns_bound`` at eta*.
     """
     spec = BosonicBroadcastSpec((eta_b, eta_c), mean_photon)
     etas = _column(spec)
@@ -313,22 +316,16 @@ def theorem3_report(
     bounds = {k: float(v[0]) for k, v in _theorem3_columns(etas, np.array([eta_star])).items()}
     finite = None
     if mean_photon is not None and eta < 1.0:
-        def cut_ns(eta_to, eta_away):
-            if eta_to == 0:
-                return 0.0
-            eff = BosonicBroadcastSpec(
-                effective_single_receiver(eta_to, eta_away).etas, mean_photon
+        def cut(eta_to, eta_away):
+            # the finite-N_s counterpart of _bipartite_cut_bound
+            return g(0.5 * (1 + eta_to - eta_away) * mean_photon) - g(
+                0.5 * (1 - eta_to - eta_away) * mean_photon
             )
-            return finite_ns_bound(eff, 0.5, "esq")
 
         finite = {
-            "b_cut": cut_ns(eta_b, eta_c),
-            "c_cut": cut_ns(eta_c, eta_b),
-            "bc_cut": cut_ns(eta_b + eta_c, 0.0),
-            "tripartite": (
-                0.0
-                if eta == 0
-                else finite_ns_bound(spec, eta_star, "esq")
-            ),
+            "b_cut": cut(eta_b, eta_c),
+            "c_cut": cut(eta_c, eta_b),
+            "bc_cut": cut(eta_b + eta_c, 0.0),
+            "tripartite": finite_ns_bound(spec, eta_star, "esq"),
         }
     return BosonicBoundReport(**bounds, finite_ns=finite)

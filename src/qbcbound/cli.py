@@ -14,9 +14,9 @@ significant digits, divergent bounds as the string "inf", and JSON keys are
 sorted.  Exit code 2 signals a validation failure, with the violated
 invariant named on stderr.
 
-In-process ``main`` calls share one parser, built on first use: parsing
-returns a fresh namespace and never changes the parser, so nothing carries
-over from one call to the next.
+In-process ``main`` calls share one parser, built on first use by the
+current ``build_parser``: parsing returns a fresh namespace and never
+changes the parser, so nothing carries over from one call to the next.
 """
 
 from __future__ import annotations
@@ -379,14 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # a parser takes longer to build than a small command takes to run
-    return build_parser()
+@functools.lru_cache(maxsize=1)
+def _parser(builder) -> argparse.ArgumentParser:
+    # a parser takes longer to build than a small command takes to run; keyed
+    # by the builder, so a rebound ``build_parser`` builds and keeps its own
+    return builder()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser(build_parser).parse_args(argv)
     try:
         return args.fn(args)
     # UnicodeDecodeError: an input file that is not UTF-8 text

@@ -454,6 +454,13 @@ def _dims(values) -> tuple[int, ...]:
 def _labels(values) -> tuple[str, ...]:
     if type(values) is not list or not all(type(v) is str for v in values):
         raise TypeError(f"expected an array of strings, got {values!r}")
+    for v in values:
+        # what a partition string such as "R|B,C" can name
+        if not v or "," in v or "|" in v or v != v.strip():
+            raise ValueError(
+                f"label {v!r} cannot appear in a partition string: it is empty, "
+                "holds ',' or '|', or has leading or trailing whitespace"
+            )
     return tuple(values)
 
 

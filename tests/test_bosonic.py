@@ -1,5 +1,6 @@
 import math
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from qbcbound import (
     theorem3_report,
 )
 from qbcbound import bosonic
-from qbcbound.bosonic import effective_single_receiver
 
 # ---------------------------------------------------------------------------
 # scalar reference: the closed forms and the bisection as plain loops over
@@ -217,14 +217,36 @@ def test_theorem3_columns_validate_first_bad_pair():
 
 
 
+def _ref_g(x: float) -> Decimal:
+    """(x + 1) log2(x + 1) - x log2(x) in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x)
+        return ((d + 1) * (d + 1).ln() - d * d.ln()) / Decimal(2).ln()
+
+
 def test_g_values():
     assert g(0) == 0.0
     assert abs(g(1) - 2.0) < 1e-12
     # large-x difference tends to log2 of the photon-number ratio
-    assert abs((g(1e6) - g(5e5)) - 1.0) < 1e-4
+    assert abs((g(1e6) - g(5e5)) - float(_ref_g(1e6) - _ref_g(5e5))) < 1e-13
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="finite and nonnegative"):
             g(bad)
+
+
+@pytest.mark.parametrize("k", range(-3, 9))
+def test_g_matches_decimal_reference(k):
+    # the two terms of the textbook form both grow like x log2 x, so their
+    # difference cancels digits at large x
+    x = 10.0**k
+    assert abs(g(x) - float(_ref_g(x))) < 1e-13
+
+
+def test_g_below_the_reciprocal_overflow():
+    # 1 / x is inf here; g stays the tiny positive value x (1 - ln x) / ln 2
+    for x in (5e-324, 1e-310):
+        assert 0 < g(x) == pytest.approx(x * (1 - math.log(x)) / math.log(2), rel=1e-3)
 
 
 def test_g_strictly_increasing():
@@ -383,9 +405,9 @@ def test_tripartite_below_feasible_point():
 def test_cut_equals_effective_single_receiver():
     for eta_b, eta_c in ((0.25, 0.25), (0.3, 0.1), (0.12, 0.4)):
         rep = theorem3_report(eta_b, eta_c)
-        eff = effective_single_receiver(eta_b, eta_c)
+        eff = BosonicBroadcastSpec((eta_b / (1 - eta_c),))
         assert abs(rep.bound_b_cut - asymptotic_bound(eff, 0.5)) < 1e-12
-        eff_bc = effective_single_receiver(eta_b + eta_c, 0.0)
+        eff_bc = BosonicBroadcastSpec((eta_b + eta_c,))
         assert abs(rep.bound_bc_cut - asymptotic_bound(eff_bc, 0.5)) < 1e-12
 
 
@@ -508,13 +530,8 @@ def test_finite_ns_bound_equals_gaussian_squash(eta_b, eta_c, ns):
 def test_finite_ns_cuts_against_the_beamsplitter_half_squash(eta_b, eta_c, ns):
     finite = theorem3_report(eta_b, eta_c, ns).finite_ns
     cov = _broadcast_covariance(eta_b, eta_c, ns, 0.5)
-    assert abs(finite["bc_cut"] - _half_cmi(cov, ({R}, {B, C}))) < 1e-12
-    cuts = {"b_cut": (B, C, eta_b, eta_c), "c_cut": (C, B, eta_c, eta_b)}
-    for name, (to, away, eta_to, eta_away) in cuts.items():
-        gaussian = _half_cmi(cov, ({R, away}, {to}))
-        # the reported cut value keeps N_s for the effective receiver, but
-        # only (1 - eta_away) N_s photons reach it past the sender's share:
-        # valid (g increases with N) and looser than the squash it names
-        assert finite[name] >= gaussian - 1e-12, name
-        effective = BosonicBroadcastSpec((eta_to / (1 - eta_away),), (1 - eta_away) * ns)
-        assert abs(gaussian - finite_ns_bound(effective, 0.5, "esq")) < 1e-12, name
+    # each cut's far side holds the receivers across it; the sender's side
+    # holds R and the rest
+    cuts = {"b_cut": ({R, C}, {B}), "c_cut": ({R, B}, {C}), "bc_cut": ({R}, {B, C})}
+    for name, blocks in cuts.items():
+        assert abs(finite[name] - _half_cmi(cov, blocks)) < 1e-12, name

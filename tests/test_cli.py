@@ -164,7 +164,7 @@ _GOLDEN = [
     pytest.param(
         "bounds-bosonic --eta-b 0.25 --eta-c 0.1 --ns 5",
         "65614ecc86a71d6710ae164ccd94fe11568c039eafdf29002c37d9d46da88282",
-        "740d0b24fbe53f1a73f8d1ba10e53b357ac4fc78220ba711ada2c0d63d3bea22",
+        "dca927829e03f62e8431c3e8a0f6ec5f525cb72077ee8193635a0c685f7962fc",
         id="bounds_bosonic_ns5",
     ),
 ]
@@ -458,6 +458,11 @@ _COPY = {
         ("qinfo", json.dumps({**_MIXED_PAIR, "labels": [1, 2]}), "'labels'"),
         ("bounds-finite", json.dumps({**_COPY, "input_dim": 2.9}), "'input_dim'"),
         ("bounds-finite", json.dumps({**_COPY, "output_labels": "BC"}), "'output_labels'"),
+        ("bounds-finite", json.dumps({**_COPY, "output_labels": ["B,C", "D"]}), "'B,C'"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "labels": ["A|x", "B,y"]}), "'A|x'"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "labels": ["", "B"]}), "label ''"),
+        ("qinfo", json.dumps({**_MIXED_PAIR, "labels": ["A ", "B"]}), "'A '"),
+        ("bounds-finite", json.dumps({**_COPY, "output_labels": ["B", "\tC"]}), "'\\tC'"),
     ],
     ids=[
         "not-json",
@@ -470,6 +475,11 @@ _COPY = {
         "integer-labels",
         "float-input-dim",
         "string-output-labels",
+        "comma-output-label",
+        "bar-and-comma-labels",
+        "empty-label",
+        "trailing-space-label",
+        "leading-tab-output-label",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):
@@ -759,6 +769,23 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
     # the public builder itself is not memoised
     assert build_parser() is not build_parser()
+
+
+def test_rebound_builder_builds_its_own_parser(capsys, monkeypatch):
+    # a parser cached before build_parser is rebound (as a tracer rebinds it)
+    # is not the rebound builder's: the next call builds with the new one
+    assert run(capsys, "bounds-bosonic", "--eta-b", "0.25")[0] == 0
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(2):
+        assert run(capsys, "bounds-bosonic", "--eta-b", "0.25")[0] == 0
+    assert len(built) == 1
 
 
 def _exit_code(argv):

@@ -588,6 +588,53 @@ def test_minimize_reaches_the_minimum_of_separable_rows():
     assert res.nfev >= res.nit > 0
 
 
+def _random_descent_function(rng):
+    """A smooth 1-D function with a negative slope at 0 and bounded below:
+    a linear descent, a quadratic of either sign, a ripple and a quartic
+    wall, each scaled over decades."""
+    slope = -(10.0 ** rng.uniform(-3, 2))
+    quad = rng.uniform(-1, 1) * 10.0 ** rng.uniform(-2, 2)
+    amp, freq = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-1, 1.5)
+    wall = 10.0 ** rng.uniform(-3, 2)
+
+    def phi(a):
+        return slope * a + quad * a * a + amp * (1 - np.cos(freq * a)) + wall * a**4
+
+    def derphi(a):
+        return slope + 2 * quad * a + amp * freq * np.sin(freq * a) + 4 * wall * a**3
+
+    return phi, derphi
+
+
+def test_line_search_takes_the_trial_steps_of_scipys_dcsrch():
+    # the Moré-Thuente search is MINPACK-2's dcsrch; scipy ships a port of
+    # it, which must propose the same trial steps in the same order
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    rng = np.random.default_rng(0)
+    cap = 100
+    for _ in range(400):
+        phi, derphi = _random_descent_function(rng)
+        f0, g0 = float(phi(0.0)), float(derphi(0.0))
+        for stp in (1.0, rng.uniform(1e-3, 1.0)):
+            theirs = []
+
+            def traced_phi(a):
+                theirs.append(a)
+                return float(phi(a))
+
+            search = dcsrch.DCSRCH(
+                traced_phi, lambda a: float(derphi(a)),
+                squash._C1, squash._C2, squash._XTOL, 0.0, squash._STEP_MAX,
+            )
+            search(stp, phi0=f0, derphi0=g0, maxiter=cap)
+            ours, ls, trial = [], squash._LineSearch(f0, g0, stp), stp
+            while trial is not None and len(ours) < cap:
+                ours.append(trial)
+                trial = ls.next(trial, float(phi(trial)), float(derphi(trial)))
+            assert len(theirs) < cap
+            assert ours == theirs
+
+
 def test_search_is_the_same_alone_or_in_a_batch():
     # every row's arithmetic is its own: run alone, a row ends where it ends
     # in the batch, bit for bit, after the same iterations and evaluations
