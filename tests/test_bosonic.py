@@ -535,3 +535,8 @@ def test_finite_ns_cuts_against_the_beamsplitter_half_squash(eta_b, eta_c, ns):
     cuts = {"b_cut": ({R, C}, {B}), "c_cut": ({R, B}, {C}), "bc_cut": ({R}, {B, C})}
     for name, blocks in cuts.items():
         assert abs(finite[name] - _half_cmi(cov, blocks)) < 1e-12, name
+    # a one-receiver finite_ns_bound at the photon number (1 - eta_away) N_s
+    # that reaches the cut names the same squash
+    for name, eta_to, eta_away in (("b_cut", eta_b, eta_c), ("c_cut", eta_c, eta_b)):
+        effective = BosonicBroadcastSpec((eta_to / (1 - eta_away),), (1 - eta_away) * ns)
+        assert abs(_half_cmi(cov, cuts[name]) - finite_ns_bound(effective, 0.5, "esq")) < 1e-12, name
