@@ -11,16 +11,17 @@ minimized over x by solving a stationarity equation with bisection.
 No covariance-matrix simulation happens here: all entropies come from the
 closed forms.
 
-Every photon-number independent formula (the stationarity gap, its
-bisection, the asymptotic bound and the bipartite-cut bound) has one
-implementation, over arrays of shape (receivers, columns) in which each
-column is one channel.  ``theorem3_columns`` evaluates a whole sweep grid
-at once: it validates every column before the first bisection step, then
-bisects all columns together, each column taking the same steps as a lone
-bisection would.  The scalar entry points (``optimal_eta_star``,
-``asymptotic_bound``, ``theorem3_report``) are one-column calls into the
-same code, and a one-column call returns the same bits as a plain loop
-over Python floats (the tests keep such a loop as the reference).
+Every photon-number independent formula (the stationarity gap, the
+asymptotic bound and the bipartite-cut bound) has one implementation, over
+arrays of shape (receivers, columns) in which each column is one channel.
+The bisection takes a prepared gap, a function of x alone whose receiver
+terms are built once.  ``theorem3_columns`` validates a whole sweep grid
+before the first bisection step, then bisects all columns together, each
+column taking the same steps as a lone bisection would.  The scalar entry
+points (``optimal_eta_star``, ``asymptotic_bound``, ``theorem3_report``)
+are one-column calls into the same code, and a one-column call returns the
+same bits as a plain loop over Python floats (the tests keep such a loop as
+the reference).
 
 Squares are products (``x * x``), which IEEE 754 rounds the same way on
 every platform.  Logarithms stay per element through ``math.log2``: NumPy's
@@ -186,39 +187,40 @@ def asymptotic_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure="esq
     return float(_asymptotic_bound(_column(spec), np.array([float(eta_eprime)]), measure)[0])
 
 
-def _stationarity_gap(etas: np.ndarray, eta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Derivative condition of the direct-measure bound, per column at x; a
-    receiver with eta_i = 0 adds nothing."""
-    lhs = np.zeros(x.shape)
-    num = x * x * (1 - eta)  # shared by every receiver's term
-    for ei in etas:
-        on = ei > 0
-        lhs += np.where(on, 1.0 / (num / np.where(on, ei, 1.0) + x), 0.0)
-    u = 1 - x
-    return lhs - 1.0 / (u * u * (1 - eta) / eta + u)
-
-
-def _bisect_eta_star(etas: np.ndarray) -> np.ndarray:
-    """Root of the stationarity gap in each column, by bisection.
-
-    Each column keeps its own bracket and stops on its own width test, so it
-    takes the same steps as a bisection of that column alone.  Every column
-    needs some eta_i > 0.  Each step evaluates ``_stationarity_gap``, whose
-    squares are products, so each midpoint, bracket and eta* has the bits of
-    the same bisection over Python floats with ``x * x``.
-    """
+def _stationarity_gap(etas: np.ndarray):
+    """Derivative condition of the direct-measure bound, as a function of x
+    with one value per column; what does not depend on x is built here."""
     eta = _eta_total(etas)
-    lo = np.full(etas.shape[1], _BISECT_LO)
-    hi = np.full(etas.shape[1], 1.0 - _BISECT_LO)
+    rest = 1 - eta
+    # 1.0 or 0.0 over each receiver's quotient: a dark receiver adds exactly 0
+    terms = [((ei > 0) * 1.0, np.where(ei > 0, ei, 1.0)) for ei in etas]
+
+    def gap(x: np.ndarray) -> np.ndarray:
+        lhs = np.zeros(x.shape)
+        num = x * x * rest  # shared by every receiver's term
+        for on, safe in terms:
+            lhs += on / (num / safe + x)
+        u = 1 - x
+        return lhs - 1.0 / (u * u * rest / eta + u)
+
+    return gap
+
+
+def _bisect(gap, columns: int) -> np.ndarray:
+    """Root of ``gap`` in (0, 1) per column, by bisection: each column keeps
+    its own bracket and width test, so it takes the steps and bits of a lone
+    Python-float bisection of that column when ``gap`` is elementwise."""
+    lo = np.full(columns, _BISECT_LO)
+    hi = np.full(columns, 1.0 - _BISECT_LO)
     # Python floats overflow to inf without a word; so do these
     with np.errstate(over="ignore"):
-        flo = _stationarity_gap(etas, eta, lo)
-        if np.any(flo * _stationarity_gap(etas, eta, hi) > 0):
+        flo = gap(lo)
+        if np.any(flo * gap(hi) > 0):
             raise RootError("stationarity equation has no sign change in (0, 1)")
         active = hi - lo > _BISECT_TOL
         while active.any():
             mid = 0.5 * (lo + hi)
-            fm = _stationarity_gap(etas, eta, mid)
+            fm = gap(mid)
             left = active & (flo * fm <= 0)
             hi = np.where(left, mid, hi)
             left ^= active  # now the active columns whose lo moves
@@ -233,7 +235,7 @@ def optimal_eta_star(spec: BosonicBroadcastSpec) -> float:
     bound, found by bisection of the stationarity equation."""
     if all(e == 0 for e in spec.etas):
         raise RootError("no light reaches any receiver")
-    return float(_bisect_eta_star(_column(spec))[0])
+    return float(_bisect(_stationarity_gap(_column(spec)), 1)[0])
 
 
 def _bipartite_cut_bound(eta_to: np.ndarray, eta_away: np.ndarray) -> np.ndarray:
@@ -285,9 +287,7 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
     _check_etas(etas)
     eta_star = np.full(etas.shape[1], 0.5)
     live = _has_stationary_point(etas)
-    # not etas[:, live], which is Fortran-ordered: each receiver row the gap
-    # reads would be a stride-2 view
-    eta_star[live] = _bisect_eta_star(np.compress(live, etas, axis=1))
+    eta_star[live] = _bisect(_stationarity_gap(etas[:, live]), np.count_nonzero(live))
     return _theorem3_columns(etas, eta_star)
 
 

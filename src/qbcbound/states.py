@@ -303,18 +303,6 @@ def make_ghz(labels, d: int) -> MultipartiteState:
     return MultipartiteState(np.outer(vec, vec.conj()), labels, (d,) * m)
 
 
-def _twist_unitary(spec: PrivateStateSpec) -> np.ndarray | None:
-    if spec.twist_unitaries is None:
-        return None
-    d, m = spec.key_dim, spec.num_parties
-    dk = d**m
-    ds = int(np.prod(spec.shield_dims))
-    u = np.zeros((dk * ds, dk * ds), dtype=complex)
-    for flat, tw in enumerate(spec.twist_unitaries):
-        u[flat * ds : (flat + 1) * ds, flat * ds : (flat + 1) * ds] = tw
-    return u
-
-
 def make_private_state(
     spec: PrivateStateSpec, key_labels, shield_labels
 ) -> MultipartiteState:
@@ -334,10 +322,13 @@ def make_private_state(
     )
     shield = MultipartiteState(shield_mat, shield_labels, spec.shield_dims)
     prod = tensor([ghz, shield])
-    u = _twist_unitary(spec)
-    if u is None:
+    if spec.twist_unitaries is None:
         return prod
-    mat = u @ prod.matrix @ u.conj().T
+    # each key basis tuple's twist acts on its own shield block
+    dk = spec.key_dim**spec.num_parties
+    tw = np.stack(spec.twist_unitaries)
+    t = prod.matrix.reshape(dk, ds, dk, ds)
+    mat = np.einsum("iab,ibjc,jdc->iajd", tw, t, tw.conj()).reshape(prod.matrix.shape)
     mat = (mat + mat.conj().T) / 2
     return MultipartiteState(mat, prod.labels, prod.dims)
 
@@ -415,8 +406,23 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+def _not_a_number(entry):
+    raise TypeError(f"expected a [re, im] pair of numbers, got {entry!r}")
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    # complex() would read JSON true/false as 1/0
+    return np.array(
+        [
+            [
+                complex(re, im)
+                if type(re) is not bool and type(im) is not bool
+                else _not_a_number([re, im])
+                for re, im in row
+            ]
+            for row in rows
+        ]
+    )
 
 
 def _json_doc(text: str):

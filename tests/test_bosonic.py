@@ -35,18 +35,22 @@ def _ref_gap(etas, x):
     return lhs - rhs
 
 
-def _ref_eta_star(etas):
+def _ref_bisect(f):
     lo, hi = 1e-9, 1.0 - 1e-9
-    flo, fhi = _ref_gap(etas, lo), _ref_gap(etas, hi)
+    flo, fhi = f(lo), f(hi)
     assert flo * fhi <= 0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        fm = _ref_gap(etas, mid)
+        fm = f(mid)
         if flo * fm <= 0:
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def _ref_eta_star(etas):
+    return _ref_bisect(lambda x: _ref_gap(etas, x))
 
 
 def _ref_asymptotic(etas, x, measure):
@@ -186,12 +190,19 @@ def _sweep_grids():
 )
 def test_certified_steps_keep_the_exact_gap_bits(etas):
     etas = np.compress(bosonic._has_stationary_point(etas), etas, axis=1)
-    stacked = bosonic._bisect_eta_star(etas)
+    stacked = bosonic._bisect(bosonic._stationarity_gap(etas), etas.shape[1])
     assert stacked.shape == (etas.shape[1],)
     for i in range(0, etas.shape[1], max(1, etas.shape[1] // 50)):
-        alone = bosonic._bisect_eta_star(etas[:, i : i + 1])
+        alone = bosonic._bisect(bosonic._stationarity_gap(etas[:, i : i + 1]), 1)
         assert stacked[i : i + 1].tobytes() == alone.tobytes(), i
         assert stacked[i] == _ref_eta_star(etas[:, i].tolist()), i
+
+
+def test_bisect_reads_only_its_gap():
+    # a gap the loop was not written for: roots c of x * x - c * c
+    c = np.random.default_rng(27).uniform(0.01, 0.99, 200)
+    roots = bosonic._bisect(lambda x: x * x - c * c, c.size)
+    assert roots.tolist() == [_ref_bisect(lambda x, ci=ci: x * x - ci * ci) for ci in c.tolist()]
 
 
 def test_empty_sweep_grid_ends():

@@ -179,10 +179,10 @@ def test_bosonic_output_golden(capsys, argv, csv_sha, json_sha, fmt):
 
 
 def test_sweep_rejects_bad_grid_before_bisection(capsys, monkeypatch):
-    def no_bisection(etas):
+    def no_bisection(gap, columns):
         raise AssertionError("bisection started on an invalid grid")
 
-    monkeypatch.setattr(bosonic, "_bisect_eta_star", no_bisection)
+    monkeypatch.setattr(bosonic, "_bisect", no_bisection)
     argv = ["sweep", "--eta-b", "0.95", "--eta-c", "0.1", "--sweep-steps", "100000"]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: total transmissivity exceeds 1\n")
@@ -463,6 +463,20 @@ _COPY = {
         ("qinfo", json.dumps({**_MIXED_PAIR, "labels": ["", "B"]}), "label ''"),
         ("qinfo", json.dumps({**_MIXED_PAIR, "labels": ["A ", "B"]}), "'A '"),
         ("bounds-finite", json.dumps({**_COPY, "output_labels": ["B", "\tC"]}), "'\\tC'"),
+        (
+            "qinfo",
+            json.dumps(
+                {"labels": ["A", "B"], "dims": [1, 2], "matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]}
+            ),
+            "'matrix'",
+        ),
+        (
+            "bounds-finite",
+            json.dumps(
+                {"input_dim": 1, "output_labels": ["B", "C"], "output_dims": [1, 1], "kraus": [[[[True, False]]]]}
+            ),
+            "'kraus'",
+        ),
     ],
     ids=[
         "not-json",
@@ -480,6 +494,8 @@ _COPY = {
         "empty-label",
         "trailing-space-label",
         "leading-tab-output-label",
+        "bool-matrix-entries",
+        "bool-kraus-entries",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):
