@@ -5,7 +5,8 @@ and dimensions.  Channels are CPTP maps given by Kraus operators with a
 labeled output factorization, so a broadcast channel is simply a channel
 whose output splits into several named receiver systems.
 
-All values are immutable; every operation returns a new value.
+All values are immutable; every operation returns a new value, validated
+once, as the public result.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def _frozen_array(a, what: str) -> np.ndarray:
     return arr
 
 
+def _check_density(m: np.ndarray, what: str) -> None:
+    """Refuse a square matrix that is not Hermitian, of trace 1 and positive."""
+    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        raise QbcError(f"{what} is not Hermitian within tolerance")
+    tr = np.trace(m)
+    if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
+        raise QbcError(f"{what} trace differs from 1 beyond tolerance")
+    ev = np.linalg.eigvalsh(m)
+    if ev[0] < -EIG_TOL:
+        raise QbcError(f"{what} has eigenvalue {ev[0]:.3e} below -{EIG_TOL}")
+
+
 @dataclass(frozen=True)
 class MultipartiteState:
     """Density operator on a tensor product of labeled subsystems.
@@ -74,14 +87,7 @@ class MultipartiteState:
             raise DimMismatch(
                 f"matrix shape {m.shape} inconsistent with dims product {n}"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise QbcError("matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-            raise QbcError("matrix trace differs from 1 beyond tolerance")
-        ev = np.linalg.eigvalsh(m)
-        if ev[0] < -EIG_TOL:
-            raise QbcError(f"matrix has eigenvalue {ev[0]:.3e} below -{EIG_TOL}")
+        _check_density(m, "matrix")
 
     @property
     def dim(self) -> int:
@@ -119,6 +125,8 @@ class QuantumChannel:
             raise LabelCollision(f"duplicate output labels {self.output_labels}")
         if len(self.output_labels) != len(self.output_dims):
             raise DimMismatch("output labels/dims length mismatch")
+        if self.input_dim < 1 or any(d < 1 for d in self.output_dims):
+            raise DimMismatch("channel dimensions must be positive")
         dout = self.output_dim
         if not self.kraus_ops:
             raise DimMismatch("channel needs at least one Kraus operator")
@@ -157,8 +165,8 @@ class PrivateStateSpec:
         if self.key_dim < 2:
             raise QbcError("key dimension must be at least 2")
         object.__setattr__(self, "shield_dims", tuple(int(d) for d in self.shield_dims))
-        if len(self.shield_dims) != self.num_parties:
-            raise DimMismatch("one shield dimension per party required")
+        if len(self.shield_dims) != self.num_parties or any(d < 1 for d in self.shield_dims):
+            raise DimMismatch("one positive shield dimension per party required")
         ds = math.prod(self.shield_dims)
         if self.twist_unitaries is not None:
             tw = tuple(_frozen_array(u, "twist unitary") for u in self.twist_unitaries)
@@ -175,6 +183,7 @@ class PrivateStateSpec:
             object.__setattr__(self, "shield_state", sh)
             if sh.shape != (ds, ds):
                 raise DimMismatch("shield state has wrong dimension")
+            _check_density(sh, "shield state")
 
 
 def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
@@ -206,27 +215,31 @@ def _reordered(state: MultipartiteState, order) -> np.ndarray:
     return state.matrix[np.ix_(flat, flat)]
 
 
-def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
-    """Reduced state on ``keep`` labels, preserving their relative order."""
+def _marginal(state: MultipartiteState, keep):
+    """Unvalidated ``(matrix, labels, dims)`` of the reduced state on ``keep``
+    labels in their relative order (``LabelNotFound`` names a label the state
+    lacks); keeping every label returns the state's own."""
     keep = set(keep)
     if not keep:
         raise QbcError("cannot keep an empty label set")
-    for lab in keep:
-        if lab not in state.labels:
-            raise LabelNotFound(f"label {lab!r} not in {state.labels}")
+    keep_idx = sorted(state.index_of(lab) for lab in keep)
     n = len(state.labels)
-    keep_idx = [i for i, lab in enumerate(state.labels) if lab in keep]
     if len(keep_idx) == n:
-        return state
+        return state.matrix, state.labels, state.dims
     kd = tuple(state.dims[i] for i in keep_idx)
     m = math.prod(kd)
     r = state.dim // m
     red = _reordered(state, keep_idx + [i for i in range(n) if i not in keep_idx])
     red = np.einsum("ajbj->ab", red.reshape(m, r, m, r))
     red = (red + red.conj().T) / 2
-    return MultipartiteState(
-        red, tuple(state.labels[i] for i in keep_idx), kd
-    )
+    return red, tuple(state.labels[i] for i in keep_idx), kd
+
+
+def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
+    """Reduced state on ``keep`` labels, preserving their relative order: the
+    ``_marginal``, validated once, as the public result, or the state itself."""
+    red, labels, dims = _marginal(state, keep)
+    return state if labels == state.labels else MultipartiteState(red, labels, dims)
 
 
 def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +300,14 @@ def apply_channel(
     return MultipartiteState(out, labels, dims)
 
 
+def _ghz_matrix(m: int, d: int) -> np.ndarray:
+    """Projector onto (1/sqrt(d)) sum_i |i...i> on m systems of dimension d."""
+    vec = np.zeros(d**m, dtype=complex)
+    vec[[i * sum(d**k for k in range(m)) for i in range(d)]] = 1.0
+    vec /= np.sqrt(d)
+    return np.outer(vec, vec.conj())
+
+
 def make_ghz(labels, d: int) -> MultipartiteState:
     """GHZ state (1/sqrt(d)) sum_i |i...i> on the given labels."""
     labels = tuple(labels)
@@ -295,12 +316,7 @@ def make_ghz(labels, d: int) -> MultipartiteState:
         raise QbcError("GHZ needs at least 2 parties")
     if d < 2:
         raise QbcError("GHZ Schmidt rank must be at least 2")
-    vec = np.zeros(d**m, dtype=complex)
-    for i in range(d):
-        idx = sum(i * d**k for k in range(m))
-        vec[idx] = 1.0
-    vec /= np.sqrt(d)
-    return MultipartiteState(np.outer(vec, vec.conj()), labels, (d,) * m)
+    return MultipartiteState(_ghz_matrix(m, d), labels, (d,) * m)
 
 
 def make_private_state(
@@ -309,28 +325,23 @@ def make_private_state(
     """Twisted product U (GHZ_key x rho_shield) U^dag.
 
     Labels are ordered key systems first, then shield systems.  The shield
-    state defaults to maximally mixed.
+    state defaults to maximally mixed.  Only the result is validated.
     """
     key_labels = tuple(key_labels)
     shield_labels = tuple(shield_labels)
-    if len(key_labels) != spec.num_parties or len(shield_labels) != spec.num_parties:
+    m, d = spec.num_parties, spec.key_dim
+    if len(key_labels) != m or len(shield_labels) != m:
         raise DimMismatch("one key label and one shield label per party required")
-    ghz = make_ghz(key_labels, spec.key_dim)
-    ds = int(np.prod(spec.shield_dims))
-    shield_mat = (
-        np.eye(ds) / ds if spec.shield_state is None else np.array(spec.shield_state)
-    )
-    shield = MultipartiteState(shield_mat, shield_labels, spec.shield_dims)
-    prod = tensor([ghz, shield])
-    if spec.twist_unitaries is None:
-        return prod
-    # each key basis tuple's twist acts on its own shield block
-    dk = spec.key_dim**spec.num_parties
-    tw = np.stack(spec.twist_unitaries)
-    t = prod.matrix.reshape(dk, ds, dk, ds)
-    mat = np.einsum("iab,ibjc,jdc->iajd", tw, t, tw.conj()).reshape(prod.matrix.shape)
-    mat = (mat + mat.conj().T) / 2
-    return MultipartiteState(mat, prod.labels, prod.dims)
+    ds = math.prod(spec.shield_dims)
+    shield = np.eye(ds) / ds if spec.shield_state is None else spec.shield_state
+    mat = np.kron(_ghz_matrix(m, d), shield)
+    if spec.twist_unitaries is not None:
+        # each key basis tuple's twist acts on its own shield block
+        tw = np.stack(spec.twist_unitaries)
+        t = mat.reshape(len(tw), ds, len(tw), ds)
+        mat = np.einsum("iab,ibjc,jdc->iajd", tw, t, tw.conj()).reshape(mat.shape)
+        mat = (mat + mat.conj().T) / 2
+    return MultipartiteState(mat, key_labels + shield_labels, (d,) * m + spec.shield_dims)
 
 
 def measurement_channel(d: int, label: str) -> QuantumChannel:
@@ -377,25 +388,14 @@ def check_private_state(
     return dev <= PRIVATE_TOL, dev
 
 
-def _permute(state: MultipartiteState, order) -> MultipartiteState:
-    order = list(order)
-    if order == list(state.labels):
-        return state
-    perm = [state.index_of(lab) for lab in order]
-    dims = tuple(state.dims[p] for p in perm)
-    return MultipartiteState(_reordered(state, perm), tuple(order), dims)
-
-
 def trace_distance(a: MultipartiteState, b: MultipartiteState) -> float:
-    """(1/2) ||a - b||_1."""
-    if a.labels != b.labels or a.dims != b.dims:
-        if set(a.labels) == set(b.labels):
-            b = _permute(b, a.labels)
-            if a.dims != b.dims:
-                raise DimMismatch("states have different subsystem dimensions")
-        else:
-            raise DimMismatch("states live on different label sets")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+    """(1/2) ||a - b||_1, with ``b``'s subsystems matched to ``a``'s by label."""
+    if set(a.labels) != set(b.labels):
+        raise DimMismatch("states live on different label sets")
+    perm = [b.index_of(lab) for lab in a.labels]
+    if tuple(b.dims[p] for p in perm) != a.dims:
+        raise DimMismatch("states have different subsystem dimensions")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - _reordered(b, perm)))))
 
 
 # ---------------------------------------------------------------------------

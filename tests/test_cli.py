@@ -477,6 +477,21 @@ _COPY = {
             ),
             "'kraus'",
         ),
+        (
+            "bounds-finite",
+            json.dumps({"input_dim": 0, "output_labels": ["B"], "output_dims": [1], "kraus": [[[]]]}),
+            "positive",
+        ),
+        (
+            "bounds-finite",
+            json.dumps({"input_dim": -1, "output_labels": ["B"], "output_dims": [1], "kraus": [[[]]]}),
+            "positive",
+        ),
+        (
+            "bounds-finite",
+            json.dumps({"input_dim": 1, "output_labels": ["B", "C"], "output_dims": [0, 1], "kraus": [[]]}),
+            "positive",
+        ),
     ],
     ids=[
         "not-json",
@@ -496,6 +511,9 @@ _COPY = {
         "leading-tab-output-label",
         "bool-matrix-entries",
         "bool-kraus-entries",
+        "zero-input-dim",
+        "negative-input-dim",
+        "zero-output-dim",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, command, text, named):

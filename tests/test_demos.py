@@ -17,9 +17,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
+    # the suite's warning filters do not reach a subprocess, so a numpy
+    # warning in a demo is made an error here
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
 

@@ -306,7 +306,7 @@ def test_one_block_partition_rejected_before_any_work(monkeypatch, run):
     def no_work(*args, **kwargs):
         raise AssertionError("the squash ran before the partition was checked")
 
-    monkeypatch.setattr(squash, "partial_trace", no_work)
+    monkeypatch.setattr(squash, "_marginal", no_work)
     monkeypatch.setattr(squash, "minimize", no_work)
     mixed = random_state(np.random.default_rng(0), ("A", "B", "C"), (2, 2, 2), rank=3)
     for state in (mixed, make_ghz(("A", "B", "C"), 2)):

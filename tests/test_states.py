@@ -202,6 +202,57 @@ def test_private_state_identity_twists_is_product():
     assert trace_distance(partial_trace(st, {"kA", "kB"}), ghz) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "shield",
+    [np.array([[0.5, 0.1], [0.0, 0.5]]), np.eye(2), np.diag([1.5, -0.5])],
+    ids=["non-hermitian", "trace-2", "negative-eigenvalue"],
+)
+def test_private_state_spec_refuses_a_shield_that_is_not_a_density_operator(shield):
+    with pytest.raises(QbcError, match="^shield state "):
+        PrivateStateSpec(2, 2, (2, 1), shield_state=shield)
+
+
+def test_private_state_spec_refuses_non_positive_shield_dims():
+    with pytest.raises(DimMismatch, match="positive"):
+        PrivateStateSpec(2, 2, (0, 2), shield_state=np.zeros((0, 0)))
+
+
+def _private_state_product_reference(spec, keys, shields):
+    """The matrix of ``make_private_state`` through validated states: a GHZ
+    state tensored with the shield state, then each key string's twist on
+    its shield block."""
+    ds = int(np.prod(spec.shield_dims))
+    shield = np.eye(ds) / ds if spec.shield_state is None else spec.shield_state
+    prod = tensor([make_ghz(keys, spec.key_dim), MultipartiteState(shield, shields, spec.shield_dims)])
+    if spec.twist_unitaries is None:
+        return prod.matrix
+    dk = spec.key_dim**spec.num_parties
+    tw = np.stack(spec.twist_unitaries)
+    t = prod.matrix.reshape(dk, ds, dk, ds)
+    mat = np.einsum("iab,ibjc,jdc->iajd", tw, t, tw.conj()).reshape(prod.matrix.shape)
+    return (mat + mat.conj().T) / 2
+
+
+def test_private_state_matches_product_reference_bitwise():
+    rng = np.random.default_rng(3)
+    for m in (2, 3):
+        for d in (2, 3):
+            for twisted in (False, True):
+                for shielded in (False, True):
+                    sdims = tuple(int(x) for x in rng.choice([1, 2], size=m))
+                    ds = int(np.prod(sdims))
+                    keys = tuple(f"k{i}" for i in range(m))
+                    shields = tuple(f"s{i}" for i in range(m))
+                    tw = tuple(random_unitary(rng, ds) for _ in range(d**m)) if twisted else None
+                    sh = random_state(rng, shields, sdims).matrix if shielded else None
+                    spec = PrivateStateSpec(m, d, sdims, tw, sh)
+                    st = make_private_state(spec, keys, shields)
+                    assert st.labels == keys + shields
+                    assert st.dims == (d,) * m + sdims
+                    ref = _private_state_product_reference(spec, keys, shields)
+                    assert np.array_equal(st.matrix, ref)
+
+
 def test_private_state_check_accepts_construction():
     rng = np.random.default_rng(0)
     for m in (2, 3):
