@@ -39,9 +39,10 @@ from .measures import cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import FINAL_SQUASH, channel_output_state, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
-from .squash import Measure, SquashConfig, _check_count, esq_exact_pure, esq_upper_variational
+from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
 from .states import (
     QuantumChannel,
+    _check_count,
     apply_channel,
     channel_from_json,
     make_ghz,
@@ -210,9 +211,7 @@ def _cmd_bounds_bosonic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    steps = args.sweep_steps
-    if steps < 1:
-        raise QbcError("--sweep-steps must be at least 1")
+    steps = _check_count("--sweep-steps", args.sweep_steps, 1)
     if steps > MAX_SWEEP_STEPS:
         raise QbcError(f"--sweep-steps must be at most {MAX_SWEEP_STEPS}")
     # overflow to inf stays quiet, as in Python floats; validation rejects it

@@ -4,8 +4,9 @@ multipartite informations (the total-correlation form and its dual form).
 All results are in bits.  Each measure is one subset -> coefficient map,
 and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
 ``eigvalsh`` per subset) serves only the public density-matrix API, and
-``_pure_entropy_sums`` (stacks of state vectors, with gradients) every value
-of ``squash`` and ``rates``, the exact pure-state values included.
+``_pure_entropy_sums`` (flat stacks of state vectors, with gradients) every
+value of ``squash`` and ``rates``, the exact pure-state values included,
+reading and writing each cut through one gather.
 
 The multipartite informations take their grouping of labels as a
 ``partitions.Partition`` and a conditioning set E.
@@ -43,13 +44,13 @@ def entropy(state: MultipartiteState, subset) -> float:
 
 
 def _pure_entropy_sums(shape, labels, forms):
-    """Compile signed entropy sums on stacks of pure states with amplitude
-    tensors of ``shape``: one axis per label, then unlabeled axes that are
-    never kept.  ``forms[p]`` lists the sums of problem p as subset ->
-    coefficient maps, the same number K of them for every problem.
+    """Compile signed entropy sums on flat stacks of pure states, amplitudes
+    row-major over ``shape``: one index per label, then unlabeled indices
+    that are never kept.  ``forms[p]`` lists the sums of problem p as subset
+    -> coefficient maps, the same number K of them for every problem.
 
     Returns ``evaluate(psi, rows) -> (values, grad)`` for a stack psi of
-    ``len(rows)`` such tensors, row i a state of problem ``rows[i]``:
+    ``len(rows)`` such amplitude rows, row i a state of problem ``rows[i]``:
     ``values[i, k]`` is its sum k, and ``grad(pick)`` stacks the gradients of
     sums ``pick[i]`` with respect to conj(psi), so a path psi_i(t) changes
     its sum at rate 2 Re <grad_i, dpsi_i/dt>.
@@ -61,14 +62,17 @@ def _pure_entropy_sums(shape, labels, forms):
     of their smaller side, and every problem carries, per side dimension, the
     same number of cuts, padded with zero-coefficient cuts; so each side
     dimension costs one stacked Gram product and one stacked ``eigh`` over
-    (rows, cuts), and each row is computed as it would be alone.  A side of
-    dimension 1 has entropy 0 on a pure state and is skipped; the evaluated
-    paths keep psi normalized, so its gradient drops out too.
+    (rows, cuts), and each row is computed as it would be alone: one gather
+    of flat positions per cut reads M off psi and writes the gradient back.
+    A side of dimension 1 has entropy 0 on a pure state and is skipped; the
+    evaluated paths keep psi normalized, so its gradient drops out too.
     """
     axis = {lab: i for i, lab in enumerate(labels)}
     every = frozenset(range(len(shape)))
     n = math.prod(shape)
-    flat = np.arange(n).reshape(shape)
+    # layouts transpose only the axes of dimension > 1, which carry every index
+    live = {i: r for r, i in enumerate(i for i, d in enumerate(shape) if d > 1)}
+    flat = np.arange(n).reshape([shape[i] for i in live])
 
     def cut_of(subset) -> tuple[tuple[int, ...], int]:
         """The smaller side of the cut between ``subset`` and the rest, and
@@ -99,20 +103,19 @@ def _pure_entropy_sums(shape, labels, forms):
     n_cuts = sum(width.values())
     n_sums = len(forms[0]) if forms else 0
     # per cut, the flat positions of psi that lay it out as a (side, rest)
-    # matrix with the side's axes first, and their inverse
+    # matrix with the side's axes first
     layouts = {}
 
     def layout(cut, side):
         if cut not in layouts:
-            gather = flat.transpose(cut + tuple(sorted(every - set(cut)))).reshape(side, -1)
-            layouts[cut] = gather, np.argsort(gather.reshape(-1))
+            order = cut + tuple(sorted(every - set(cut)))
+            layouts[cut] = flat.transpose([live[i] for i in order if i in live]).reshape(side, -1)
         return layouts[cut]
 
     coeff = np.zeros((len(forms), n_sums, n_cuts))
     gathers = {
         side: np.zeros((len(forms), width[side], side, n // side), dtype=np.intp) for side in sides
     }
-    scatter = np.zeros((len(forms), n_cuts, n), dtype=np.intp)
     for p, (by_side, entries) in enumerate(problems):
         slot = {}
         for side in sides:
@@ -124,11 +127,9 @@ def _pure_entropy_sums(shape, labels, forms):
                 cut = cuts[w] if w < len(cuts) else pad
                 if w < len(cuts):
                     slot[cut] = offset[side] + w
-                gathers[side][p, w], scatter[p, offset[side] + w] = layout(cut, side)
+                gathers[side][p, w] = layout(cut, side)
         for k, cut, c in entries:
             coeff[p, k, slot[cut]] += c
-    # the gradient reads slot j of a row's stacked parts from j * n on
-    scatter += n * np.arange(n_cuts)[:, None]
     gathers = [gathers[side] for side in sides]
     spans = [(offset[side], offset[side] + width[side]) for side in sides]
 
@@ -139,14 +140,15 @@ def _pure_entropy_sums(shape, labels, forms):
         ent = np.zeros((count, 1, n_cuts))
         spectra = []
         for gather, (lo, hi) in zip(gathers, spans):
-            m = amplitudes[at[:, None, None, None], gather[rows]]
+            index = gather[rows]
+            m = amplitudes[at[:, None, None, None], index]
             w, v = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
             pos = w > _EIG_FLOOR
             log_w = np.zeros(w.shape)
             log_w[pos] = np.log2(w[pos])
             ent[:, 0, lo:hi] = -(w * log_w).sum(axis=-1)
             log_w[pos] += 1.0 / math.log(2.0)
-            spectra.append((m, v, log_w))
+            spectra.append((m, v, log_w, index))
         c = coeff[rows]
         # a running sum adds the slots in order, so a padding slot adds an
         # exact 0 and a row's values do not depend on the widths other
@@ -157,22 +159,17 @@ def _pure_entropy_sums(shape, labels, forms):
             values = np.zeros((count, n_sums))
 
         def grad(pick) -> np.ndarray:
-            # per side dimension, the stacked -c (v dlog)(v^dag M), then each
-            # row's cuts added back in psi's order
+            # per side dimension, the stacked -c (v dlog)(v^dag M), written
+            # back through the gather that read M: each slot's positions are
+            # distinct, so every slot holds its whole gradient in psi's order
             scale = -c[at, pick]
-            parts = [
-                (
-                    (scale[:, lo:hi, None, None] * (v * dlog[..., None, :]))
-                    @ (v.conj().swapaxes(-1, -2) @ m)
-                ).reshape(count, -1)
-                for (m, v, dlog), (lo, hi) in zip(spectra, spans)
-            ]
-            if not parts:
-                return np.zeros(psi.shape, dtype=complex)
-            stacked = np.concatenate(parts, axis=1)
-            g = stacked[at[:, None], scatter[rows].reshape(count, -1)]
+            g = np.zeros((count, n_cuts, n), dtype=complex)
+            for (m, v, dlog, index), (lo, hi) in zip(spectra, spans):
+                g[at[:, None, None, None], np.arange(lo, hi)[:, None, None], index] = (
+                    scale[:, lo:hi, None, None] * (v * dlog[..., None, :])
+                ) @ (v.conj().swapaxes(-1, -2) @ m)
             # a sum over a slow axis adds the slots in order, padding included
-            return g.reshape(count, n_cuts, n).sum(axis=1).reshape(psi.shape)
+            return g.sum(axis=1).reshape(psi.shape)
 
         return values, grad
 

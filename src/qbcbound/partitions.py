@@ -8,8 +8,8 @@ whose size is the coefficient of (E_M + K_M) in the rate constraint; the
 coefficients are a plain M -> |A(M, G)| dict.
 
 Sets are represented as sorted label tuples for canonical equality and
-deterministic ordering.  Brute-force enumeration is fine at the target
-scale (at most six parties).
+deterministic ordering.  Enumeration is brute force, so a rate constraint
+takes at most ``MAX_PARTIES`` parties (``rates.evaluate_bounds`` checks).
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from .errors import SpecError
 
 LabelSet = tuple[str, ...]
+# most parties, sender included: 8 give 4139 nontrivial partitions, each with up
+# to 247 cross-block subsets, and each further party five times the partitions
+MAX_PARTIES = 8
 
 
 def _canon(labels) -> LabelSet:
@@ -65,14 +68,11 @@ def parse_partition(text: str) -> Partition:
 
 
 def subsets_geq2(ground) -> list[LabelSet]:
-    """All subsets of size >= 2, canonically ordered."""
+    """All subsets of size >= 2, canonically ordered: by size, then lexicographically."""
     ground = _canon(set(ground))
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
-    out = []
-    for r in range(2, len(ground) + 1):
-        out.extend(_canon(c) for c in itertools.combinations(ground, r))
-    return sorted(out, key=lambda s: (len(s), s))
+    return [c for r in range(2, len(ground) + 1) for c in itertools.combinations(ground, r)]
 
 
 def nontrivial_partitions(ground) -> list[Partition]:
@@ -98,17 +98,12 @@ def nontrivial_partitions(ground) -> list[Partition]:
     return sorted(parts, key=lambda p: (len(p.blocks), p.blocks))
 
 
-def _met(m: set, partition: Partition) -> list[LabelSet]:
-    """The non-empty intersections of ``m`` with the blocks of ``partition``."""
-    return [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
-
-
 def c_of(partition: Partition) -> list[LabelSet]:
     """The collection C(G): the subsets of the ground set that meet at least
     two blocks."""
     if not partition.nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
-    return [m for m in subsets_geq2(partition.ground) if len(_met(set(m), partition)) > 1]
+    return list(constraint_coefficients(partition))
 
 
 def a_of(m, partition: Partition) -> list[LabelSet]:
@@ -116,7 +111,7 @@ def a_of(m, partition: Partition) -> list[LabelSet]:
     if not partition.nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
     m = set(m)
-    met = _met(m, partition)
+    met = [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
     if not m <= set(partition.ground) or len(met) < 2:
         raise SpecError(f"{_canon(m)} is not an element of C(G)")
     return sorted(met, key=lambda s: (len(s), s))
@@ -129,4 +124,6 @@ def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
     """
     if not partition.nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
-    return {m: len(_met(set(m), partition)) for m in c_of(partition)}
+    block = {lab: i for i, b in enumerate(partition.blocks) for lab in b}
+    met = ((m, len({block[lab] for lab in m})) for m in subsets_geq2(partition.ground))
+    return {m: k for m, k in met if k > 1}

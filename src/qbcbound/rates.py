@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
 from .measures import _pure_entropy_sums
-from .partitions import Partition, constraint_coefficients, nontrivial_partitions
+from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
 from .squash import DIM_CAP, Measure, SquashConfig, _measure_kernel, _squash_purified, minimize
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
@@ -159,7 +159,7 @@ def _input_value_and_grad(channel: QuantumChannel, partitions, stinespring):
     def value_and_grad(params, rows):
         count = len(rows)
         phi, norm = _input_amplitudes(params, d)
-        values, grad = evaluate((phi @ v_rows).reshape((count,) + shape), rows)
+        values, grad = evaluate((phi @ v_rows).reshape(count, -1), rows)
         k = np.argmin(values, axis=1)
         g_phi = grad(k).reshape(count, d, -1) @ v_conj
         # phi = X / ||X||: drop the radial part, which leaves phi unchanged
@@ -181,9 +181,8 @@ def _coherent_information(outputs, partitions, shape, labels) -> dict:
         return {}
     everything = frozenset(labels)
     forms = [[{x: 1.0} for x in partitions[i].blocks] + [{everything: 1.0}] for i in cuts]
-    entropies = _pure_entropy_sums(shape, labels, forms)(
-        np.stack([outputs[i] for i in cuts]).reshape((len(cuts),) + shape), np.arange(len(cuts))
-    )[0]
+    psis = np.stack([outputs[i].ravel() for i in cuts])
+    entropies = _pure_entropy_sums(shape, labels, forms)(psis, np.arange(len(cuts)))[0]
     achievable = np.maximum(entropies[:, 0], entropies[:, 1]) - entropies[:, 2]
     return {partitions[i]: a for i, a in zip(cuts, achievable.tolist())}
 
@@ -194,7 +193,8 @@ def evaluate_bounds(
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
     """One RateConstraint per partition, in the order of ``partitions`` (a
-    repeated partition is refused), maximizing over pure inputs.
+    repeated partition, or more than ``MAX_PARTIES`` parties, is refused
+    before any work), maximizing over pure inputs.
 
     Every partition's input search runs as one row of one ``minimize`` batch,
     and then every (partition, measure, restart) squash as one row of one
@@ -205,6 +205,8 @@ def evaluate_bounds(
     ground = (SENDER_LABEL,) + channel.output_labels
     if SENDER_LABEL in channel.output_labels:
         raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
+    if len(ground) > MAX_PARTIES:
+        raise TooLarge(f"{len(ground)} parties exceed the rate-constraint cap of {MAX_PARTIES}")
     d = channel.input_dim
     # the output state's rank is at most the number of Kraus operators
     rank = min(len(channel.kraus_ops), d * channel.output_dim)
@@ -215,13 +217,15 @@ def evaluate_bounds(
         )
     if partitions is None:
         partitions = nontrivial_partitions(ground)
-    for i, partition in enumerate(partitions):
+    seen = set()
+    for partition in partitions:
         if set(partition.ground) != set(ground):
             raise SpecError(f"partition {partition} does not cover {ground}")
         if not partition.nontrivial:
             raise SpecError(f"partition {partition} has one block: it bounds no rate")
-        if partition in partitions[:i]:
+        if partition in seen:
             raise SpecError(f"partition {partition} is repeated")
+        seen.add(partition)
     stinespring = _stinespring(channel)
     iso, shape, labels = stinespring
     value_and_grad = _input_value_and_grad(channel, partitions, stinespring)

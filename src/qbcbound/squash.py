@@ -23,7 +23,6 @@ gives one, and we cannot certify convergence to the true infimum.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import _PURIFIER, _cmi_dual, _cmi_total, _pure_entropy_sums
 from .partitions import Partition
-from .states import MultipartiteState, _marginal, _purification
+from .states import MultipartiteState, _check_count, _marginal, _purification
 
 
 class Measure(str, Enum):
@@ -335,15 +334,6 @@ def minimize(fun, x0, *, max_iters: int, ftol: float = 0.0, gtol: float = 0.0, s
     )
 
 
-def _check_count(name: str, value, least: int):
-    """An integer setting, at least ``least``; bools, which would pass as 0
-    or 1, and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise QbcError(f"{name} must be an integer")
-    if value < least:
-        raise QbcError(f"{name} must be at least {least}")
-
-
 # largest state dim x purifier dim the variational squash takes on
 DIM_CAP = 64
 # the squash's relative-decrease stop
@@ -460,8 +450,8 @@ def _isometry_and_pullback(params: np.ndarray, d_e: int):
 def _measure_kernel(shape, labels, problems):
     """``evaluate(psi, rows) -> (values, grad)`` of half of each measure of
     every problem, a (partition, measures) pair, over its partition
-    conditioned on a purifier, on stacked pure tensors of ``shape``: one axis
-    per label, the purifier's, then unlabeled axes (``_pure_entropy_sums``)."""
+    conditioned on a purifier, on flat stacks of pure states over ``shape``
+    (one index per label, the purifier's, then unlabeled ones)."""
     forms = [[_half_measure(p, m, (_PURIFIER,)) for m in measures] for p, measures in problems]
     return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
@@ -475,15 +465,14 @@ def _squash_value_and_grad(psis, dims, labels, problems, owner):
     traced-out qubit ancilla, E' of the purifier's dimension, and K|e> =
     |e>|0> squashes nothing."""
     d_e = psis.shape[-1]
-    shape = dims + (d_e, 2)
-    evaluate = _measure_kernel(shape, labels, problems)
+    evaluate = _measure_kernel(dims + (d_e, 2), labels, problems)
     psis_conj = psis.conj()
 
     def value_and_grad(params, rows):
         src = owner[rows]
         v, pullback = _isometry_and_pullback(params, d_e)
         out = psis[src] @ v.swapaxes(-1, -2)
-        values, grad = evaluate(out.reshape((len(src),) + shape), src)
+        values, grad = evaluate(out.reshape(len(src), -1), src)
         g = grad(np.zeros(len(src), dtype=int)).reshape(out.shape)
         return values[:, 0], pullback(g.swapaxes(-1, -2) @ psis_conj[src])
 
@@ -509,11 +498,9 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
         psis = np.stack([problems[i][0] for i in members])
         kinds = [(problems[i][1], [Measure(problems[i][2])]) for i in members]
         # the untouched purifier (identity squashing)
-        shape = dims + (d_e,)
         every = np.arange(len(members))
-        identity = _measure_kernel(shape, labels, kinds)(
-            psis.reshape((len(members),) + shape), every
-        )[0][:, 0].tolist()
+        evaluate = _measure_kernel(dims + (d_e,), labels, kinds)
+        identity = evaluate(psis.reshape(len(members), -1), every)[0][:, 0].tolist()
         if d_e == 1 or config.restarts == 1:
             # a pure state, where no extension can lower the objective, or
             # identity squashing the only start: no search, no squash kernel

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,16 @@ RANK_TOL = 1e-12
 PURE_TOL = 1e-9
 # largest trace distance at which check_private_state accepts a private state
 PRIVATE_TOL = 1e-8
+
+
+def _check_count(name: str, value, least: int | None = None) -> int:
+    """``value``, a Python or numpy integer, as an int; a bool (which would
+    pass as 0 or 1), a float or a value below ``least`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise QbcError(f"{name} must be an integer")
+    if least is not None and value < least:
+        raise QbcError(f"{name} must be at least {least}")
+    return int(value)
 
 
 def _frozen_array(a, what: str) -> np.ndarray:
@@ -73,7 +84,8 @@ class MultipartiteState:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, "matrix"))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(_check_count("subsystem dimension", d) for d in self.dims)
+        object.__setattr__(self, "dims", dims)
         m = self.matrix
         if len(self.labels) != len(set(self.labels)):
             raise LabelCollision(f"duplicate labels in {self.labels}")
@@ -119,8 +131,10 @@ class QuantumChannel:
         object.__setattr__(
             self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in self.kraus_ops)
         )
+        object.__setattr__(self, "input_dim", _check_count("input dimension", self.input_dim))
         object.__setattr__(self, "output_labels", tuple(self.output_labels))
-        object.__setattr__(self, "output_dims", tuple(int(d) for d in self.output_dims))
+        dims = tuple(_check_count("channel output dimension", d) for d in self.output_dims)
+        object.__setattr__(self, "output_dims", dims)
         if len(self.output_labels) != len(set(self.output_labels)):
             raise LabelCollision(f"duplicate output labels {self.output_labels}")
         if len(self.output_labels) != len(self.output_dims):
@@ -160,11 +174,12 @@ class PrivateStateSpec:
     shield_state: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "num_parties", _check_count("party count", self.num_parties))
         if self.num_parties < 2:
             raise QbcError("private states need at least 2 parties")
-        if self.key_dim < 2:
-            raise QbcError("key dimension must be at least 2")
-        object.__setattr__(self, "shield_dims", tuple(int(d) for d in self.shield_dims))
+        object.__setattr__(self, "key_dim", _check_count("key dimension", self.key_dim, 2))
+        dims = tuple(_check_count("shield dimension", d) for d in self.shield_dims)
+        object.__setattr__(self, "shield_dims", dims)
         if len(self.shield_dims) != self.num_parties or any(d < 1 for d in self.shield_dims):
             raise DimMismatch("one positive shield dimension per party required")
         ds = math.prod(self.shield_dims)
@@ -314,8 +329,7 @@ def make_ghz(labels, d: int) -> MultipartiteState:
     m = len(labels)
     if m < 2:
         raise QbcError("GHZ needs at least 2 parties")
-    if d < 2:
-        raise QbcError("GHZ Schmidt rank must be at least 2")
+    _check_count("GHZ Schmidt rank", d, 2)
     return MultipartiteState(_ghz_matrix(m, d), labels, (d,) * m)
 
 
@@ -372,10 +386,11 @@ def check_private_state(
         if lab in key_labels:
             raise LabelCollision(f"shield label {lab!r} is also a key label")
     m = len(key_labels)
-    psi = _purifying_amplitudes(*_support(state.matrix))
-    de = psi.shape[1]
     keys = [state.index_of(lab) for lab in key_labels]
-    t = np.moveaxis(psi.reshape(state.dims + (de,)), keys, range(m)).reshape(d**m, -1, de)
+    order = keys + [i for i in range(len(state.dims)) if i not in keys]
+    psi = _purifying_amplitudes(*_support(_reordered(state, order)))
+    de = psi.shape[1]
+    t = psi.reshape(d**m, -1, de)
     # dephasing the keys and tracing the shields leaves one purifier block per
     # key string: the state on (keys, purifier) is block diagonal
     blocks = np.einsum("ksa,ksb->kab", t, t.conj())

@@ -420,6 +420,23 @@ def test_qinfo_more_than_26_labels(capsys, tmp_path, n_trivial):
         assert abs(doc["entropy_by_label"]["P"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n_trivial", [40, 70])
+def test_esq_bell_pair_among_many_labels(capsys, tmp_path, n_trivial):
+    # every label in the partition reaches the squash kernel: 70 of them are
+    # past numpy's 64 axes in a layout of one axis per label (40 are past the
+    # 32 of numpy 1.x)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(_many_labels(n_trivial)))
+    trivial = [f"L{i}" for i in range(n_trivial)]
+    half = n_trivial // 2
+    partition = ",".join(["P"] + trivial[:half]) + "|" + ",".join(["Q"] + trivial[half:])
+    code, out, err = run(capsys, "esq", str(path), "--partition", partition, "--measure", "both")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["exact"] is True
+    assert [r["value_bits"] for r in doc["results"].values()] == [1.0, 1.0]
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -642,6 +659,44 @@ def test_bounds_finite_repeated_partition_exits_2(capsys, copy_channel_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: partition B|C|R is repeated\n"
+
+
+def _dimension_one_receivers(tmp_path, receivers):
+    """A noiseless qubit channel to receiver B and ``receivers - 1`` more
+    receivers of dimension 1, written as JSON, and the receiver labels."""
+    labels = ("B",) + tuple(f"X{i}" for i in range(receivers - 1))
+    channel = QuantumChannel((np.eye(2),), 2, labels, (2,) + (1,) * (receivers - 1))
+    path = tmp_path / f"receivers{receivers}.json"
+    path.write_text(channel_to_json(channel))
+    return str(path), labels
+
+
+@pytest.mark.parametrize("receivers, cut", [(8, False), (70, True)])
+def test_bounds_finite_party_cap_before_any_work(capsys, monkeypatch, tmp_path, receivers, cut):
+    # C(G) has about 2^parties members: past the cap, not even one explicit
+    # cut's weights can be printed, so the channel is refused before the
+    # partitions are enumerated and before any search
+    def no_work(*args, **kwargs):
+        raise AssertionError("partitions were enumerated or searched before the cap")
+
+    monkeypatch.setattr(rates, "minimize", no_work)
+    monkeypatch.setattr(rates, "nontrivial_partitions", no_work)
+    monkeypatch.setattr(rates, "constraint_coefficients", no_work)
+    path, labels = _dimension_one_receivers(tmp_path, receivers)
+    argv = ["--partition", "R|" + ",".join(labels)] if cut else []
+    code, out, err = run(capsys, "bounds-finite", path, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {receivers + 1} parties exceed the rate-constraint cap of 8\n"
+
+
+def test_bounds_finite_at_the_party_cap(capsys, tmp_path):
+    path, labels = _dimension_one_receivers(tmp_path, 7)
+    code, out, err = run(capsys, "bounds-finite", path, "--partition", "R|" + ",".join(labels))
+    assert (code, err) == (0, "")
+    (constraint,) = json.loads(out)["constraints"]
+    # a noiseless qubit: one ebit across the cut, 2^7 - 1 cross-block subsets
+    assert abs(constraint["bound_bits"] - 1.0) < 1e-9
+    assert len(constraint["weights"]) == 2**7 - 1
 
 
 def test_bounds_finite_one_block_partition_exits_2(capsys, monkeypatch, copy_channel_path):

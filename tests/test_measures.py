@@ -353,6 +353,30 @@ def test_batched_kernel_equals_per_cut_loop(dims, trailing, n_blocks, seed):
         assert np.array_equal(alone_grad(pick[i : i + 1])[0], grads[i])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_keeps_every_bit_among_70_dimension_one_labels(seed):
+    # 70 labels of dimension 1 after the others: 74 axes in a layout of one
+    # axis per label, past numpy's 64; the gathers leave them out, so every
+    # value and gradient keeps its bits
+    rng = np.random.default_rng(seed)
+    labels, shape, trailing = ("A", "B", "C"), (2, 3, 2), (2,)
+    pad = tuple(f"X{i}" for i in range(70))
+    cut = [frozenset("A"), frozenset("B")]
+    total = {s: 0.5 * c for s, c in _cmi_total(cut, frozenset("C")).items()}
+    dual = {s: 0.5 * c for s, c in _cmi_dual(cut, frozenset("C")).items()}
+    problems = [[total, dual], [{frozenset("AC"): 1.5}, {frozenset("B"): -2.0}]]
+    rows = [0, 1, 1, 0]
+    n = math.prod(shape + trailing)
+    psi = rng.normal(size=(len(rows), n)) + 1j * rng.normal(size=(len(rows), n))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    values, grad = _pure_entropy_sums(shape + trailing, labels, problems)(psi, rows)
+    padded = _pure_entropy_sums(shape + (1,) * 70 + trailing, labels + pad, problems)
+    padded_values, padded_grad = padded(psi, rows)
+    assert np.array_equal(padded_values, values)
+    for pick in (np.zeros(len(rows), dtype=int), rng.integers(0, 2, len(rows))):
+        assert np.array_equal(padded_grad(pick), grad(pick))
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -26,6 +26,7 @@ from qbcbound import (
     trace_distance,
 )
 from qbcbound.sampling import random_channel, random_state, random_unitary
+from qbcbound.states import PRIVATE_TOL
 
 
 def qubit(vec):
@@ -45,6 +46,37 @@ def test_state_validation():
         MultipartiteState(np.eye(4) / 4, ("A", "A"), (2, 2))
     with pytest.raises(QbcError):
         MultipartiteState(np.diag([1.5, -0.5]), ("A",), (2,))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A",), (2.9,)), "subsystem dimension"),
+        (lambda: MultipartiteState(np.eye(1), ("A",), (True,)), "subsystem dimension"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B",), (2.7,)), "channel output dimension"),
+        (lambda: QuantumChannel((np.eye(2),), 2.0, ("B",), (2,)), "input dimension"),
+        (lambda: PrivateStateSpec(2, 2.5, (1, 1)), "key dimension"),
+        (lambda: PrivateStateSpec(2.0, 2, (1, 1)), "party count"),
+        (lambda: PrivateStateSpec(2, 2, (1.5, 1)), "shield dimension"),
+        (lambda: make_ghz(("A", "B"), 2.5), "GHZ Schmidt rank"),
+    ],
+    ids=["state-float", "state-bool", "channel-output", "channel-input", "key-dim",
+         "parties", "shield", "ghz"],
+)
+def test_constructors_refuse_non_integer_counts(build, name):
+    with pytest.raises(QbcError, match=f"^{name} must be an integer$"):
+        build()
+
+
+def test_constructors_take_numpy_integers():
+    two = np.int64(2)
+    assert MultipartiteState(np.eye(2) / 2, ("A",), (two,)).dims == (2,)
+    channel = QuantumChannel((np.eye(2),), two, ("B",), (np.int32(2),))
+    assert (channel.input_dim, channel.output_dims) == (2, (2,))
+    assert type(channel.input_dim) is int
+    spec = PrivateStateSpec(two, np.int8(2), (np.int64(1), 1))
+    assert (spec.num_parties, spec.key_dim, spec.shield_dims) == (2, 2, (1, 1))
+    assert make_ghz(("A", "B"), two).dims == (2, 2)
 
 
 def test_non_finite_entries_rejected():
@@ -266,6 +298,22 @@ def test_private_state_check_accepts_construction():
             st = make_private_state(spec, keys, shields)
             ok, dev = check_private_state(st, keys, shields, 2)
             assert ok, dev
+
+
+def test_private_state_check_among_66_dimension_one_labels():
+    # 4 key and shield labels, 66 of dimension 1 and the purifier: 71 axes in
+    # a layout of one axis per label, past numpy's 64
+    rng = np.random.default_rng(1)
+    spec = PrivateStateSpec(2, 2, (2, 2), tuple(random_unitary(rng, 4) for _ in range(4)))
+    pad = tuple(f"x{i}" for i in range(66))
+    st = tensor(
+        [
+            make_private_state(spec, ("kA", "kB"), ("sA", "sB")),
+            MultipartiteState(np.eye(1), pad, (1,) * 66),
+        ]
+    )
+    ok, dev = check_private_state(st, ("kA", "kB"), ("sA", "sB"), 2)
+    assert ok and dev <= PRIVATE_TOL
 
 
 def _private_state_deviation_reference(state, key_labels, d):
