@@ -2,8 +2,9 @@
 multipartite informations (the total-correlation form and its dual form).
 
 All results are in bits.  Each measure is one subset -> coefficient map,
-and two engines evaluate such maps: ``_entropy_sum`` (a partial trace and
-``eigvalsh`` per subset) serves only the public density-matrix API, and
+and two engines evaluate such maps: ``_entropy_sum`` (one unvalidated
+``_marginal`` and one ``eigvalsh`` per subset) serves only the public
+density-matrix API, whose ``entropy`` alone validates its marginal, and
 ``_pure_entropy_sums`` (flat stacks of state vectors, with gradients) every
 value of ``squash`` and ``rates``, the exact pure-state values included,
 reading and writing each cut through one gather.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
 from .partitions import Partition
-from .states import MultipartiteState, partial_trace
+from .states import MultipartiteState, _marginal, partial_trace
 
 _EIG_FLOOR = 1e-12
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -34,7 +35,12 @@ def entropy(state: MultipartiteState, subset) -> float:
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
     # partial_trace raises LabelNotFound for a label missing from the state
-    ev = np.linalg.eigvalsh(partial_trace(state, subset).matrix)
+    return _matrix_entropy(partial_trace(state, subset).matrix)
+
+
+def _matrix_entropy(matrix: np.ndarray) -> float:
+    """Von Neumann entropy of a density matrix, in bits."""
+    ev = np.linalg.eigvalsh(matrix)
     ev = ev[ev > _EIG_FLOOR]
     if len(ev) == 1:
         # a pure reduction: the floor zeroes the rest and the trace makes the
@@ -81,19 +87,19 @@ def _pure_entropy_sums(shape, labels, forms):
         sides = [tuple(sorted(keep)), tuple(sorted(every - keep))]
         return min((math.prod(shape[i] for i in side), side) for side in sides)[::-1]
 
-    # per problem, side dimension -> its cuts in order of first appearance,
-    # and (form, cut, coefficient) entries
+    # each distinct subset resolved once: the forms of problems share most
+    cut_at = {s: cut_of(s) for s in {s for sums in forms for form in sums for s in form}}
+    # per problem, side dimension -> its cuts in order of first appearance
+    # (dict keys), and (form, cut, coefficient) entries
     problems = []
     for sums in forms:
-        by_side: dict[int, list] = {}
+        by_side: dict[int, dict] = {}
         entries = []
         for k, form in enumerate(sums):
             for subset, c in form.items():
-                cut, side = cut_of(subset)
+                cut, side = cut_at[subset]
                 if side > 1:
-                    cuts = by_side.setdefault(side, [])
-                    if cut not in cuts:
-                        cuts.append(cut)
+                    by_side.setdefault(side, {})[cut] = None
                     entries.append((k, cut, c))
         problems.append((by_side, entries))
     sides = sorted({side for by_side, _ in problems for side in by_side})
@@ -119,7 +125,7 @@ def _pure_entropy_sums(shape, labels, forms):
     for p, (by_side, entries) in enumerate(problems):
         slot = {}
         for side in sides:
-            cuts = by_side.get(side, [])
+            cuts = list(by_side.get(side, ()))
             # a padding slot repeats a cut of the same side dimension; its
             # coefficients stay 0
             pad = cuts[0] if cuts else next(c for b, _ in problems for c in b.get(side, ()))
@@ -222,8 +228,8 @@ def _cmi_dual(blocks, e) -> dict[frozenset, float]:
 
 def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> float:
     """The signed entropy sum of a subset -> coefficient map on ``state``,
-    H(empty) = 0."""
-    return sum((c * entropy(state, s) for s, c in coeffs.items() if s), 0.0)
+    H(empty) = 0, each marginal reduced and diagonalized once, unvalidated."""
+    return sum((c * _matrix_entropy(_marginal(state, s)[0]) for s, c in coeffs.items() if s), 0.0)
 
 
 def _check_labels(state: MultipartiteState, labels):

@@ -363,13 +363,6 @@ class SquashResult:
     extension_description: dict = field(default_factory=dict)
 
 
-def _half_measure(partition: Partition, measure, conditioning=()) -> dict[frozenset, float]:
-    """Subset -> entropy coefficient of half the conditional multipartite
-    information of ``measure`` over the blocks of ``partition``."""
-    fn = _cmi_total if Measure(measure) is Measure.E_SQ else _cmi_dual
-    return {s: 0.5 * c for s, c in fn(partition.blocks, conditioning).items()}
-
-
 def _reduced_purification(state: MultipartiteState, partition: Partition):
     """The labels and dims of ``partition`` on the state (``LabelNotFound`` if
     one is missing) and the purification amplitudes of its marginal there:
@@ -452,7 +445,11 @@ def _measure_kernel(shape, labels, problems):
     every problem, a (partition, measures) pair, over its partition
     conditioned on a purifier, on flat stacks of pure states over ``shape``
     (one index per label, the purifier's, then unlabeled ones)."""
-    forms = [[_half_measure(p, m, (_PURIFIER,)) for m in measures] for p, measures in problems]
+    fns = {Measure.E_SQ: _cmi_total, Measure.E_SQ_TILDE: _cmi_dual}
+    forms = [
+        [{s: 0.5 * c for s, c in fns[Measure(m)](p.blocks, (_PURIFIER,)).items()} for m in measures]
+        for p, measures in problems
+    ]
     return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
 
@@ -501,24 +498,17 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
         every = np.arange(len(members))
         evaluate = _measure_kernel(dims + (d_e,), labels, kinds)
         identity = evaluate(psis.reshape(len(members), -1), every)[0][:, 0].tolist()
-        if d_e == 1 or config.restarts == 1:
-            # a pure state, where no extension can lower the objective, or
-            # identity squashing the only start: no search, no squash kernel
-            # (the search path returns the same, but folding this branch into
-            # it cost 6% per esq_private op, medians of 4000 interleaved ops)
-            kind = {"trivial": True} if d_e == 1 else {"params": None}
-            for j, i in enumerate(members):
-                out[i] = SquashResult(identity[j], kinds[j][1][0], True, dict(kind))
-            continue
         # per problem: the best value, its search point and convergence
         best = [(value, None, True) for value in identity]
-        rng = np.random.default_rng(config.seed)
+        # a pure state, where no extension can lower the objective, searches
+        # nothing, and neither does a single restart
+        restarts = 1 if d_e == 1 else config.restarts
         per_slice = max(1, _BATCH_ROWS // len(members))
-        for first in range(1, config.restarts, per_slice):
+        slices = range(1, restarts, per_slice)
+        rng = np.random.default_rng(config.seed) if slices else None
+        for first in slices:
             # the next slice of starts, drawn in restart order
-            starts = rng.uniform(
-                -np.pi, np.pi, (min(per_slice, config.restarts - first), (2 * d_e) ** 2)
-            )
+            starts = rng.uniform(-np.pi, np.pi, (min(per_slice, restarts - first), (2 * d_e) ** 2))
             owner = np.repeat(every, len(starts))
             res = minimize(
                 _squash_value_and_grad(psis, dims, labels, kinds, owner),
@@ -532,7 +522,8 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
                     best[j] = (value, res.x[row].tolist(), bool(res.converged[row]))
         for j, i in enumerate(members):
             best_val, params, converged = best[j]
-            out[i] = SquashResult(best_val, kinds[j][1][0], converged, {"params": params})
+            kind = {"trivial": True} if d_e == 1 else {"params": params}
+            out[i] = SquashResult(best_val, kinds[j][1][0], converged, kind)
     return out
 
 

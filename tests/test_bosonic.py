@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qbcbound import (
     BosonicBroadcastSpec,
     DomainError,
+    QbcError,
     RootError,
     asymptotic_bound,
     finite_ns_bound,
@@ -287,6 +289,27 @@ def test_non_finite_inputs_rejected(bad):
         theorem3_report(0.2, bad)
     with pytest.raises(DomainError):
         theorem3_report(0.2, 0.1, mean_photon=bad)
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: BosonicBroadcastSpec(()), QbcError, "at least one receiver required"),
+        (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), 0.5, "esq-bar"), QbcError,
+         "unknown measure 'esq-bar'"),
+        (lambda: finite_ns_bound(BosonicBroadcastSpec((0.3,)), 0.5), DomainError,
+         "spec has no mean photon number"),
+        (lambda: finite_ns_bound(BosonicBroadcastSpec((0.3,), mean_photon=1.0), 1.5),
+         DomainError, "eta_eprime must lie in [0, 1]"),
+        (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), -0.1), DomainError,
+         "eta_eprime must lie in [0, 1]"),
+    ],
+    ids=["no-receivers", "unknown-measure", "finite-ns-without-photons",
+         "finite-ns-eta-above-1", "asymptotic-eta-below-0"],
+)
+def test_invalid_arguments_refused(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()
 
 
 def test_finite_ns_vacuum_is_zero():

@@ -369,6 +369,17 @@ def test_state_output_golden(capsys, golden_states, argv, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+def test_esq_min_is_the_smaller_result(capsys, golden_states):
+    code, out, _ = run(
+        capsys, "esq", golden_states["rank3"], "--partition", "A|B|C", "--measure", "min",
+        "--restarts", "1",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc["results"]) == ["esq", "esq-tilde"]
+    assert doc["min_bits"] == min(r["value_bits"] for r in doc["results"].values())
+
+
 def test_esq_repeated_label_exits_2(capsys, ghz_path):
     code, out, err = run(capsys, "esq", ghz_path, "--partition", "A,A|B|C")
     assert (code, out) == (2, "")
@@ -441,6 +452,12 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_failing_selftest_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_checks", lambda seed: iter([("a false check", False)]))
+    code, out, err = run(capsys, "selftest")
+    assert (code, out, err) == (2, "FAIL  a false check\n", "1 check(s) failed\n")
 
 
 _STATE = {

@@ -11,6 +11,7 @@ from qbcbound import (
     LabelNotFound,
     MultipartiteState,
     Partition,
+    QbcError,
     SpecError,
     apply_channel,
     cmi_dual_measure,
@@ -199,10 +200,22 @@ def test_missing_label_rejected_before_any_entropy(monkeypatch, fn, spec, condit
     def no_entropy(*args):
         raise AssertionError("an entropy was taken")
 
-    monkeypatch.setattr("qbcbound.measures.entropy", no_entropy)
+    # every entropy of a measure sum starts with its reduction
+    monkeypatch.setattr("qbcbound.measures._marginal", no_entropy)
     # the text partial_trace gives a missing label
     with pytest.raises(LabelNotFound, match=r"^label 'Z' not in \('A', 'B', 'C'\)$"):
         fn(ghz, blocks(*spec), conditioning)
+
+
+def test_measure_sums_floor_a_marginal_below_the_eigenvalue_tolerance():
+    # the state is accepted (eigenvalue -0.9e-10), its marginal on A is not
+    # (-1.8e-10): entropy validates that marginal, the sums floor it
+    t = 0.9e-10
+    state = MultipartiteState(np.diag([0.5 + t, 0.5 + t, -t, -t]), ("A", "B"), (2, 2))
+    with pytest.raises(QbcError, match="eigenvalue -1.800e-10 below"):
+        entropy(state, {"A"})
+    assert conditional_entropy(state, {"A"}, ()) == 0.0
+    assert abs(qcmi(state, {"A"}, {"B"})) < 1e-9
 
 
 def test_one_block_partition_measures_zero():
@@ -393,7 +406,8 @@ def test_qcmi_checks_labels_before_any_entropy(monkeypatch, call):
     def no_entropy(*args):
         raise AssertionError("an entropy was taken")
 
-    monkeypatch.setattr("qbcbound.measures.entropy", no_entropy)
+    # every entropy of a measure sum starts with its reduction
+    monkeypatch.setattr("qbcbound.measures._marginal", no_entropy)
     with pytest.raises(LabelNotFound, match=r"^label 'Z' not in \('A', 'B', 'C'\)$"):
         call(ghz)
     # the pinned errors come first, in their order

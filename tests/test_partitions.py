@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -95,6 +96,23 @@ def test_a_of_rejects_inner_subset():
     g1 = part(("A",), ("B", "C"))
     with pytest.raises(SpecError):
         a_of({"B", "C"}, g1)
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: subsets_geq2({"A"}), "ground set needs at least 2 elements"),
+        (lambda: nontrivial_partitions({"A"}), "ground set needs at least 2 elements"),
+        (lambda: a_of({"A", "B"}, part(("A", "B"))), "C(G) requires a nontrivial partition"),
+        (lambda: constraint_coefficients(part(("A", "B"))),
+         "coefficients require a nontrivial partition"),
+    ],
+    ids=["subsets-one-label", "partitions-one-label", "a-of-one-block",
+         "coefficients-one-block"],
+)
+def test_too_small_inputs_refused(build, fragment):
+    with pytest.raises(SpecError, match=re.escape(fragment)):
+        build()
 
 
 def test_constraint_coefficients_values():

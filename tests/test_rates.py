@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbcbound import (
+    DimMismatch,
     Measure,
     MultipartiteState,
     Partition,
@@ -304,6 +306,27 @@ def test_one_block_partition_rejected_before_the_search(monkeypatch):
     monkeypatch.setattr(rates, "minimize", no_search)
     with pytest.raises(SpecError, match=r"partition B,C,R has one block"):
         evaluate_bounds(copy_channel(), [part("R", "B", "C"), part(("R", "B", "C"))])
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: channel_output_state(copy_channel(), make_ghz(("R", "B"), 2)), DimMismatch,
+         "input must live on labels {R, A}"),
+        (lambda: channel_output_state(
+            copy_channel(), MultipartiteState(np.eye(4) / 4, ("R", "A"), (2, 2))
+        ), QbcError, "channel input must be pure"),
+        (lambda: evaluate_bounds(QuantumChannel((np.eye(2),), 2, ("R",), (2,))), SpecError,
+         "'R' is reserved for the sender system"),
+        (lambda: evaluate_bounds(copy_channel(), [part(("R",), ("B",))]), SpecError,
+         "partition B|R does not cover ('R', 'B', 'C')"),
+    ],
+    ids=["output-state-labels", "output-state-mixed-input", "receiver-named-R",
+         "partition-short-of-ground"],
+)
+def test_invalid_arguments_refused(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()
 
 
 def _input_from_rho(rho):

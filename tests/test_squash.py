@@ -315,39 +315,51 @@ def test_one_block_partition_rejected_before_any_work(monkeypatch, run):
 
 
 @pytest.mark.parametrize("noise", [0.0, 9e-10])
-def test_variational_exact_on_large_pure_state(noise):
+def test_variational_exact_on_large_pure_state(monkeypatch, noise):
     # 125 dimensions with the default cap of 64: a pure state needs no search,
-    # also when white noise below the is_pure tolerance leaves it full rank
+    # nor a generator for its starts, also when white noise below the is_pure
+    # tolerance leaves it full rank
     ghz = make_ghz(("A", "B", "C"), 5)
     noisy = (1 - noise) * ghz.matrix + noise * np.eye(125) / 125
     state = MultipartiteState(noisy, ghz.labels, ghz.dims)
+
+    def no_generator(seed):
+        raise AssertionError("a pure state built a generator")
+
+    monkeypatch.setattr(squash.np.random, "default_rng", no_generator)
     res = esq_upper_variational(state, part(("A",), ("B",), ("C",)))
     assert abs(res.value_bits - 1.5 * np.log2(5)) < 1e-9
     assert res.converged
+    assert res.extension_description == {"trivial": True}
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, fragment",
     [
-        lambda: SquashConfig(seed=-1),
-        lambda: SquashConfig(seed=True),
-        lambda: esq_cq_average(
+        (lambda: SquashConfig(seed=-1), "seed must be at least 0"),
+        (lambda: SquashConfig(seed=True), "seed must be an integer"),
+        (lambda: esq_cq_average(
             [(float("nan"), make_ghz(("A", "B"), 2))], part(("A",), ("B",))
-        ),
-        lambda: esq_cq_average(
+        ), "probabilities must be non-negative"),
+        (lambda: esq_cq_average(
             [(1.5, make_ghz(("A", "B"), 2)), (-0.5, make_ghz(("A", "B"), 2))],
             part(("A",), ("B",)),
-        ),
+        ), "probabilities must be non-negative"),
+        (lambda: esq_cq_average(
+            [(0.5, make_ghz(("A", "B"), 2)), (0.25, make_ghz(("A", "B"), 2))],
+            part(("A",), ("B",)),
+        ), "probabilities must sum to 1"),
     ],
     ids=[
         "squash-seed-negative",
         "squash-seed-bool",
         "cq-average-nan-weight",
         "cq-average-negative-weight",
+        "cq-average-sum-below-1",
     ],
 )
-def test_invalid_settings_rejected(make):
-    with pytest.raises(QbcError):
+def test_invalid_settings_rejected(make, fragment):
+    with pytest.raises(QbcError, match=fragment):
         make()
 
 
@@ -479,8 +491,18 @@ def test_identity_restart_needs_no_search(monkeypatch, restarts):
     monkeypatch.setattr(squash, "minimize", counting)
     st = random_state(np.random.default_rng(7), ("A", "B"), (2, 2), rank=2)
     p = part(("A",), ("B",))
+    generators = []
+    real_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        generators.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(squash.np.random, "default_rng", counting_rng)
     res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=restarts, seed=3))
-    # the random starts run as one batch, one row each
+    # the random starts run as one batch, one row each, from one generator
+    # that is built only when a search runs
+    assert generators == ([3] if restarts > 1 else [])
     assert len(calls) == (restarts > 1)
     assert sum(len(x0) for x0 in calls) == restarts - 1
     assert all(not np.array_equal(row, as_params(identity_kraus(2))) for x0 in calls for row in x0)

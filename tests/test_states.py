@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,12 +61,75 @@ def test_state_validation():
         (lambda: PrivateStateSpec(2.0, 2, (1, 1)), "party count"),
         (lambda: PrivateStateSpec(2, 2, (1.5, 1)), "shield dimension"),
         (lambda: make_ghz(("A", "B"), 2.5), "GHZ Schmidt rank"),
+        (lambda: measurement_channel(2.5, "B"), "measurement dimension"),
+        (lambda: measurement_channel(2.0, "B"), "measurement dimension"),
+        (lambda: measurement_channel(True, "B"), "measurement dimension"),
     ],
     ids=["state-float", "state-bool", "channel-output", "channel-input", "key-dim",
-         "parties", "shield", "ghz"],
+         "parties", "shield", "ghz", "measurement-float", "measurement-whole-float",
+         "measurement-bool"],
 )
 def test_constructors_refuse_non_integer_counts(build, name):
     with pytest.raises(QbcError, match=f"^{name} must be an integer$"):
+        build()
+
+
+_GHZ_AB = make_ghz(("A", "B"), 2)
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A", "B"), (2,)), DimMismatch,
+         "labels and dims length mismatch"),
+        (lambda: MultipartiteState(np.eye(1), ("A", "B"), (1, 0)), DimMismatch,
+         "subsystem dimensions must be positive"),
+        (lambda: QuantumChannel((np.eye(4),), 4, ("B", "B"), (2, 2)), LabelCollision,
+         "duplicate output labels"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B", "C"), (2,)), DimMismatch,
+         "output labels/dims length mismatch"),
+        (lambda: QuantumChannel((), 2, ("B",), (2,)), DimMismatch,
+         "at least one Kraus operator"),
+        (lambda: QuantumChannel((2 * np.eye(2),), 2, ("B",), (2,)), QbcError,
+         "CPTP condition"),
+        (lambda: PrivateStateSpec(1, 2, (1,)), QbcError, "at least 2 parties"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), twist_unitaries=(np.eye(1),) * 3), DimMismatch,
+         "one twist unitary per key basis tuple"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), twist_unitaries=(np.eye(2),) * 4), DimMismatch,
+         "wrong shield dimension"),
+        (lambda: PrivateStateSpec(2, 2, (2, 1), twist_unitaries=(2 * np.eye(2),) * 4), QbcError,
+         "not unitary"),
+        (lambda: measurement_channel(0, "B"), DimMismatch, "channel dimensions must be positive"),
+        (lambda: tensor([]), QbcError, "tensor of zero states"),
+        (lambda: partial_trace(_GHZ_AB, set()), QbcError, "empty label set"),
+        (lambda: purify(_GHZ_AB, "A"), LabelCollision, "already present"),
+        (lambda: apply_channel(measurement_channel(3, "A"), _GHZ_AB, "A"), DimMismatch,
+         "target dim 2 != channel input dim 3"),
+        (lambda: apply_channel(measurement_channel(2, "B"), _GHZ_AB, "A"), LabelCollision,
+         "collides with spectator"),
+        (lambda: make_ghz(("A",), 2), QbcError, "GHZ needs at least 2 parties"),
+        (lambda: make_private_state(PrivateStateSpec(2, 2, (1, 1)), ("kA",), ("sA", "sB")),
+         DimMismatch, "one key label and one shield label per party"),
+        (lambda: check_private_state(_GHZ_AB, ("A", "B"), (), 3), DimMismatch,
+         "does not have dimension 3"),
+        (lambda: trace_distance(_GHZ_AB, make_ghz(("A", "C"), 2)), DimMismatch,
+         "different label sets"),
+        (lambda: trace_distance(_GHZ_AB, make_ghz(("A", "B"), 3)), DimMismatch,
+         "different subsystem dimensions"),
+        (lambda: state_from_json('{"matrix": [[[1, 0]]], "labels": ["A"], "dims": 1}'),
+         QbcError, "JSON field 'dims' is malformed: expected an array of integers"),
+    ],
+    ids=["state-label-count", "state-dim-0", "channel-duplicate-labels",
+         "channel-label-count", "channel-no-kraus", "channel-not-cptp", "spec-one-party",
+         "spec-twist-count", "spec-twist-shape", "spec-twist-not-unitary", "measurement-dim-0",
+         "tensor-empty",
+         "partial-trace-empty", "purify-existing-label", "apply-input-dim",
+         "apply-spectator-output", "ghz-one-label", "private-state-label-count",
+         "check-private-key-dim", "trace-distance-labels", "trace-distance-dims",
+         "json-dims-not-array"],
+)
+def test_invalid_arguments_refused(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
         build()
 
 
