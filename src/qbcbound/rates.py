@@ -45,7 +45,8 @@ import numpy as np
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
 from .measures import _pure_entropy_sums
 from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
-from .squash import DIM_CAP, Measure, SquashConfig, _measure_kernel, _squash_purified, minimize
+from .optimize import minimize
+from .squash import Measure, SquashConfig, _check_size, _measure_kernel, _squash_purified
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
@@ -208,13 +209,8 @@ def evaluate_bounds(
     if len(ground) > MAX_PARTIES:
         raise TooLarge(f"{len(ground)} parties exceed the rate-constraint cap of {MAX_PARTIES}")
     d = channel.input_dim
-    # the output state's rank is at most the number of Kraus operators
-    rank = min(len(channel.kraus_ops), d * channel.output_dim)
-    if d * channel.output_dim * rank > DIM_CAP:
-        raise TooLarge(
-            f"output state dim {d * channel.output_dim} x squash output dim up to "
-            f"{rank} exceeds cap {DIM_CAP}"
-        )
+    # the squash's worst case: the output state's rank is at most #Kraus
+    _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))
     if partitions is None:
         partitions = nontrivial_partitions(ground)
     seen = set()

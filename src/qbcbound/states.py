@@ -360,7 +360,7 @@ def make_private_state(
 
 def measurement_channel(d: int, label: str) -> QuantumChannel:
     """Von Neumann measurement channel in the computational basis."""
-    eye = np.eye(_check_count("measurement dimension", d))
+    eye = np.eye(_check_count("measurement dimension", d, 1))
     kraus = [np.outer(eye[:, i], eye[:, i]) for i in range(d)]
     return QuantumChannel(tuple(kraus), d, (label,), (d,))
 

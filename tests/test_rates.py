@@ -217,9 +217,23 @@ def test_size_cap_checked_before_the_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the input search ran before the size check")
 
+    refused = []
+    real_check = rates._check_size
+
+    def spy(n, d_e):
+        try:
+            real_check(n, d_e)
+        except TooLarge as exc:
+            refused.append(exc)
+            raise
+
     monkeypatch.setattr(rates, "minimize", no_search)
-    with pytest.raises(TooLarge):
+    monkeypatch.setattr(rates, "_check_size", spy)
+    # the squash's worst case, d_e = min(#Kraus, 16) = 8
+    message = "^state dim 16 x squash output dim 8 exceeds cap 64$"
+    with pytest.raises(TooLarge, match=message) as info:
         evaluate_bounds(channel)
+    assert refused == [info.value]
 
 
 SURROGATE_CHANNELS = {

@@ -58,9 +58,8 @@ def squash_objective(psi, dims, labels, partition, measure):
     """params -> (value, gradient) of the squash of one problem: a one-row
     batch of ``_squash_value_and_grad``."""
     owner = np.zeros(1, dtype=int)
-    value_and_grad = _squash_value_and_grad(
-        psi[None], dims, labels, [(partition, [measure])], owner
-    )
+    evaluate = _measure_kernel(dims + (psi.shape[1], 2), labels, [(partition, [measure])])
+    value_and_grad = _squash_value_and_grad(evaluate, psi[None], owner)
 
     def at(params):
         values, grads = value_and_grad(params[None], owner)
@@ -291,14 +290,49 @@ def test_dimension_cap():
     assert abs(esq_exact_pure(ghz, part(("A",), ("B",), ("C",))) - 3.0) < 1e-9
 
 
+def refusal_spy(monkeypatch, module):
+    """Wrap ``module._check_size``; the returned list collects its refusals."""
+    refused = []
+    real_check = module._check_size
+
+    def spy(n, d_e):
+        try:
+            real_check(n, d_e)
+        except TooLarge as exc:
+            refused.append(exc)
+            raise
+
+    monkeypatch.setattr(module, "_check_size", spy)
+    return refused
+
+
 def test_size_cap_checked_before_the_kernel(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the squash kernel ran before the size check")
 
     monkeypatch.setattr(squash, "_measure_kernel", no_kernel)
+    refused = refusal_spy(monkeypatch, squash)
     mixed = MultipartiteState(np.eye(27) / 27, ("A", "B", "C"), (3, 3, 3))
-    with pytest.raises(TooLarge):
+    message = "^state dim 27 x squash output dim 27 exceeds cap 64$"
+    with pytest.raises(TooLarge, match=message) as info:
         esq_upper_variational(mixed, part(("A",), ("B",), ("C",)))
+    assert refused == [info.value]
+
+
+def test_size_cap_admits_its_boundary(monkeypatch):
+    # a 3-qubit rank-8 state: n * d_e = 8 * 8 = 64, the cap itself; at one
+    # restart no search runs
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran at one restart")
+
+    monkeypatch.setattr(squash, "minimize", no_search)
+    refused = refusal_spy(monkeypatch, squash)
+    st = random_state(np.random.default_rng(9), ("A", "B", "C"), (2, 2, 2), rank=8)
+    p = part(("A",), ("B", "C"))
+    res = esq_upper_variational(st, p, Measure.E_SQ, SquashConfig(restarts=1))
+    assert refused == []
+    assert res.extension_description == {"params": None}
+    assert abs(res.value_bits - 0.5 * cmi_total(st, p)) < 1e-12
 
 
 @pytest.mark.parametrize("run", [esq_exact_pure, esq_upper_variational])
@@ -527,10 +561,20 @@ def test_restarts_past_the_batch_cap_run_in_slices(monkeypatch):
         calls.append(len(x0))
         return real_minimize(fun, x0, **kwargs)
 
+    compiled = []
+    real_kernel = squash._measure_kernel
+
+    def counting_kernel(shape, labels, problems):
+        compiled.append(shape)
+        return real_kernel(shape, labels, problems)
+
     monkeypatch.setattr(squash, "minimize", counting)
+    monkeypatch.setattr(squash, "_measure_kernel", counting_kernel)
     monkeypatch.setattr(squash, "_BATCH_ROWS", 3)
     assert esq_upper_variational(st, p, Measure.E_SQ, config) == whole
     assert calls == [3, 3, 1]
+    # one identity kernel and one search kernel, shared by every slice
+    assert compiled == [(2, 2, 2, 3), (2, 2, 2, 3, 2)]
 
 
 def test_params_round_trip():
@@ -580,83 +624,6 @@ def test_squash_of_large_purifier_lies_between_hashing_and_identity(rank):
     assert res.value_bits <= _EXP_IH_VALUES[rank] + 1e-8
 
 
-def test_minimize_reaches_the_minimum_of_separable_rows():
-    # one batch of independent rows: quadratics conditioned up to 1e4 with
-    # known minimizers, and Rosenbrock functions, minimized at the ones
-    rng = np.random.default_rng(0)
-    n = 4
-    targets = rng.uniform(-2, 2, (4, n))
-    weights = [10.0 ** (c * np.arange(n) / (n - 1)) for c in range(4)]
-
-    def fun(x, rows):
-        values, grads = np.zeros(len(rows)), np.zeros((len(rows), n))
-        for i, (xi, r) in enumerate(zip(x, rows.tolist())):
-            if r < 4:
-                dx = xi - targets[r]
-                values[i], grads[i] = weights[r] @ dx**2, 2 * weights[r] * dx
-            else:
-                a, b = xi[:-1], xi[1:]
-                values[i] = np.sum(100 * (b - a**2) ** 2 + (1 - a) ** 2)
-                grads[i, :-1] = -400 * a * (b - a**2) - 2 * (1 - a)
-                grads[i, 1:] += 200 * (b - a**2)
-        return values, grads
-
-    x0 = np.concatenate([np.zeros((4, n)), [[-1.2, 1.0, -1.2, 1.0], [2.0, -1.0, 0.5, 2.0]]])
-    res = squash.minimize(fun, x0, max_iters=1000, ftol=1e-15, gtol=1e-9)
-    assert res.success and res.converged.all()
-    assert np.max(np.abs(res.x[:4] - targets)) < 1e-8
-    assert np.max(np.abs(res.x[4:] - 1.0)) < 1e-6
-    assert np.max(res.fun) < 1e-12
-    assert res.nfev >= res.nit > 0
-
-
-def _random_descent_function(rng):
-    """A smooth 1-D function with a negative slope at 0 and bounded below:
-    a linear descent, a quadratic of either sign, a ripple and a quartic
-    wall, each scaled over decades."""
-    slope = -(10.0 ** rng.uniform(-3, 2))
-    quad = rng.uniform(-1, 1) * 10.0 ** rng.uniform(-2, 2)
-    amp, freq = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-1, 1.5)
-    wall = 10.0 ** rng.uniform(-3, 2)
-
-    def phi(a):
-        return slope * a + quad * a * a + amp * (1 - np.cos(freq * a)) + wall * a**4
-
-    def derphi(a):
-        return slope + 2 * quad * a + amp * freq * np.sin(freq * a) + 4 * wall * a**3
-
-    return phi, derphi
-
-
-def test_line_search_takes_the_trial_steps_of_scipys_dcsrch():
-    # the Moré-Thuente search is MINPACK-2's dcsrch; scipy ships a port of
-    # it, which must propose the same trial steps in the same order
-    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
-    rng = np.random.default_rng(0)
-    cap = 100
-    for _ in range(400):
-        phi, derphi = _random_descent_function(rng)
-        f0, g0 = float(phi(0.0)), float(derphi(0.0))
-        for stp in (1.0, rng.uniform(1e-3, 1.0)):
-            theirs = []
-
-            def traced_phi(a):
-                theirs.append(a)
-                return float(phi(a))
-
-            search = dcsrch.DCSRCH(
-                traced_phi, lambda a: float(derphi(a)),
-                squash._C1, squash._C2, squash._XTOL, 0.0, squash._STEP_MAX,
-            )
-            search(stp, phi0=f0, derphi0=g0, maxiter=cap)
-            ours, ls, trial = [], squash._LineSearch(f0, g0, stp), stp
-            while trial is not None and len(ours) < cap:
-                ours.append(trial)
-                trial = ls.next(trial, float(phi(trial)), float(derphi(trial)))
-            assert len(theirs) < cap
-            assert ours == theirs
-
-
 def test_search_is_the_same_alone_or_in_a_batch():
     # every row's arithmetic is its own: run alone, a row ends where it ends
     # in the batch, bit for bit, after the same iterations and evaluations
@@ -670,7 +637,8 @@ def test_search_is_the_same_alone_or_in_a_batch():
     ]
     owner = np.repeat(np.arange(len(problems)), 2)
     psis = np.stack([psi] * len(problems))
-    value_and_grad = _squash_value_and_grad(psis, st.dims, st.labels, problems, owner)
+    evaluate = _measure_kernel(st.dims + (d_e, 2), st.labels, problems)
+    value_and_grad = _squash_value_and_grad(evaluate, psis, owner)
     x0 = np.random.default_rng(0).uniform(-np.pi, np.pi, (len(owner), 4 * d_e * d_e))
     settings = dict(max_iters=squash._MAX_ITERS, ftol=squash._FTOL, gtol=squash._GTOL)
     batch = squash.minimize(value_and_grad, x0, **settings)
@@ -698,7 +666,8 @@ def test_stacked_squash_kernel_matches_one_row():
     )
     owner = np.arange(len(problems))
     params = rng.uniform(-np.pi, np.pi, (len(problems), 16))
-    values, grads = _squash_value_and_grad(psis, dims, labels, problems, owner)(params, owner)
+    evaluate = _measure_kernel(dims + (psis.shape[-1], 2), labels, problems)
+    values, grads = _squash_value_and_grad(evaluate, psis, owner)(params, owner)
     for i, (partition, (measure,)) in enumerate(problems):
         value, grad = squash_objective(psis[i], dims, labels, partition, measure)(params[i])
         assert abs(values[i] - value) <= 1e-13

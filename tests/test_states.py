@@ -51,26 +51,32 @@ def test_state_validation():
 
 
 @pytest.mark.parametrize(
-    "build, name",
+    "build, message",
     [
-        (lambda: MultipartiteState(np.eye(2) / 2, ("A",), (2.9,)), "subsystem dimension"),
-        (lambda: MultipartiteState(np.eye(1), ("A",), (True,)), "subsystem dimension"),
-        (lambda: QuantumChannel((np.eye(2),), 2, ("B",), (2.7,)), "channel output dimension"),
-        (lambda: QuantumChannel((np.eye(2),), 2.0, ("B",), (2,)), "input dimension"),
-        (lambda: PrivateStateSpec(2, 2.5, (1, 1)), "key dimension"),
-        (lambda: PrivateStateSpec(2.0, 2, (1, 1)), "party count"),
-        (lambda: PrivateStateSpec(2, 2, (1.5, 1)), "shield dimension"),
-        (lambda: make_ghz(("A", "B"), 2.5), "GHZ Schmidt rank"),
-        (lambda: measurement_channel(2.5, "B"), "measurement dimension"),
-        (lambda: measurement_channel(2.0, "B"), "measurement dimension"),
-        (lambda: measurement_channel(True, "B"), "measurement dimension"),
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A",), (2.9,)),
+         "subsystem dimension must be an integer"),
+        (lambda: MultipartiteState(np.eye(1), ("A",), (True,)),
+         "subsystem dimension must be an integer"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B",), (2.7,)),
+         "channel output dimension must be an integer"),
+        (lambda: QuantumChannel((np.eye(2),), 2.0, ("B",), (2,)),
+         "input dimension must be an integer"),
+        (lambda: PrivateStateSpec(2, 2.5, (1, 1)), "key dimension must be an integer"),
+        (lambda: PrivateStateSpec(2.0, 2, (1, 1)), "party count must be an integer"),
+        (lambda: PrivateStateSpec(2, 2, (1.5, 1)), "shield dimension must be an integer"),
+        (lambda: make_ghz(("A", "B"), 2.5), "GHZ Schmidt rank must be an integer"),
+        (lambda: measurement_channel(2.5, "B"), "measurement dimension must be an integer"),
+        (lambda: measurement_channel(2.0, "B"), "measurement dimension must be an integer"),
+        (lambda: measurement_channel(True, "B"), "measurement dimension must be an integer"),
+        # refused before np.eye, which would raise a bare ValueError
+        (lambda: measurement_channel(-1, "B"), "measurement dimension must be at least 1"),
     ],
     ids=["state-float", "state-bool", "channel-output", "channel-input", "key-dim",
          "parties", "shield", "ghz", "measurement-float", "measurement-whole-float",
-         "measurement-bool"],
+         "measurement-bool", "measurement-negative"],
 )
-def test_constructors_refuse_non_integer_counts(build, name):
-    with pytest.raises(QbcError, match=f"^{name} must be an integer$"):
+def test_constructors_refuse_non_integer_counts(build, message):
+    with pytest.raises(QbcError, match=f"^{message}$"):
         build()
 
 
@@ -99,7 +105,10 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
          "wrong shield dimension"),
         (lambda: PrivateStateSpec(2, 2, (2, 1), twist_unitaries=(2 * np.eye(2),) * 4), QbcError,
          "not unitary"),
-        (lambda: measurement_channel(0, "B"), DimMismatch, "channel dimensions must be positive"),
+        (lambda: QuantumChannel((np.zeros((2, 0)),), 0, ("B",), (2,)), DimMismatch,
+         "channel dimensions must be positive"),
+        (lambda: measurement_channel(0, "B"), QbcError,
+         "measurement dimension must be at least 1"),
         (lambda: tensor([]), QbcError, "tensor of zero states"),
         (lambda: partial_trace(_GHZ_AB, set()), QbcError, "empty label set"),
         (lambda: purify(_GHZ_AB, "A"), LabelCollision, "already present"),
@@ -121,7 +130,8 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
     ],
     ids=["state-label-count", "state-dim-0", "channel-duplicate-labels",
          "channel-label-count", "channel-no-kraus", "channel-not-cptp", "spec-one-party",
-         "spec-twist-count", "spec-twist-shape", "spec-twist-not-unitary", "measurement-dim-0",
+         "spec-twist-count", "spec-twist-shape", "spec-twist-not-unitary", "channel-dim-0",
+         "measurement-dim-0",
          "tensor-empty",
          "partial-trace-empty", "purify-existing-label", "apply-input-dim",
          "apply-spectator-output", "ghz-one-label", "private-state-label-count",
