@@ -1,7 +1,7 @@
 """Batched L-BFGS: independent minimizations, one per row, advanced in
 lockstep.  Each row keeps its own correction pairs and Moré-Thuente line
 search, so its result is the same alone or in a batch.  The squash and the
-rates input search both run on ``minimize``.
+rates input search both run on ``minimize``, on ``complex_point`` layouts.
 """
 
 import math
@@ -15,6 +15,19 @@ _MEMORY = 10
 # interval width and trial cap (those of scipy's L-BFGS-B), and its step cap
 _C1, _C2, _XTOL, _TRIALS = 1e-3, 0.9, 0.1, 20
 _STEP_MAX = 1e10
+
+
+def complex_point(params: np.ndarray, shape) -> np.ndarray:
+    """The complex matrices of ``shape`` at search points ``params``, one per
+    leading index: a point is the real parts, then the imaginary, row-major."""
+    n = math.prod(shape)
+    return (params[..., :n] + 1j * params[..., n:]).reshape(params.shape[:-1] + tuple(shape))
+
+
+def real_point(z: np.ndarray) -> np.ndarray:
+    """The search points of the matrices ``z``: the inverse of ``complex_point``."""
+    lead = z.shape[:-2] + (-1,)
+    return np.concatenate([z.real.reshape(lead), z.imag.reshape(lead)], axis=-1)
 
 
 def _cubic_gamma(theta: float, a: float, b: float) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
 from .measures import _pure_entropy_sums
 from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
-from .optimize import minimize
+from .optimize import complex_point, minimize, real_point
 from .squash import Measure, SquashConfig, _check_size, _measure_kernel, _squash_purified
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
@@ -82,9 +82,9 @@ class RateConstraint:
 
 def _input_amplitudes(params: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes phi[..., r, a] = X / ||X|| of pure inputs phi_RA (|R| = |A| =
-    d), one per leading index of ``params``, with X = params[..., :d*d] +
-    i params[..., d*d:] as a d x d matrix, and the norms ||X||."""
-    x = (params[..., : d * d] + 1j * params[..., d * d :]).reshape(params.shape[:-1] + (d, d))
+    d), one per leading index of ``params``, with X the d x d matrix
+    ``complex_point(params, (d, d))``, and the norms ||X||."""
+    x = complex_point(params, (d, d))
     norm = np.linalg.norm(x, axis=(-2, -1))
     return x / norm[..., None, None], norm
 
@@ -106,7 +106,7 @@ def _input_gap(params: np.ndarray, grad: np.ndarray, d: int) -> np.ndarray:
     phi, norm = _input_amplitudes(params, d)
     u, s, wh = np.linalg.svd(phi)
     full = s[..., -1] > _GAP_FLOOR * s[..., 0]
-    g = (grad[..., : d * d] + 1j * grad[..., d * d :]).reshape(phi.shape)
+    g = complex_point(grad, (d, d))
     g *= (norm / 2)[..., None, None]
     # phi^-1 g = (G - c I)^T, whose gap is G's, and tr((G - c I) rho_A) = tr(phi^dag g);
     # an input below the floor divides by 1 instead, and its gap is inf
@@ -127,47 +127,43 @@ def channel_output_state(
     return apply_channel(channel, input_state, "A")
 
 
-def _partition_value(est, partition) -> tuple[float, str]:
-    if len(partition.blocks) == 2:
-        # the two measures coincide on bipartitions
-        return est(Measure.E_SQ), "esq"
-    return min(est(Measure.E_SQ), est(Measure.E_SQ_TILDE)), "min_of_both"
+def _measures(partition: Partition) -> list[Measure]:
+    """The measures whose smaller value bounds a cut: E_sq alone on a
+    bipartition, where the two coincide, and both on three or more blocks."""
+    return [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
 
 
 def _stinespring(channel: QuantumChannel):
-    """The Stinespring isometry V[out, env, a] = K_env[out, a], and the shape and
-    labels of (1 (x) V)|phi> on R, the receivers and the (unlabeled) environment."""
-    stinespring = np.stack(channel.kraus_ops, axis=1)
+    """The Stinespring isometry as one matrix V[a, (out, env)] = K_env[out, a],
+    and the shape and labels of (1 (x) V)|phi> = phi V on R, the receivers and
+    the (unlabeled) environment."""
+    v = np.stack(channel.kraus_ops, axis=-1).transpose(1, 0, 2).reshape(channel.input_dim, -1)
     shape = (channel.input_dim,) + channel.output_dims + (len(channel.kraus_ops),)
-    return stinespring, shape, (SENDER_LABEL,) + channel.output_labels
+    return v, shape, (SENDER_LABEL,) + channel.output_labels
 
 
-def _input_value_and_grad(channel: QuantumChannel, partitions, stinespring):
+def _input_value_and_grad(partitions, v, shape, labels):
     """(params, rows) -> (values, gradients): row i of ``params`` is an input
     of partition ``partitions[rows[i]]``, and its value is the partition value
-    of (1 (x) V)|phi> conditioned on the environment.  On a 3-block partition
-    the value is the smaller of the two measures and the gradient is that
-    measure's (on a bipartition the two coincide, and the first is taken).
-    ``stinespring`` is ``_stinespring(channel)``."""
-    d = channel.input_dim
-    stinespring, shape, labels = stinespring
+    of (1 (x) V)|phi> conditioned on the environment.  Both measures are
+    evaluated on every partition; the value is the smaller and the gradient
+    is that measure's (on a bipartition the two coincide, and the first is
+    taken).  ``v, shape, labels`` are ``_stinespring(channel)``."""
+    d = len(v)
     evaluate = _measure_kernel(shape, labels, [(p, list(Measure)) for p in partitions])
-    # V as matrices: [a, (out, env)] for the output, conj [(out, env), a] for
-    # the gradient
-    v_rows = stinespring.transpose(2, 0, 1).reshape(d, -1)
-    v_conj = stinespring.conj().reshape(-1, d)
+    # conj V^T [(out, env), a] for the gradient
+    v_conj = v.conj().T
 
     def value_and_grad(params, rows):
         count = len(rows)
         phi, norm = _input_amplitudes(params, d)
-        values, grad = evaluate((phi @ v_rows).reshape(count, -1), rows)
+        values, grad = evaluate((phi @ v).reshape(count, -1), rows)
         k = np.argmin(values, axis=1)
         g_phi = grad(k).reshape(count, d, -1) @ v_conj
         # phi = X / ||X||: drop the radial part, which leaves phi unchanged
         radial = (phi.conj() * g_phi).real.sum(axis=(1, 2))
         g_x = (g_phi - radial[:, None, None] * phi) / norm[:, None, None]
-        grads = np.concatenate([g_x.real.reshape(count, -1), g_x.imag.reshape(count, -1)], axis=1)
-        return values[np.arange(count), k], 2 * grads
+        return values[np.arange(count), k], 2 * real_point(g_x)
 
     return value_and_grad
 
@@ -182,8 +178,7 @@ def _coherent_information(outputs, partitions, shape, labels) -> dict:
         return {}
     everything = frozenset(labels)
     forms = [[{x: 1.0} for x in partitions[i].blocks] + [{everything: 1.0}] for i in cuts]
-    psis = np.stack([outputs[i].ravel() for i in cuts])
-    entropies = _pure_entropy_sums(shape, labels, forms)(psis, np.arange(len(cuts)))[0]
+    entropies = _pure_entropy_sums(shape, labels, forms)(outputs[cuts], np.arange(len(cuts)))[0]
     achievable = np.maximum(entropies[:, 0], entropies[:, 1]) - entropies[:, 2]
     return {partitions[i]: a for i, a in zip(cuts, achievable.tolist())}
 
@@ -193,9 +188,9 @@ def evaluate_bounds(
     partitions: list[Partition] | None = None,
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
-    """One RateConstraint per partition, in the order of ``partitions`` (a
-    repeated partition, or more than ``MAX_PARTIES`` parties, is refused
-    before any work), maximizing over pure inputs.
+    """One RateConstraint per partition, in the order of ``partitions`` (an
+    empty list, a repeated partition, or more than ``MAX_PARTIES`` parties, is
+    refused before any work), maximizing over pure inputs.
 
     Every partition's input search runs as one row of one ``minimize`` batch,
     and then every (partition, measure, restart) squash as one row of one
@@ -222,9 +217,10 @@ def evaluate_bounds(
         if partition in seen:
             raise SpecError(f"partition {partition} is repeated")
         seen.add(partition)
-    stinespring = _stinespring(channel)
-    iso, shape, labels = stinespring
-    value_and_grad = _input_value_and_grad(channel, partitions, stinespring)
+    if not seen:
+        raise SpecError("no partitions to bound")
+    v, shape, labels = _stinespring(channel)
+    value_and_grad = _input_value_and_grad(partitions, v, shape, labels)
 
     def descent(params, rows):
         values, grads = value_and_grad(params, rows)
@@ -234,10 +230,9 @@ def evaluate_bounds(
     # at the first point it evaluates, line-search trials included, whose gap
     # is certified: near the maximum iterates differ only by rounding in
     # value, and their gaps stall above ones the trials reach
-    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
     res = minimize(
         descent,
-        np.tile(identity, (len(partitions), 1)),
+        np.tile(real_point(np.eye(d)), (len(partitions), 1)),
         max_iters=_MAX_ITERS,
         stop=lambda params, grads, rows: _input_gap(params, -grads, d) <= GAP_TOL,
     )
@@ -245,19 +240,16 @@ def evaluate_bounds(
     # the output vector at each best input, M[(r, out), env]; its
     # purification over the support of omega = M M^dag feeds the squash
     phis = _input_amplitudes(res.x, d)[0]
-    problems, psis, outputs = [], [], []
-    for phi, partition in zip(phis, partitions):
-        m = np.tensordot(phi, iso, axes=(1, 2)).reshape(-1, shape[-1])
-        outputs.append(m)
-        psis.append(_purification(m @ m.conj().T))
-        measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
-        problems += [(psis[-1], partition, measure) for measure in measures]
+    outputs = (phis @ v).reshape(len(partitions), -1, shape[-1])
+    psis = [_purification(m @ m.conj().T) for m in outputs]
+    problems = [(psi, p, m) for psi, p in zip(psis, partitions) for m in _measures(p)]
     squashed = _squash_purified(problems, shape[:-1], labels, squash_cfg)
     value = {(p, r.measure): r.value_bits for (_, p, _), r in zip(problems, squashed)}
     achievable = _coherent_information(outputs, partitions, shape, labels)
     out = []
     for phi, psi, gap, partition in zip(phis, psis, gaps.tolist(), partitions):
-        bound, measure_used = _partition_value(lambda m: value[partition, m], partition)
+        measures = _measures(partition)
+        bound = min(value[partition, m] for m in measures)
         if partition in achievable and bound < achievable[partition] - 1e-9:
             raise QbcError(
                 f"cut {partition}: bound {bound!r} bits lies below the achievable "
@@ -268,7 +260,7 @@ def evaluate_bounds(
                 partition=partition,
                 coefficients=constraint_coefficients(partition),
                 bound_bits=bound,
-                measure_used=measure_used,
+                measure_used="esq" if len(measures) == 1 else "min_of_both",
                 # a search that ended uncertified has no gap
                 input_gap_bits=gap if gap <= GAP_TOL else math.inf,
                 achievable_bits=achievable.get(partition),

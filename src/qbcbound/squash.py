@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import _PURIFIER, _cmi_dual, _cmi_total, _pure_entropy_sums
-from .optimize import minimize
+from .optimize import complex_point, minimize, real_point
 from .partitions import Partition
 from .states import MultipartiteState, _check_count, _marginal, _purification
 
@@ -63,8 +63,8 @@ class SquashConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("restarts", self.restarts, 1)
-        _check_count("seed", self.seed, 0)
+        object.__setattr__(self, "restarts", _check_count("restarts", self.restarts, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ _GTOL = 1e-6
 
 
 def _isometry_and_pullback(params: np.ndarray, d_e: int):
-    """The polar factors V = K (K^dag K)^(-1/2) of 2d_e x d_e Kraus matrices
-    K = params[..., :2d_e^2] + i params[..., 2d_e^2:] (row-major, rows over E'
-    and then a qubit ancilla), one per leading index of ``params``, and the
-    map from gradients with respect to conj(V) to ones with respect to params.
+    """The polar factors V = K (K^dag K)^(-1/2) of the 2d_e x d_e Kraus
+    matrices K = ``complex_point(params, (2 d_e, d_e))`` (rows over E' and
+    then a qubit ancilla), one per leading index of ``params``, and the map
+    from gradients with respect to conj(V) to ones with respect to params.
 
     Both come from one eigendecomposition S = K^dag K = Q diag(r^2) Q^dag:
     P = S^(-1/2) = Q diag(1/r) Q^dag, and dP = Q (F o (Q^dag dS Q)) Q^dag with
@@ -131,8 +131,7 @@ def _isometry_and_pullback(params: np.ndarray, d_e: int):
     exact at ties.  A K below the rank floor raises QbcError, so V is never
     NaN and always an isometry.
     """
-    n = 2 * d_e * d_e
-    k = (params[..., :n] + 1j * params[..., n:]).reshape(params.shape[:-1] + (2 * d_e, d_e))
+    k = complex_point(params, (2 * d_e, d_e))
     s, q = np.linalg.eigh(k.conj().swapaxes(-1, -2) @ k)
     # written so that NaN, for which every comparison is false, fails it
     if not np.all(s[..., 0] > _RANK_FLOOR**2 * s[..., -1]):
@@ -145,9 +144,7 @@ def _isometry_and_pullback(params: np.ndarray, d_e: int):
     def pullback(g_v: np.ndarray) -> np.ndarray:
         f = -1.0 / (r[..., :, None] * r[..., None, :] * (r[..., :, None] + r[..., None, :]))
         m = q @ (f * (qh @ g_v.conj().swapaxes(-1, -2) @ k @ q)) @ qh
-        g_k = g_v @ p + k @ (m + m.conj().swapaxes(-1, -2))
-        lead = g_k.shape[:-2] + (-1,)
-        return 2 * np.concatenate([g_k.real.reshape(lead), g_k.imag.reshape(lead)], axis=-1)
+        return 2 * real_point(g_v @ p + k @ (m + m.conj().swapaxes(-1, -2)))
 
     return v, pullback
 
@@ -262,8 +259,8 @@ def esq_upper_variational(
     ``{"trivial": True}``.
 
     Otherwise ``extension_description["params"]`` is the best search point,
-    None if none beat identity squashing: the 4 d_e^2 floats of the real and
-    then the imaginary parts of K, row-major, rows over (E', ancilla).
+    None if none beat identity squashing: the 4 d_e^2 floats of
+    ``optimize.real_point(K)``, rows of K over (E', ancilla).
     """
     labels, dims, psi = _reduced_purification(state, partition)
     n, d_e = psi.shape

@@ -376,7 +376,12 @@ def check_private_state(
     traced as shield; ``shield_labels`` may name them or be empty.  Returns
     (deviation <= PRIVATE_TOL, deviation).
     """
+    d = _check_count("key dimension", d, 2)
     key_labels = tuple(key_labels)
+    if not key_labels:
+        raise QbcError("a private state needs at least one key label")
+    if len(set(key_labels)) != len(key_labels):
+        raise LabelCollision(f"duplicate key labels {key_labels}")
     for lab in key_labels:
         if state.dim_of(lab) != d:
             raise DimMismatch(f"key system {lab!r} does not have dimension {d}")

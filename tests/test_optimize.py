@@ -95,3 +95,39 @@ def test_line_search_takes_the_trial_steps_of_scipys_dcsrch():
                 trial = ls.next(trial, float(phi(trial)), float(derphi(trial)))
             assert len(theirs) < cap
             assert ours == theirs
+
+
+def test_uphill_direction_falls_back_to_steepest_descent(monkeypatch):
+    # a two-loop direction that rounding has turned uphill is replaced by
+    # steepest descent; here every one is uphill, and the row still converges
+    monkeypatch.setattr(optimize, "_two_loop", lambda g, *args: g.copy())
+    weights = np.array([1.0, 2.0, 4.0])
+    target = np.array([1.0, -2.0, 0.5])
+
+    def fun(x, rows):
+        dx = x - target
+        return (weights * dx**2).sum(axis=1), 2 * weights * dx
+
+    res = optimize.minimize(fun, np.zeros((1, 3)), max_iters=1000, gtol=1e-9)
+    assert res.success
+    assert np.max(np.abs(res.x[0] - target)) < 1e-8
+    assert res.fun[0] < 1e-16
+
+
+def test_non_finite_trial_ends_only_its_own_row():
+    # f(x) = |x|^2 - 4 x_0, minimized at (2, 0); row 1 is +inf wherever
+    # |x|_inf > 0.5, so its first trial leaves the line search no defined
+    # step, and the row stops at its start while row 0 runs as it would alone
+    def fun(x, rows):
+        values = (x**2).sum(axis=1) - 4 * x[:, 0]
+        values[(rows == 1) & (np.abs(x).max(axis=1) > 0.5)] = np.inf
+        return values, 2 * x - [4.0, 0.0]
+
+    x0 = np.zeros((2, 2))
+    both = optimize.minimize(fun, x0, max_iters=100, gtol=1e-9)
+    alone = optimize.minimize(fun, x0[:1], max_iters=100, gtol=1e-9)
+    assert both.converged.tolist() == [True, False] and not both.success
+    assert np.array_equal(both.x[1], x0[1]) and both.fun[1] == 0.0
+    assert np.max(np.abs(both.x[0] - [2.0, 0.0])) < 1e-8
+    for field in ("x", "fun", "jac"):
+        assert np.array_equal(getattr(both, field)[0], getattr(alone, field)[0]), field

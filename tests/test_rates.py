@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 
@@ -32,11 +33,12 @@ from qbcbound import (
 )
 from qbcbound import rates
 from qbcbound.cli import _single_rail_loss_channel as single_rail_loss_channel
+from qbcbound.optimize import real_point
 from qbcbound.rates import (
     _input_amplitudes,
     _input_gap,
     _input_value_and_grad,
-    _partition_value,
+    _measures,
     _stinespring,
 )
 from qbcbound.sampling import random_channel
@@ -122,6 +124,15 @@ def test_two_receiver_report_coefficients():
     assert report["bc_cut"]["bound_bits"] >= 1.0 - 1e-6
 
 
+def test_squash_config_stores_numpy_integers_as_ints():
+    # a numpy seed would reach the metadata as np.int64, which json refuses
+    config = SquashConfig(restarts=np.int64(2), seed=np.int64(3))
+    assert type(config.restarts) is int and type(config.seed) is int
+    metadata = two_receiver_report(copy_channel(), config)["b_cut"]["metadata"]
+    assert type(metadata["seed"]) is int
+    json.dumps(metadata)
+
+
 def test_two_receiver_report_rejects_wrong_count():
     ch = QuantumChannel((np.eye(2),), 2, ("B",), (2,))
     with pytest.raises(SpecError):
@@ -168,14 +179,13 @@ def _output(channel, params):
 
 def _search_points(d, count, seed):
     rng = np.random.default_rng(seed)
-    identity = np.concatenate([np.eye(d).ravel(), np.zeros(d * d)])
-    return [identity] + [rng.uniform(-2, 2, 2 * d * d) for _ in range(count)]
+    return [real_point(np.eye(d))] + [rng.uniform(-2, 2, 2 * d * d) for _ in range(count)]
 
 
 def _surrogate(channel, partition):
     """params -> (value, gradient) of the input search's objective on one
     partition: a one-row batch of ``_input_value_and_grad``."""
-    value_and_grad = _input_value_and_grad(channel, [partition], _stinespring(channel))
+    value_and_grad = _input_value_and_grad([partition], *_stinespring(channel))
 
     def at(params):
         values, grads = value_and_grad(params[None], np.zeros(1, dtype=int))
@@ -196,7 +206,7 @@ def test_surrogate_equals_conditioning_on_rank_purifier():
                 cmi = cmi_total if measure is Measure.E_SQ else cmi_dual_measure
                 return 0.5 * cmi(phi, partition, {"E"})
 
-            expect, _ = _partition_value(reference, partition)
+            expect = min(reference(m) for m in _measures(partition))
             assert abs(surrogate(params)[0] - expect) < 1e-10
 
 
@@ -206,7 +216,7 @@ def test_surrogate_is_exact_on_copy_channel():
         surrogate = _surrogate(channel, partition)
         for params in _search_points(2, 4, 1):
             omega = _output(channel, params)
-            expect, _ = _partition_value(lambda m: esq_exact_pure(omega, partition, m), partition)
+            expect = min(esq_exact_pure(omega, partition, m) for m in _measures(partition))
             assert abs(surrogate(params)[0] - expect) < 1e-10
 
 
@@ -334,9 +344,11 @@ def test_one_block_partition_rejected_before_the_search(monkeypatch):
          "'R' is reserved for the sender system"),
         (lambda: evaluate_bounds(copy_channel(), [part(("R",), ("B",))]), SpecError,
          "partition B|R does not cover ('R', 'B', 'C')"),
+        # refused before the input search, whose reshape would raise a bare ValueError
+        (lambda: evaluate_bounds(copy_channel(), []), SpecError, "no partitions to bound"),
     ],
     ids=["output-state-labels", "output-state-mixed-input", "receiver-named-R",
-         "partition-short-of-ground"],
+         "partition-short-of-ground", "no-partitions"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
@@ -347,19 +359,18 @@ def _input_from_rho(rho):
     """Search parameters of the input phi = sqrt(rho)^T, whose rho_A is rho."""
     w, u = np.linalg.eigh(rho)
     phi = ((u * np.sqrt(w)) @ u.conj().T).T
-    return np.concatenate([phi.real.ravel(), phi.imag.ravel()])
+    return real_point(phi)
 
 
 def _gap_from_full_gradient(channel, partition, params):
     """G = df/d rho_A from the kernel's unprojected gradient with respect to
     conj(phi), which is phi G^T, and the gap lambda_max(G) - tr(G rho_A)."""
     d = channel.input_dim
-    iso, shape, labels = _stinespring(channel)
-    measures = [Measure.E_SQ] if len(partition.blocks) == 2 else list(Measure)
-    evaluate = _measure_kernel(shape, labels, [(partition, measures)])
+    v, shape, labels = _stinespring(channel)
+    evaluate = _measure_kernel(shape, labels, [(partition, _measures(partition))])
     phi = _input_amplitudes(params, d)[0]
-    values, grad = evaluate(np.tensordot(phi, iso, axes=(1, 2)).reshape((1,) + shape), [0])
-    g_phi = grad(np.argmin(values, axis=1))[0].reshape(d, -1) @ iso.conj().reshape(-1, d)
+    values, grad = evaluate((phi @ v).reshape((1,) + shape), [0])
+    g_phi = grad(np.argmin(values, axis=1))[0].reshape(d, -1) @ v.conj().T
     g = np.linalg.solve(phi, g_phi).T
     rho = phi.T @ phi.conj()
     gap = np.linalg.eigvalsh((g + g.conj().T) / 2)[-1] - np.trace(g @ rho).real
@@ -492,8 +503,7 @@ def test_uncertified_search_runs_once_per_cut(monkeypatch):
     # one search per cut, the certifying one from X = I, all in one batch,
     # and nothing after it
     ((x0, kwargs),) = calls
-    identity = np.concatenate([np.eye(3).ravel(), np.zeros(9)])
-    assert np.array_equal(x0, np.tile(identity, (4, 1)))
+    assert np.array_equal(x0, np.tile(real_point(np.eye(3)), (4, 1)))
     assert kwargs["stop"] is not None
     for rc in evaluate_bounds(flag_channel(), None, FAST_SQUASH):
         assert rc.input_gap_bits == math.inf

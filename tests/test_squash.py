@@ -29,6 +29,7 @@ from qbcbound import (
     tensor,
 )
 from qbcbound import measures, squash
+from qbcbound.optimize import complex_point, real_point
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
     _isometry_and_pullback,
@@ -40,11 +41,6 @@ from qbcbound.states import _purification, _purifying_amplitudes, _support, part
 
 def part(*bs):
     return Partition(tuple(tuple(b) for b in bs))
-
-
-def as_params(k):
-    """Search point of a Kraus matrix: real parts, then imaginary, row-major."""
-    return np.concatenate([k.real.ravel(), k.imag.ravel()])
 
 
 def identity_kraus(d_e):
@@ -432,7 +428,7 @@ def test_isometry_matches_polar(d_e):
     rng = np.random.default_rng(d_e)
     for _ in range(5):
         params = rng.uniform(-np.pi, np.pi, 4 * d_e * d_e)
-        k = (params[: 2 * d_e * d_e] + 1j * params[2 * d_e * d_e :]).reshape(2 * d_e, d_e)
+        k = complex_point(params, (2 * d_e, d_e))
         v = _isometry_and_pullback(params, d_e)[0]
         assert np.max(np.abs(v - scipy.linalg.polar(k)[0])) < 1e-13
         assert np.max(np.abs(v.conj().T @ v - np.eye(d_e))) < 1e-13
@@ -452,7 +448,7 @@ def test_rank_deficient_kraus_matrix_rejected(make_kraus):
     # no NaN and no RuntimeWarning (Tier-1 makes those errors)
     k = make_kraus(np.random.default_rng(0))
     with pytest.raises(QbcError, match="rank-deficient"):
-        _isometry_and_pullback(as_params(k), 3)
+        _isometry_and_pullback(real_point(k), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,7 +503,7 @@ def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed
         evaluate = _measure_kernel(shape, labels, [(partition, [measure])])
         identity = evaluate(psi.reshape((1,) + shape), [0])[0][0, 0]
         value, grad = squash_objective(psi, state.dims, labels, partition, measure)(
-            as_params(identity_kraus(d_e))
+            real_point(identity_kraus(d_e))
         )
         assert abs(value - identity) <= 1e-12
         assert np.max(np.abs(grad)) <= 1e-12
@@ -539,7 +535,7 @@ def test_identity_restart_needs_no_search(monkeypatch, restarts):
     assert generators == ([3] if restarts > 1 else [])
     assert len(calls) == (restarts > 1)
     assert sum(len(x0) for x0 in calls) == restarts - 1
-    assert all(not np.array_equal(row, as_params(identity_kraus(2))) for x0 in calls for row in x0)
+    assert all(not np.array_equal(row, real_point(identity_kraus(2))) for x0 in calls for row in x0)
     if restarts == 1:
         trivial = 0.5 * cmi_total(st, p)
         assert abs(res.value_bits - trivial) < 1e-12

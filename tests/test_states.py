@@ -70,10 +70,16 @@ def test_state_validation():
         (lambda: measurement_channel(True, "B"), "measurement dimension must be an integer"),
         # refused before np.eye, which would raise a bare ValueError
         (lambda: measurement_channel(-1, "B"), "measurement dimension must be at least 1"),
+        # refused before the purification, whose reshape would raise a bare TypeError
+        (lambda: check_private_state(_GHZ_AB, ("A", "B"), (), 2.0),
+         "key dimension must be an integer"),
+        (lambda: check_private_state(_GHZ_AB, ("A", "B"), (), True),
+         "key dimension must be an integer"),
     ],
     ids=["state-float", "state-bool", "channel-output", "channel-input", "key-dim",
          "parties", "shield", "ghz", "measurement-float", "measurement-whole-float",
-         "measurement-bool", "measurement-negative"],
+         "measurement-bool", "measurement-negative", "check-private-key-dim-float",
+         "check-private-key-dim-bool"],
 )
 def test_constructors_refuse_non_integer_counts(build, message):
     with pytest.raises(QbcError, match=f"^{message}$"):
@@ -121,6 +127,10 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
          DimMismatch, "one key label and one shield label per party"),
         (lambda: check_private_state(_GHZ_AB, ("A", "B"), (), 3), DimMismatch,
          "does not have dimension 3"),
+        (lambda: check_private_state(_GHZ_AB, ("A", "A"), (), 2), LabelCollision,
+         "duplicate key labels ('A', 'A')"),
+        (lambda: check_private_state(_GHZ_AB, (), ("A", "B"), 2), QbcError,
+         "at least one key label"),
         (lambda: trace_distance(_GHZ_AB, make_ghz(("A", "C"), 2)), DimMismatch,
          "different label sets"),
         (lambda: trace_distance(_GHZ_AB, make_ghz(("A", "B"), 3)), DimMismatch,
@@ -135,7 +145,8 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
          "tensor-empty",
          "partial-trace-empty", "purify-existing-label", "apply-input-dim",
          "apply-spectator-output", "ghz-one-label", "private-state-label-count",
-         "check-private-key-dim", "trace-distance-labels", "trace-distance-dims",
+         "check-private-key-dim", "check-private-duplicate-keys", "check-private-no-keys",
+         "trace-distance-labels", "trace-distance-dims",
          "json-dims-not-array"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
