@@ -29,14 +29,31 @@ def _canon(labels) -> LabelSet:
     return tuple(sorted(labels))
 
 
+def _check_label(label) -> str:
+    """``label`` if a partition string such as "R|B,C" can name it."""
+    if not isinstance(label, str):
+        raise SpecError(f"label {label!r} is not a string")
+    if not label or "," in label or "|" in label or label != label.strip():
+        raise SpecError(
+            f"label {label!r} cannot appear in a partition string: it is empty, "
+            "holds ',' or '|', or has leading or trailing whitespace"
+        )
+    return label
+
+
 @dataclass(frozen=True)
 class Partition:
-    """A partition of a ground set into disjoint non-empty blocks."""
+    """A partition of a ground set into disjoint non-empty blocks, each a
+    collection of labels (a ``str`` block is refused, not split into
+    characters)."""
 
     blocks: tuple[LabelSet, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(_canon(b) for b in self.blocks))
+        for b in self.blocks:
+            if isinstance(b, str):
+                raise SpecError(f"block {b!r} is a string: give a block as a tuple of labels")
+        blocks = tuple(sorted(_canon(_check_label(lab) for lab in b) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise SpecError("blocks must be non-empty")

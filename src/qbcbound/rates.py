@@ -30,9 +30,11 @@ input is rank-deficient, say, where G is not defined) reports its point with
 once, at the best input found, on the purification of that input's output
 vector over the support of the output state.
 
-``evaluate_bounds`` runs in two phases, each one ``minimize`` batch: every
-partition's input search, then every (partition, measure, restart) squash,
-one batch per purifier dimension.
+``evaluate_bounds`` compiles one input kernel: per partition both half
+measures, then the sums of the achievable-rate guard on the same cuts.  It
+runs in two phases, each one ``minimize`` batch: every partition's input
+search, then every (partition, measure, restart) squash, one batch per
+purifier dimension.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
-from .measures import _pure_entropy_sums
+from .measures import _PURIFIER
 from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
 from .optimize import complex_point, minimize, real_point
 from .squash import Measure, SquashConfig, _check_size, _measure_kernel, _squash_purified
@@ -99,14 +101,14 @@ def _input_gap(params: np.ndarray, grad: np.ndarray, d: int) -> np.ndarray:
     """The Frank-Wolfe duality gaps lambda_max(G) - tr(G rho_A) of the
     surrogate f at the inputs phi = X / ||X||, one per leading index of
     ``params``, G = df/d rho_A and rho_A = phi^T conj(phi).  f is concave in
-    rho_A, so max f <= f(phi) + gap.  ``grad`` is the projected gradient of
-    ``_input_value_and_grad``: as a matrix times ||X|| / 2 it is g = phi G^T
-    minus the radial part, a multiple of phi, which shifts G by a multiple of
-    I that the gap does not see.  inf below the rank floor."""
+    rho_A, so max f <= f(phi) + gap.  ``grad`` is ``minimize``'s: minus it, as
+    a matrix times ||X|| / 2, is the projected gradient g = phi G^T of f less
+    its radial part, a multiple of phi, which shifts G by a multiple of I that
+    the gap does not see.  inf below the rank floor."""
     phi, norm = _input_amplitudes(params, d)
     u, s, wh = np.linalg.svd(phi)
     full = s[..., -1] > _GAP_FLOOR * s[..., 0]
-    g = complex_point(grad, (d, d))
+    g = -complex_point(grad, (d, d))
     g *= (norm / 2)[..., None, None]
     # phi^-1 g = (G - c I)^T, whose gap is G's, and tr((G - c I) rho_A) = tr(phi^dag g);
     # an input below the floor divides by 1 instead, and its gap is inf
@@ -142,15 +144,34 @@ def _stinespring(channel: QuantumChannel):
     return v, shape, (SENDER_LABEL,) + channel.output_labels
 
 
-def _input_value_and_grad(partitions, v, shape, labels):
-    """(params, rows) -> (values, gradients): row i of ``params`` is an input
-    of partition ``partitions[rows[i]]``, and its value is the partition value
-    of (1 (x) V)|phi> conditioned on the environment.  Both measures are
-    evaluated on every partition; the value is the smaller and the gradient
-    is that measure's (on a bipartition the two coincide, and the first is
-    taken).  ``v, shape, labels`` are ``_stinespring(channel)``."""
+def _ground(channel: QuantumChannel) -> tuple[str, ...]:
+    """The parties (R, receivers...) of the channel's rate constraints; a
+    receiver named R, or more than ``MAX_PARTIES`` parties, is refused."""
+    if SENDER_LABEL in channel.output_labels:
+        raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
+    ground = (SENDER_LABEL,) + channel.output_labels
+    if len(ground) > MAX_PARTIES:
+        raise TooLarge(f"{len(ground)} parties exceed the rate-constraint cap of {MAX_PARTIES}")
+    return ground
+
+
+def _guard(partition: Partition) -> list[dict]:
+    """The sums H(X), H(Y) and H(E) of the coherent information
+    max(H(X), H(Y)) - H(E) across a bipartition X|Y, E the environment, as
+    subset -> coefficient maps; empty maps on three or more blocks."""
+    if len(partition.blocks) != 2:
+        return [{}, {}, {}]
+    return [{frozenset(x): 1.0} for x in partition.blocks] + [{frozenset((_PURIFIER,)): 1.0}]
+
+
+def _input_value_and_grad(evaluate, v):
+    """(params, rows) -> (values, gradients) that ``minimize`` minimizes: row
+    i of ``params`` is an input of problem ``rows[i]`` of ``evaluate``, the
+    input kernel, and its value is minus the smaller of the problem's first
+    two sums, its measures of (1 (x) V)|phi> conditioned on the environment,
+    and the gradient is that measure's (the first on a bipartition, where the
+    two coincide).  ``v`` is the isometry of ``_stinespring(channel)``."""
     d = len(v)
-    evaluate = _measure_kernel(shape, labels, [(p, list(Measure)) for p in partitions])
     # conj V^T [(out, env), a] for the gradient
     v_conj = v.conj().T
 
@@ -158,29 +179,14 @@ def _input_value_and_grad(partitions, v, shape, labels):
         count = len(rows)
         phi, norm = _input_amplitudes(params, d)
         values, grad = evaluate((phi @ v).reshape(count, -1), rows)
-        k = np.argmin(values, axis=1)
+        k = np.argmin(values[:, :2], axis=1)
         g_phi = grad(k).reshape(count, d, -1) @ v_conj
         # phi = X / ||X||: drop the radial part, which leaves phi unchanged
         radial = (phi.conj() * g_phi).real.sum(axis=(1, 2))
         g_x = (g_phi - radial[:, None, None] * phi) / norm[:, None, None]
-        return values[np.arange(count), k], 2 * real_point(g_x)
+        return -values[np.arange(count), k], -2 * real_point(g_x)
 
     return value_and_grad
-
-
-def _coherent_information(outputs, partitions, shape, labels) -> dict:
-    """Partition -> max(H(X), H(Y)) - H(XY) for each bipartite cut X|Y, on its
-    output vector ``outputs[i]``, amplitudes M[(r, out), env] of a pure state
-    of ``shape`` on ``labels`` and the environment; H(XY) is the
-    environment's entropy."""
-    cuts = [i for i, p in enumerate(partitions) if len(p.blocks) == 2]
-    if not cuts:
-        return {}
-    everything = frozenset(labels)
-    forms = [[{x: 1.0} for x in partitions[i].blocks] + [{everything: 1.0}] for i in cuts]
-    entropies = _pure_entropy_sums(shape, labels, forms)(outputs[cuts], np.arange(len(cuts)))[0]
-    achievable = np.maximum(entropies[:, 0], entropies[:, 1]) - entropies[:, 2]
-    return {partitions[i]: a for i, a in zip(cuts, achievable.tolist())}
 
 
 def evaluate_bounds(
@@ -198,11 +204,7 @@ def evaluate_bounds(
     alone.  A bipartite cut's bound is checked against the coherent
     information at the reported input, an achievable rate that every valid
     bound reaches; a bound below it raises ``QbcError``."""
-    ground = (SENDER_LABEL,) + channel.output_labels
-    if SENDER_LABEL in channel.output_labels:
-        raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
-    if len(ground) > MAX_PARTIES:
-        raise TooLarge(f"{len(ground)} parties exceed the rate-constraint cap of {MAX_PARTIES}")
+    ground = _ground(channel)
     d = channel.input_dim
     # the squash's worst case: the output state's rank is at most #Kraus
     _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))
@@ -220,23 +222,19 @@ def evaluate_bounds(
     if not seen:
         raise SpecError("no partitions to bound")
     v, shape, labels = _stinespring(channel)
-    value_and_grad = _input_value_and_grad(partitions, v, shape, labels)
-
-    def descent(params, rows):
-        values, grads = value_and_grad(params, rows)
-        return -values, -grads
-
+    # per partition both half measures, then the guard's sums
+    evaluate = _measure_kernel(shape, labels, [(p, list(Measure) + _guard(p)) for p in partitions])
     # every search starts at X = I, the maximally entangled input, and stops
     # at the first point it evaluates, line-search trials included, whose gap
     # is certified: near the maximum iterates differ only by rounding in
     # value, and their gaps stall above ones the trials reach
     res = minimize(
-        descent,
+        _input_value_and_grad(evaluate, v),
         np.tile(real_point(np.eye(d)), (len(partitions), 1)),
         max_iters=_MAX_ITERS,
-        stop=lambda params, grads, rows: _input_gap(params, -grads, d) <= GAP_TOL,
+        stop=lambda params, grads, rows: _input_gap(params, grads, d) <= GAP_TOL,
     )
-    gaps = _input_gap(res.x, -res.jac, d)
+    gaps = _input_gap(res.x, res.jac, d)
     # the output vector at each best input, M[(r, out), env]; its
     # purification over the support of omega = M M^dag feeds the squash
     phis = _input_amplitudes(res.x, d)[0]
@@ -245,15 +243,17 @@ def evaluate_bounds(
     problems = [(psi, p, m) for psi, p in zip(psis, partitions) for m in _measures(p)]
     squashed = _squash_purified(problems, shape[:-1], labels, squash_cfg)
     value = {(p, r.measure): r.value_bits for (_, p, _), r in zip(problems, squashed)}
-    achievable = _coherent_information(outputs, partitions, shape, labels)
+    # the guard's sums at each best input, on the search's own cuts
+    sums = evaluate(outputs.reshape(len(partitions), -1), np.arange(len(partitions)))[0]
+    achievable = (np.maximum(sums[:, 2], sums[:, 3]) - sums[:, 4]).tolist()
     out = []
-    for phi, psi, gap, partition in zip(phis, psis, gaps.tolist(), partitions):
+    for phi, psi, gap, partition, rate in zip(phis, psis, gaps.tolist(), partitions, achievable):
         measures = _measures(partition)
         bound = min(value[partition, m] for m in measures)
-        if partition in achievable and bound < achievable[partition] - 1e-9:
+        rate = rate if len(partition.blocks) == 2 else None
+        if rate is not None and bound < rate - 1e-9:
             raise QbcError(
-                f"cut {partition}: bound {bound!r} bits lies below the achievable "
-                f"{achievable[partition]!r} bits"
+                f"cut {partition}: bound {bound!r} bits lies below the achievable {rate!r} bits"
             )
         out.append(
             RateConstraint(
@@ -263,7 +263,7 @@ def evaluate_bounds(
                 measure_used="esq" if len(measures) == 1 else "min_of_both",
                 # a search that ended uncertified has no gap
                 input_gap_bits=gap if gap <= GAP_TOL else math.inf,
-                achievable_bits=achievable.get(partition),
+                achievable_bits=rate,
                 metadata={
                     "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
                     "seed": squash_cfg.seed,
@@ -284,6 +284,7 @@ def two_receiver_report(
     """The four named two-receiver inequalities with explicit coefficient
     vectors over (E_AB, E_AC, E_BC, E_ABC, K_AB, K_AC, K_BC, K_ABC): a cut's
     ``weights()`` at AB, AC, BC and ABC, once for E and once for K."""
+    _ground(channel)
     if len(channel.output_labels) != 2:
         raise SpecError("two_receiver_report needs exactly two receivers")
     b, c = channel.output_labels

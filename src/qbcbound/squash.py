@@ -153,12 +153,14 @@ def _measure_kernel(shape, labels, problems):
     """``evaluate(psi, rows) -> (values, grad)`` of half of each measure of
     every problem, a (partition, measures) pair, over its partition
     conditioned on a purifier, on flat stacks of pure states over ``shape``
-    (one index per label, the purifier's, then unlabeled ones)."""
+    (one index per label, the purifier's, then unlabeled ones).  A subset ->
+    coefficient map in place of a measure is summed as given."""
     fns = {Measure.E_SQ: _cmi_total, Measure.E_SQ_TILDE: _cmi_dual}
-    forms = [
-        [{s: 0.5 * c for s, c in fns[Measure(m)](p.blocks, (_PURIFIER,)).items()} for m in measures]
-        for p, measures in problems
-    ]
+
+    def half(p, m):
+        return {s: 0.5 * c for s, c in fns[Measure(m)](p.blocks, (_PURIFIER,)).items()}
+
+    forms = [[m if isinstance(m, dict) else half(p, m) for m in sums] for p, sums in problems]
     return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     LabelNotFound,
     QbcError,
 )
+from .partitions import _check_label
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -73,7 +74,8 @@ class MultipartiteState:
     Parameters
     ----------
     matrix : square complex matrix of dimension prod(dims)
-    labels : ordered subsystem names, unique
+    labels : ordered subsystem names, unique, each one that a partition string
+        can name
     dims : ordered positive subsystem dimensions, one per label
     """
 
@@ -83,7 +85,7 @@ class MultipartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, "matrix"))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", tuple(_check_label(lab) for lab in self.labels))
         dims = tuple(_check_count("subsystem dimension", d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         m = self.matrix
@@ -132,7 +134,8 @@ class QuantumChannel:
             self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in self.kraus_ops)
         )
         object.__setattr__(self, "input_dim", _check_count("input dimension", self.input_dim))
-        object.__setattr__(self, "output_labels", tuple(self.output_labels))
+        labels = tuple(_check_label(lab) for lab in self.output_labels)
+        object.__setattr__(self, "output_labels", labels)
         dims = tuple(_check_count("channel output dimension", d) for d in self.output_dims)
         object.__setattr__(self, "output_dims", dims)
         if len(self.output_labels) != len(set(self.output_labels)):
@@ -480,14 +483,8 @@ def _dims(values) -> tuple[int, ...]:
 def _labels(values) -> tuple[str, ...]:
     if type(values) is not list or not all(type(v) is str for v in values):
         raise TypeError(f"expected an array of strings, got {values!r}")
-    for v in values:
-        # what a partition string such as "R|B,C" can name
-        if not v or "," in v or "|" in v or v != v.strip():
-            raise ValueError(
-                f"label {v!r} cannot appear in a partition string: it is empty, "
-                "holds ',' or '|', or has leading or trailing whitespace"
-            )
-    return tuple(values)
+    # a SpecError is a ValueError, so _field names the field
+    return tuple(_check_label(v) for v in values)
 
 
 def state_to_json(state: MultipartiteState) -> str:

@@ -729,6 +729,20 @@ def test_bounds_finite_one_block_partition_exits_2(capsys, monkeypatch, copy_cha
     assert err == "error: partition B,C,R has one block: it bounds no rate\n"
 
 
+def test_bounds_finite_receiver_named_r_exits_2(capsys, monkeypatch, tmp_path):
+    # the two-receiver report refuses the sender's label before it names its
+    # cuts, one of which would then repeat R
+    def no_search(*args, **kwargs):
+        raise AssertionError("the input search ran before the labels were checked")
+
+    monkeypatch.setattr(rates, "minimize", no_search)
+    path = tmp_path / "r.json"
+    path.write_text(channel_to_json(QuantumChannel((np.eye(4),), 4, ("R", "C"), (2, 2))))
+    code, out, err = run(capsys, "bounds-finite", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'R' is reserved for the sender system\n"
+
+
 def test_esq_one_block_partition_exits_2(capsys, monkeypatch, tmp_path):
     def no_search(*args, **kwargs):
         raise AssertionError("the squash ran before the partition was checked")

@@ -38,6 +38,26 @@ def test_partition_validation():
         parse_partition("A,A|B")
 
 
+@pytest.mark.parametrize(
+    "blocks, fragment",
+    [
+        # a string block is refused, not split into its characters
+        (("AB", "C"), "block 'AB' is a string: give a block as a tuple of labels"),
+        (("kA", "kB"), "block 'kA' is a string"),
+        ((("A",), ("B,C",)), "label 'B,C' cannot appear in a partition string"),
+        ((("A|B",), ("C",)), "label 'A|B' cannot appear in a partition string"),
+        ((("A ",), ("B",)), "label 'A ' cannot appear in a partition string"),
+        ((("",), ("B",)), "label '' cannot appear in a partition string"),
+        (((1,), ("B",)), "label 1 is not a string"),
+    ],
+    ids=["string-blocks", "string-key-blocks", "comma-label", "bar-label", "space-label",
+         "empty-label", "int-label"],
+)
+def test_partition_refuses_what_a_partition_string_cannot_name(blocks, fragment):
+    with pytest.raises(SpecError, match=re.escape(fragment)):
+        Partition(blocks)
+
+
 def test_parse_partition_roundtrip():
     p = parse_partition("R|B,C")
     assert p.blocks == (("B", "C"), ("R",))

@@ -31,11 +31,12 @@ from qbcbound import (
     trace_distance,
     two_receiver_report,
 )
-from qbcbound import rates
+from qbcbound import rates, squash
 from qbcbound.cli import _single_rail_loss_channel as single_rail_loss_channel
 from qbcbound.optimize import real_point
 from qbcbound.rates import (
     _input_amplitudes,
+    _guard,
     _input_gap,
     _input_value_and_grad,
     _measures,
@@ -183,13 +184,16 @@ def _search_points(d, count, seed):
 
 
 def _surrogate(channel, partition):
-    """params -> (value, gradient) of the input search's objective on one
-    partition: a one-row batch of ``_input_value_and_grad``."""
-    value_and_grad = _input_value_and_grad([partition], *_stinespring(channel))
+    """params -> (value, gradient) of the input search's surrogate on one
+    partition: a one-row batch of ``_input_value_and_grad``, whose negation
+    ``minimize`` minimizes, negated back."""
+    v, shape, labels = _stinespring(channel)
+    evaluate = _measure_kernel(shape, labels, [(partition, list(Measure) + _guard(partition))])
+    value_and_grad = _input_value_and_grad(evaluate, v)
 
     def at(params):
         values, grads = value_and_grad(params[None], np.zeros(1, dtype=int))
-        return values[0], grads[0]
+        return -values[0], -grads[0]
 
     return at
 
@@ -291,7 +295,7 @@ def test_input_search_reaches_the_bc_cut_maximum(monkeypatch):
 
         def wrapped(params, rows):
             values, grads = value_and_grad(params, rows)
-            seen.extend(values.tolist())
+            seen.extend((-values).tolist())
             return values, grads
 
         return wrapped
@@ -346,9 +350,12 @@ def test_one_block_partition_rejected_before_the_search(monkeypatch):
          "partition B|R does not cover ('R', 'B', 'C')"),
         # refused before the input search, whose reshape would raise a bare ValueError
         (lambda: evaluate_bounds(copy_channel(), []), SpecError, "no partitions to bound"),
+        # refused before the report names its cuts, one of which would repeat R
+        (lambda: two_receiver_report(QuantumChannel((np.eye(4),), 4, ("R", "C"), (2, 2))),
+         SpecError, "'R' is reserved for the sender system"),
     ],
     ids=["output-state-labels", "output-state-mixed-input", "receiver-named-R",
-         "partition-short-of-ground", "no-partitions"],
+         "partition-short-of-ground", "no-partitions", "report-receiver-named-R"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
@@ -377,6 +384,24 @@ def _gap_from_full_gradient(channel, partition, params):
     return g, rho, gap
 
 
+def test_report_compiles_one_input_kernel(monkeypatch):
+    # the input search, the achievable-rate guard, and the squash's identity
+    # and search kernels (one purifier dimension): the guard's sums are read
+    # off the input kernel's cuts, not a kernel of their own
+    compiled = []
+    real = squash._pure_entropy_sums
+
+    def counting(*args):
+        compiled.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(squash, "_pure_entropy_sums", counting)
+    # any binding rates may hold of its own counts too
+    monkeypatch.setattr(rates, "_pure_entropy_sums", counting, raising=False)
+    two_receiver_report(SURROGATE_CHANNELS["seed0"]())
+    assert compiled == [(2, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(sorted(SURROGATE_CHANNELS)),
@@ -392,7 +417,8 @@ def test_input_gap_matches_full_gradient(name, choice, seed):
     params = rng.uniform(-2, 2, 2 * d * d)
     g, rho, gap = _gap_from_full_gradient(channel, partition, params)
     assume(np.linalg.eigvalsh(rho)[0] > 1e-3)
-    assert abs(_input_gap(params, value_and_grad(params)[1], d) - gap) <= 1e-12 * max(1, gap)
+    # _input_gap reads minimize's gradient, the surrogate's negated
+    assert abs(_input_gap(params, -value_and_grad(params)[1], d) - gap) <= 1e-12 * max(1, gap)
     # G against central differences of the surrogate along a traceless
     # Hermitian direction, through inputs with the displaced rho_A
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -418,7 +444,7 @@ def test_certified_gap_bounds_the_surrogate(monkeypatch, name):
 
         def wrapped(params, rows):
             values, grads = value_and_grad(params, rows)
-            seen.extend(values.tolist())
+            seen.extend((-values).tolist())
             return values, grads
 
         return wrapped

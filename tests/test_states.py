@@ -13,6 +13,7 @@ from qbcbound import (
     PrivateStateSpec,
     QbcError,
     QuantumChannel,
+    SpecError,
     apply_channel,
     channel_from_json,
     channel_to_json,
@@ -137,6 +138,18 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
          "different subsystem dimensions"),
         (lambda: state_from_json('{"matrix": [[[1, 0]]], "labels": ["A"], "dims": 1}'),
          QbcError, "JSON field 'dims' is malformed: expected an array of integers"),
+        # the label rule of the JSON loaders holds at the constructors too, so
+        # every state and channel that builds also survives a JSON round trip
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A,B",), (2,)), SpecError,
+         "label 'A,B' cannot appear in a partition string"),
+        (lambda: MultipartiteState(np.eye(2) / 2, (" A",), (2,)), SpecError,
+         "label ' A' cannot appear in a partition string"),
+        (lambda: MultipartiteState(np.eye(2) / 2, (1,), (2,)), SpecError,
+         "label 1 is not a string"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B|C",), (2,)), SpecError,
+         "label 'B|C' cannot appear in a partition string"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("",), (2,)), SpecError,
+         "label '' cannot appear in a partition string"),
     ],
     ids=["state-label-count", "state-dim-0", "channel-duplicate-labels",
          "channel-label-count", "channel-no-kraus", "channel-not-cptp", "spec-one-party",
@@ -147,7 +160,8 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
          "apply-spectator-output", "ghz-one-label", "private-state-label-count",
          "check-private-key-dim", "check-private-duplicate-keys", "check-private-no-keys",
          "trace-distance-labels", "trace-distance-dims",
-         "json-dims-not-array"],
+         "json-dims-not-array", "state-comma-label", "state-space-label", "state-int-label",
+         "channel-bar-label", "channel-empty-label"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
