@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, QbcError, RootError
+from .measures import Measure
+from .states import _check_real
 
 _BISECT_LO = 1e-9
 _BISECT_TOL = 1e-12
@@ -50,13 +52,16 @@ class BosonicBroadcastSpec:
     mean_photon: float | None = None
 
     def __post_init__(self):
-        etas = tuple(float(e) for e in self.etas)
+        etas = tuple(_check_real("transmission coefficient", e) for e in self.etas)
         object.__setattr__(self, "etas", etas)
         if not etas:
             raise QbcError("at least one receiver required")
         _check_etas(_column(self))
-        if self.mean_photon is not None and not 0 <= self.mean_photon < math.inf:
-            raise DomainError("mean photon number must be finite and nonnegative")
+        if self.mean_photon is not None:
+            ns = _check_real("mean photon number", self.mean_photon)
+            object.__setattr__(self, "mean_photon", ns)
+            if not 0 <= ns < math.inf:
+                raise DomainError("mean photon number must be finite and nonnegative")
 
     @property
     def eta_total(self) -> float:
@@ -117,6 +122,7 @@ def _log2(a: np.ndarray) -> np.ndarray:
 
 def g(x: float) -> float:
     """Entropy in bits of a thermal state with mean photon number x."""
+    x = _check_real("mean photon number", x)
     # written so that NaN, for which every comparison is false, fails it
     if not 0 <= x < math.inf:
         raise DomainError("mean photon number must be finite and nonnegative")
@@ -129,25 +135,24 @@ def g(x: float) -> float:
     return (math.log1p(x) + x * tail) / math.log(2)
 
 
-def _pairings(x, measure: str):
+def _pairings(x, measure):
     """Per-receiver and collective squashing fractions for each measure.
 
     For the direct measure each receiver is paired with the retained
     environment fraction x and the collective term with 1 - x; the dual
     measure swaps the pairing.  ``x`` is a float or an array.
     """
-    if measure == "esq":
+    if Measure(measure) is Measure.E_SQ:
         return x, 1.0 - x
-    if measure == "esq-tilde":
-        return 1.0 - x, x
-    raise QbcError(f"unknown measure {measure!r}")
+    return 1.0 - x, x
 
 
-def finite_ns_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure="esq") -> float:
+def finite_ns_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure=Measure.E_SQ) -> float:
     """Photon-number dependent upper bound (bits) at squashing transmissivity
     eta_eprime, using the g-entropy closed forms."""
     if spec.mean_photon is None:
         raise DomainError("spec has no mean photon number")
+    eta_eprime = _check_real("eta_eprime", eta_eprime)
     if not 0.0 <= eta_eprime <= 1.0:
         raise DomainError("eta_eprime must lie in [0, 1]")
     ns = spec.mean_photon
@@ -160,7 +165,7 @@ def finite_ns_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure="esq"
     return 0.5 * total
 
 
-def _asymptotic_bound(etas: np.ndarray, x: np.ndarray, measure: str) -> np.ndarray:
+def _asymptotic_bound(etas: np.ndarray, x: np.ndarray, measure: Measure) -> np.ndarray:
     """Photon-number independent bound of each column at squashing
     transmissivity x[column]; +inf where it diverges."""
     xr, xc = _pairings(x, measure)
@@ -180,11 +185,12 @@ def _asymptotic_bound(etas: np.ndarray, x: np.ndarray, measure: str) -> np.ndarr
     return np.where(diverges, math.inf, 0.5 * total)
 
 
-def asymptotic_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure="esq") -> float:
+def asymptotic_bound(spec: BosonicBroadcastSpec, eta_eprime: float, measure=Measure.E_SQ) -> float:
     """Photon-number independent upper bound (bits); +inf when it diverges."""
+    eta_eprime = _check_real("eta_eprime", eta_eprime)
     if not 0.0 <= eta_eprime <= 1.0:
         raise DomainError("eta_eprime must lie in [0, 1]")
-    return float(_asymptotic_bound(_column(spec), np.array([float(eta_eprime)]), measure)[0])
+    return float(_asymptotic_bound(_column(spec), np.array([eta_eprime]), measure)[0])
 
 
 def _stationarity_gap(etas: np.ndarray):
@@ -269,8 +275,8 @@ def _theorem3_columns(etas: np.ndarray, eta_star: np.ndarray) -> dict[str, np.nd
         "bound_b_cut": _bipartite_cut_bound(eta_b, eta_c),
         "bound_c_cut": _bipartite_cut_bound(eta_c, eta_b),
         "bound_bc_cut": _bipartite_cut_bound(eta_b + eta_c, np.zeros_like(eta_b)),
-        "tripartite_bound": _asymptotic_bound(etas, eta_star, "esq"),
-        "tripartite_bound_as_printed": _asymptotic_bound(etas, eta_star, "esq-tilde"),
+        "tripartite_bound": _asymptotic_bound(etas, eta_star, Measure.E_SQ),
+        "tripartite_bound_as_printed": _asymptotic_bound(etas, eta_star, Measure.E_SQ_TILDE),
         "eta_star": eta_star,
     }
 
@@ -281,9 +287,14 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
     per bound field of ``BosonicBoundReport``.
 
     Every pair is validated, with the error ``BosonicBroadcastSpec`` raises
-    for the first bad pair, before any bisection starts.
+    for the first bad pair, before any bisection starts; an array of bools
+    or of anything but real numbers is refused first.
     """
-    etas = np.array(np.broadcast_arrays(eta_b, eta_c), dtype=float).reshape(2, -1)
+    pair = np.broadcast_arrays(eta_b, eta_c)
+    for name, a in zip(("eta_b", "eta_c"), pair):
+        if a.dtype.kind not in "iuf":
+            raise QbcError(f"{name} must hold real numbers")
+    etas = np.array(pair, dtype=float).reshape(2, -1)
     _check_etas(etas)
     eta_star = np.full(etas.shape[1], 0.5)
     live = _has_stationary_point(etas)
@@ -326,6 +337,6 @@ def theorem3_report(
             "b_cut": cut(eta_b, eta_c),
             "c_cut": cut(eta_c, eta_b),
             "bc_cut": cut(eta_b + eta_c, 0.0),
-            "tripartite": finite_ns_bound(spec, eta_star, "esq"),
+            "tripartite": finite_ns_bound(spec, eta_star),
         }
     return BosonicBoundReport(**bounds, finite_ns=finite)

@@ -35,11 +35,11 @@ import numpy as np
 from . import __version__
 from .bosonic import BosonicBroadcastSpec, optimal_eta_star, theorem3_columns, theorem3_report
 from .errors import QbcError
-from .measures import cmi_dual_measure, cmi_total, entropy, qcmi
+from .measures import Measure, cmi_dual_measure, cmi_total, entropy, qcmi
 from .partitions import Partition, c_of, parse_partition
 from .rates import FINAL_SQUASH, channel_output_state, evaluate_bounds, two_receiver_report
 from .sampling import random_channel, random_state
-from .squash import Measure, SquashConfig, esq_exact_pure, esq_upper_variational
+from .squash import SquashConfig, esq_exact_pure, esq_upper_variational
 from .states import (
     QuantumChannel,
     _check_count,
@@ -336,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--partition", required=True, help='block syntax, e.g. "A|B|C"')
     sp.add_argument(
         "--measure",
-        choices=("esq", "esq-tilde", "both", "min"),
-        default="esq",
+        choices=tuple(m.value for m in Measure) + ("both", "min"),
+        default=Measure.E_SQ.value,
         help="which measure(s) to evaluate (default esq)",
     )
     sp.add_argument("--restarts", type=int, default=20, help="optimizer restarts (default 20)")

@@ -1,13 +1,14 @@
 """Entropic quantities: von Neumann entropy, QCMI and the two conditional
 multipartite informations (the total-correlation form and its dual form).
 
-All results are in bits.  Each measure is one subset -> coefficient map,
-and two engines evaluate such maps: ``_entropy_sum`` (one unvalidated
-``_marginal`` and one ``eigvalsh`` per subset) serves only the public
-density-matrix API, whose ``entropy`` alone validates its marginal, and
-``_pure_entropy_sums`` (flat stacks of state vectors, with gradients) every
-value of ``squash`` and ``rates``, the exact pure-state values included,
-reading and writing each cut through one gather.
+All results are in bits.  ``Measure`` names the two measures and gives
+each its subset -> coefficient map, and two engines evaluate such maps:
+``_entropy_sum`` (one unvalidated ``_marginal`` and one ``eigvalsh`` per
+subset) serves only the public density-matrix API, whose ``entropy`` alone
+validates its marginal, and ``_pure_entropy_sums`` (flat stacks of state
+vectors, with gradients) every value of ``squash`` and ``rates``, on the
+half measures ``_measure_kernel`` compiles, reading and writing each cut
+through one gather.
 
 The multipartite informations take their grouping of labels as a
 ``partitions.Partition`` and a conditioning set E.
@@ -17,14 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from enum import Enum
 
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
 from .partitions import Partition
-from .states import MultipartiteState, _marginal, partial_trace
+from .states import RANK_TOL, MultipartiteState, _flat_positions, _marginal, partial_trace
 
-_EIG_FLOOR = 1e-12
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
 _PURIFIER = object()
 
@@ -41,7 +42,7 @@ def entropy(state: MultipartiteState, subset) -> float:
 def _matrix_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
     ev = np.linalg.eigvalsh(matrix)
-    ev = ev[ev > _EIG_FLOOR]
+    ev = ev[ev > RANK_TOL]
     if len(ev) == 1:
         # a pure reduction: the floor zeroes the rest and the trace makes the
         # survivor 1, so its rounding noise is not an entropy
@@ -76,9 +77,6 @@ def _pure_entropy_sums(shape, labels, forms):
     axis = {lab: i for i, lab in enumerate(labels)}
     every = frozenset(range(len(shape)))
     n = math.prod(shape)
-    # layouts transpose only the axes of dimension > 1, which carry every index
-    live = {i: r for r, i in enumerate(i for i, d in enumerate(shape) if d > 1)}
-    flat = np.arange(n).reshape([shape[i] for i in live])
 
     def cut_of(subset) -> tuple[tuple[int, ...], int]:
         """The smaller side of the cut between ``subset`` and the rest, and
@@ -114,8 +112,7 @@ def _pure_entropy_sums(shape, labels, forms):
 
     def layout(cut, side):
         if cut not in layouts:
-            order = cut + tuple(sorted(every - set(cut)))
-            layouts[cut] = flat.transpose([live[i] for i in order if i in live]).reshape(side, -1)
+            layouts[cut] = _flat_positions(shape, cut).reshape(side, -1)
         return layouts[cut]
 
     coeff = np.zeros((len(forms), n_sums, n_cuts))
@@ -149,7 +146,7 @@ def _pure_entropy_sums(shape, labels, forms):
             index = gather[rows]
             m = amplitudes[at[:, None, None, None], index]
             w, v = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-            pos = w > _EIG_FLOOR
+            pos = w > RANK_TOL
             log_w = np.zeros(w.shape)
             log_w[pos] = np.log2(w[pos])
             ent[:, 0, lo:hi] = -(w * log_w).sum(axis=-1)
@@ -201,29 +198,46 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     if a & b or a & e or b & e:
         raise LabelCollision("A, B, E must be pairwise disjoint")
     _check_labels(state, sorted(a | b | e))
-    return _entropy_sum(state, _cmi_total((a, b), e))
+    return _entropy_sum(state, Measure.E_SQ.form((a, b), e))
 
 
-def _cmi_total(blocks, e) -> dict[frozenset, float]:
-    """Subset -> entropy coefficient of sum_i H(A_i|E) - H(A_1...A_m|E)."""
-    if len(blocks) == 1:
-        return {}
-    e = frozenset(e)
-    coeffs = {e: 1.0 - len(blocks)}
-    coeffs.update((e | frozenset(b), 1.0) for b in blocks)
-    coeffs[e.union(*blocks)] = -1.0
-    return coeffs
+class Measure(str, Enum):
+    """E_sq and E~_sq, the two multipartite squashed entanglements (Yang et
+    al., IEEE Trans. Inf. Theory 55, 3375 (2009)); any other name raises
+    ``SpecError``."""
+
+    E_SQ = "esq"
+    E_SQ_TILDE = "esq-tilde"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise SpecError(f"unknown measure {value!r}")
+
+    def form(self, blocks, e) -> dict[frozenset, float]:
+        """Subset -> entropy coefficient of sum_i H(A_i|E) - H(A_1...A_m|E) (E_SQ)
+        or sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) (E_SQ_TILDE) over the
+        blocks A_i, E = ``e``."""
+        if len(blocks) == 1:
+            return {}
+        e = frozenset(e)
+        allb = e.union(*blocks)
+        if self is Measure.E_SQ:
+            return {e: 1.0 - len(blocks), **{e | frozenset(b): 1.0 for b in blocks}, allb: -1.0}
+        return {e: -1.0, allb: 1.0 - len(blocks), **{allb - frozenset(b): 1.0 for b in blocks}}
 
 
-def _cmi_dual(blocks, e) -> dict[frozenset, float]:
-    """Subset -> entropy coefficient of sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E)."""
-    if len(blocks) == 1:
-        return {}
-    e = frozenset(e)
-    allb = e.union(*blocks)
-    coeffs = {e: -1.0, allb: 1.0 - len(blocks)}
-    coeffs.update((allb - frozenset(b), 1.0) for b in blocks)
-    return coeffs
+def _measure_kernel(shape, labels, problems):
+    """``evaluate(psi, rows) -> (values, grad)`` of half of each measure of
+    every problem, a (partition, measures) pair, over its partition
+    conditioned on a purifier, on flat stacks of pure states over ``shape``
+    (one index per label, the purifier's, then unlabeled ones).  A subset ->
+    coefficient map in place of a measure is summed as given."""
+
+    def half(p, m):
+        return {s: 0.5 * c for s, c in Measure(m).form(p.blocks, (_PURIFIER,)).items()}
+
+    forms = [[m if isinstance(m, dict) else half(p, m) for m in sums] for p, sums in problems]
+    return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
 
 
 def _entropy_sum(state: MultipartiteState, coeffs: dict[frozenset, float]) -> float:
@@ -254,7 +268,7 @@ def cmi_total(state: MultipartiteState, partition: Partition, conditioning=()) -
     """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E) over the
     blocks A_i of ``partition``, E = ``conditioning``."""
     e = _conditioning(state, partition, conditioning)
-    return _entropy_sum(state, _cmi_total(partition.blocks, e))
+    return _entropy_sum(state, Measure.E_SQ.form(partition.blocks, e))
 
 
 def cmi_dual_measure(state: MultipartiteState, partition: Partition, conditioning=()) -> float:
@@ -262,4 +276,4 @@ def cmi_dual_measure(state: MultipartiteState, partition: Partition, conditionin
     sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) over the blocks A_i of
     ``partition``, E = ``conditioning``."""
     e = _conditioning(state, partition, conditioning)
-    return _entropy_sum(state, _cmi_dual(partition.blocks, e))
+    return _entropy_sum(state, Measure.E_SQ_TILDE.form(partition.blocks, e))

@@ -41,19 +41,30 @@ def _check_label(label) -> str:
     return label
 
 
+def _read_once(value, what: str) -> tuple:
+    """``value``, any iterable, read once into a tuple; anything else raises
+    ``SpecError`` naming it as ``what``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise SpecError(f"{what} {value!r} is not a collection") from None
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of a ground set into disjoint non-empty blocks, each a
     collection of labels (a ``str`` block is refused, not split into
-    characters)."""
+    characters); the blocks may be any iterable, read once."""
 
     blocks: tuple[LabelSet, ...]
 
     def __post_init__(self):
-        for b in self.blocks:
+        blocks = _read_once(self.blocks, "partition")
+        for b in blocks:
             if isinstance(b, str):
                 raise SpecError(f"block {b!r} is a string: give a block as a tuple of labels")
-        blocks = tuple(sorted(_canon(_check_label(lab) for lab in b) for b in self.blocks))
+        blocks = [_read_once(b, "block") for b in blocks]
+        blocks = tuple(sorted(_canon(_check_label(lab) for lab in b) for b in blocks))
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise SpecError("blocks must be non-empty")

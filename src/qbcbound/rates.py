@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
-from .measures import _PURIFIER
+from .measures import _PURIFIER, Measure, _measure_kernel
 from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
 from .optimize import complex_point, minimize, real_point
-from .squash import Measure, SquashConfig, _check_size, _measure_kernel, _squash_purified
+from .squash import SquashConfig, _check_size, _squash_purified
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
 
 SENDER_LABEL = "R"
@@ -194,9 +194,10 @@ def evaluate_bounds(
     partitions: list[Partition] | None = None,
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
-    """One RateConstraint per partition, in the order of ``partitions`` (an
-    empty list, a repeated partition, or more than ``MAX_PARTIES`` parties, is
-    refused before any work), maximizing over pure inputs.
+    """One RateConstraint per partition, in the order of ``partitions``, any
+    iterable, read once (an empty one, a repeated partition, or more than
+    ``MAX_PARTIES`` parties, is refused before any work), maximizing over
+    pure inputs.
 
     Every partition's input search runs as one row of one ``minimize`` batch,
     and then every (partition, measure, restart) squash as one row of one
@@ -208,8 +209,7 @@ def evaluate_bounds(
     d = channel.input_dim
     # the squash's worst case: the output state's rank is at most #Kraus
     _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))
-    if partitions is None:
-        partitions = nontrivial_partitions(ground)
+    partitions = nontrivial_partitions(ground) if partitions is None else list(partitions)
     seen = set()
     for partition in partitions:
         if set(partition.ground) != set(ground):
@@ -260,7 +260,7 @@ def evaluate_bounds(
                 partition=partition,
                 coefficients=constraint_coefficients(partition),
                 bound_bits=bound,
-                measure_used="esq" if len(measures) == 1 else "min_of_both",
+                measure_used=measures[0].value if len(measures) == 1 else "min_of_both",
                 # a search that ended uncertified has no gap
                 input_gap_bits=gap if gap <= GAP_TOL else math.inf,
                 achievable_bits=rate,

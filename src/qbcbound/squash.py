@@ -23,20 +23,14 @@ gives one, and we cannot certify convergence to the true infimum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import NotPure, QbcError, SpecError, TooLarge
-from .measures import _PURIFIER, _cmi_dual, _cmi_total, _pure_entropy_sums
+from .measures import Measure, _measure_kernel
 from .optimize import complex_point, minimize, real_point
 from .partitions import Partition
 from .states import MultipartiteState, _check_count, _marginal, _purification
-
-
-class Measure(str, Enum):
-    E_SQ = "esq"
-    E_SQ_TILDE = "esq-tilde"
 
 
 # largest state dim x purifier dim the variational squash takes on
@@ -89,6 +83,7 @@ def _reduced_purification(state: MultipartiteState, partition: Partition):
 def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact squashed entanglement for the given grouping of a state that is
     pure (as ``is_pure`` judges it) on the partition's labels."""
+    measure = Measure(measure)
     labels, dims, psi = _reduced_purification(state, partition)
     if psi.shape[1] > 1:
         raise NotPure("exact evaluation requires a pure state on the partition's labels")
@@ -98,7 +93,11 @@ def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measu
 
 def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact value for a flagged ensemble of pure states: the probability-
-    weighted average of the per-component pure-state values."""
+    weighted average of the per-component pure-state values;
+    ``flagged_states`` may be any iterable of (probability, state) pairs,
+    read once."""
+    measure = Measure(measure)
+    flagged_states = tuple(flagged_states)
     probs = [p for p, _ in flagged_states]
     # written so that NaN, for which every comparison is false, fails it
     if not all(p >= 0 for p in probs):
@@ -149,21 +148,6 @@ def _isometry_and_pullback(params: np.ndarray, d_e: int):
     return v, pullback
 
 
-def _measure_kernel(shape, labels, problems):
-    """``evaluate(psi, rows) -> (values, grad)`` of half of each measure of
-    every problem, a (partition, measures) pair, over its partition
-    conditioned on a purifier, on flat stacks of pure states over ``shape``
-    (one index per label, the purifier's, then unlabeled ones).  A subset ->
-    coefficient map in place of a measure is summed as given."""
-    fns = {Measure.E_SQ: _cmi_total, Measure.E_SQ_TILDE: _cmi_dual}
-
-    def half(p, m):
-        return {s: 0.5 * c for s, c in fns[Measure(m)](p.blocks, (_PURIFIER,)).items()}
-
-    forms = [[m if isinstance(m, dict) else half(p, m) for m in sums] for p, sums in problems]
-    return _pure_entropy_sums(shape, labels + (_PURIFIER,), forms)
-
-
 def _squash_value_and_grad(evaluate, psis, owner):
     """(params, rows) -> (values, gradients): row i of ``params`` squashes the
     purification amplitudes ``psis[p]`` of problem p = ``owner[rows[i]]``, and
@@ -203,7 +187,7 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
         by_dim.setdefault(psi.shape[1], []).append(i)
     for d_e, members in by_dim.items():
         psis = np.stack([problems[i][0] for i in members])
-        kinds = [(problems[i][1], [Measure(problems[i][2])]) for i in members]
+        kinds = [(problems[i][1], [problems[i][2]]) for i in members]
         # the untouched purifier (identity squashing)
         every = np.arange(len(members))
         evaluate = _measure_kernel(dims + (d_e,), labels, kinds)
@@ -264,6 +248,7 @@ def esq_upper_variational(
     None if none beat identity squashing: the 4 d_e^2 floats of
     ``optimize.real_point(K)``, rows of K over (E', ancilla).
     """
+    measure = Measure(measure)
     labels, dims, psi = _reduced_purification(state, partition)
     n, d_e = psi.shape
     if d_e > 1:

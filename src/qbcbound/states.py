@@ -46,6 +46,14 @@ def _check_count(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _check_real(name: str, value) -> float:
+    """``value``, a Python or numpy real number, as a float; a bool (which
+    would pass as 0 or 1), a string or any other value is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QbcError(f"{name} must be a real number")
+    return float(value)
+
+
 def _frozen_array(a, what: str) -> np.ndarray:
     arr = np.array(a, dtype=complex)
     # every comparison with NaN is false, so the tolerance checks would pass it
@@ -205,7 +213,9 @@ class PrivateStateSpec:
 
 
 def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
-    """Kronecker product of states in the given order."""
+    """Kronecker product of states in the given order; ``parts`` may be any
+    iterable, read once."""
+    parts = tuple(parts)
     if not parts:
         raise QbcError("tensor of zero states is undefined")
     labels: list[str] = []
@@ -220,16 +230,22 @@ def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
     return MultipartiteState(mat, tuple(labels), tuple(dims))
 
 
-def _reordered(state: MultipartiteState, order) -> np.ndarray:
-    """The state's matrix with its subsystems in the index order ``order``.
+def _flat_positions(dims, first) -> np.ndarray:
+    """The positions in a flat row-major vector over ``dims`` of its entries
+    laid out with the subsystems ``first`` leading, in that order, and the
+    rest after them in theirs; only the live axes, of dimension > 1, get an
+    array axis."""
+    live = {i: r for r, i in enumerate(i for i, d in enumerate(dims) if d > 1)}
+    flat = np.arange(math.prod(dims)).reshape([dims[i] for i in live])
+    lead = [live[i] for i in first if i in live]
+    return flat.transpose(lead + [r for r in range(len(live)) if r not in lead]).ravel()
 
-    Rows and columns are re-indexed by flat-index arithmetic: one array axis
-    per row label and one per column label would cap a state at 32 labels
-    (16 before numpy 2)."""
-    strides = [math.prod(state.dims[i + 1 :]) for i in range(len(state.dims))]
-    flat = np.zeros(1, dtype=np.intp)
-    for i in order:
-        flat = (flat[:, None] + strides[i] * np.arange(state.dims[i])).ravel()
+
+def _reordered(state: MultipartiteState, first) -> np.ndarray:
+    """The state's matrix with the subsystems ``first`` leading, gathered once
+    through ``_flat_positions``, whose array axes, one per live label, stay
+    within numpy's limit: 32 live labels would need a matrix of 2^64 entries."""
+    flat = _flat_positions(state.dims, first)
     return state.matrix[np.ix_(flat, flat)]
 
 
@@ -247,7 +263,7 @@ def _marginal(state: MultipartiteState, keep):
     kd = tuple(state.dims[i] for i in keep_idx)
     m = math.prod(kd)
     r = state.dim // m
-    red = _reordered(state, keep_idx + [i for i in range(n) if i not in keep_idx])
+    red = _reordered(state, keep_idx)
     red = np.einsum("ajbj->ab", red.reshape(m, r, m, r))
     red = (red + red.conj().T) / 2
     return red, tuple(state.labels[i] for i in keep_idx), kd
@@ -395,8 +411,7 @@ def check_private_state(
             raise LabelCollision(f"shield label {lab!r} is also a key label")
     m = len(key_labels)
     keys = [state.index_of(lab) for lab in key_labels]
-    order = keys + [i for i in range(len(state.dims)) if i not in keys]
-    psi = _purifying_amplitudes(*_support(_reordered(state, order)))
+    psi = _purifying_amplitudes(*_support(_reordered(state, keys)))
     de = psi.shape[1]
     t = psi.reshape(d**m, -1, de)
     # dephasing the keys and tracing the shields leaves one purifier block per
@@ -405,7 +420,7 @@ def check_private_state(
     correlated = [i * sum(d**j for j in range(m)) for i in range(d)]  # strings i...i
     sigma = blocks[correlated].sum(axis=0)
     tr = np.trace(sigma).real
-    sigma = sigma / tr if tr > 1e-12 else np.eye(de) / de
+    sigma = sigma / tr if tr > RANK_TOL else np.eye(de) / de
     blocks[correlated] -= sigma / d
     dev = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(blocks))))
     return dev <= PRIVATE_TOL, dev

@@ -13,6 +13,7 @@ from qbcbound import (
     DomainError,
     QbcError,
     RootError,
+    SpecError,
     asymptotic_bound,
     finite_ns_bound,
     g,
@@ -303,9 +304,36 @@ def test_non_finite_inputs_rejected(bad):
          DomainError, "eta_eprime must lie in [0, 1]"),
         (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), -0.1), DomainError,
          "eta_eprime must lie in [0, 1]"),
+        # the measures' own refusal, as every entry point raises it
+        (lambda: finite_ns_bound(BosonicBroadcastSpec((0.3,), 1.0), 0.5, "x"), SpecError,
+         "unknown measure 'x'"),
+        (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), 0.5, "x"), SpecError,
+         "unknown measure 'x'"),
+        # the real-number rule: no bool, string or other non-real gets through
+        (lambda: BosonicBroadcastSpec(("x",)), QbcError,
+         "transmission coefficient must be a real number"),
+        (lambda: BosonicBroadcastSpec((0.3,), "1"), QbcError,
+         "mean photon number must be a real number"),
+        (lambda: BosonicBroadcastSpec((0.3,), True), QbcError,
+         "mean photon number must be a real number"),
+        (lambda: g("1"), QbcError, "mean photon number must be a real number"),
+        (lambda: finite_ns_bound(BosonicBroadcastSpec((0.3,), 1.0), "0.5"), QbcError,
+         "eta_eprime must be a real number"),
+        (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), "0.5"), QbcError,
+         "eta_eprime must be a real number"),
+        (lambda: theorem3_report(0.3, 0.2, True), QbcError,
+         "mean photon number must be a real number"),
+        (lambda: theorem3_report("0.3", 0.2), QbcError,
+         "transmission coefficient must be a real number"),
+        (lambda: theorem3_columns("a", 0.1), QbcError, "eta_b must hold real numbers"),
+        (lambda: theorem3_columns([0.1, 0.2], np.array([True, False])), QbcError,
+         "eta_c must hold real numbers"),
     ],
     ids=["no-receivers", "unknown-measure", "finite-ns-without-photons",
-         "finite-ns-eta-above-1", "asymptotic-eta-below-0"],
+         "finite-ns-eta-above-1", "asymptotic-eta-below-0", "finite-ns-unknown-measure",
+         "asymptotic-unknown-measure", "spec-string-eta", "spec-string-photons",
+         "spec-bool-photons", "g-string", "finite-ns-string-eta", "asymptotic-string-eta",
+         "report-bool-photons", "report-string-eta", "columns-string", "columns-bool"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):

@@ -24,8 +24,34 @@ from qbcbound import (
     qcmi,
     tensor,
 )
-from qbcbound.measures import _EIG_FLOOR, _cmi_dual, _cmi_total, _pure_entropy_sums
+from qbcbound.measures import _PURIFIER, Measure, _pure_entropy_sums
 from qbcbound.sampling import random_channel, random_pure_state, random_state
+from qbcbound.states import RANK_TOL as _EIG_FLOOR
+
+
+def _cmi_total(blocks, e) -> dict[frozenset, float]:
+    """Reference map of sum_i H(A_i|E) - H(A_1...A_m|E), subset ->
+    coefficient, in the key order ``Measure.E_SQ.form`` must keep."""
+    if len(blocks) == 1:
+        return {}
+    e = frozenset(e)
+    coeffs = {e: 1.0 - len(blocks)}
+    coeffs.update((e | frozenset(b), 1.0) for b in blocks)
+    coeffs[e.union(*blocks)] = -1.0
+    return coeffs
+
+
+def _cmi_dual(blocks, e) -> dict[frozenset, float]:
+    """Reference map of sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E),
+    subset -> coefficient, in the key order ``Measure.E_SQ_TILDE.form`` must
+    keep."""
+    if len(blocks) == 1:
+        return {}
+    e = frozenset(e)
+    allb = e.union(*blocks)
+    coeffs = {e: -1.0, allb: 1.0 - len(blocks)}
+    coeffs.update((allb - frozenset(b), 1.0) for b in blocks)
+    return coeffs
 
 
 def blocks(*bs):
@@ -364,6 +390,18 @@ def test_batched_kernel_equals_per_cut_loop(dims, trailing, n_blocks, seed):
         alone_values, alone_grad = evaluate(psi[i : i + 1], [p])
         assert np.array_equal(alone_values[0], values[i])
         assert np.array_equal(alone_grad(pick[i : i + 1])[0], grads[i])
+
+
+@pytest.mark.parametrize("e", [(), ("E", "F"), (_PURIFIER,)], ids=["no-e", "e", "purifier"])
+@pytest.mark.parametrize("n_blocks", range(1, 5))
+def test_measure_form_keeps_the_reference_maps(n_blocks, e):
+    # key order counts: it fixes each cut's slot in _pure_entropy_sums, and
+    # so the order of every running sum
+    groups = (("A", "X"), ("B",), ("C", "Y", "Z"), ("D",))[:n_blocks]
+    # as Partition.blocks holds them, and as qcmi passes its sets
+    for g in (groups, [set(b) for b in groups]):
+        for measure, reference in ((Measure.E_SQ, _cmi_total), (Measure.E_SQ_TILDE, _cmi_dual)):
+            assert list(measure.form(g, e).items()) == list(reference(g, e).items())
 
 
 @pytest.mark.parametrize("seed", range(3))

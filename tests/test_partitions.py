@@ -49,13 +49,20 @@ def test_partition_validation():
         ((("A ",), ("B",)), "label 'A ' cannot appear in a partition string"),
         ((("",), ("B",)), "label '' cannot appear in a partition string"),
         (((1,), ("B",)), "label 1 is not a string"),
+        # neither is a block or a partition that is not a collection at all
+        ((1, 2), "block 1 is not a collection"),
+        (5, "partition 5 is not a collection"),
     ],
     ids=["string-blocks", "string-key-blocks", "comma-label", "bar-label", "space-label",
-         "empty-label", "int-label"],
+         "empty-label", "int-label", "int-blocks", "int-partition"],
 )
 def test_partition_refuses_what_a_partition_string_cannot_name(blocks, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):
         Partition(blocks)
+
+
+def test_partition_reads_a_generator_of_blocks_once():
+    assert Partition(b for b in [("A",), ("B",)]) == Partition((("A",), ("B",)))
 
 
 def test_parse_partition_roundtrip():

@@ -31,7 +31,7 @@ from qbcbound import (
     trace_distance,
     two_receiver_report,
 )
-from qbcbound import rates, squash
+from qbcbound import measures, rates
 from qbcbound.cli import _single_rail_loss_channel as single_rail_loss_channel
 from qbcbound.optimize import real_point
 from qbcbound.rates import (
@@ -43,7 +43,7 @@ from qbcbound.rates import (
     _stinespring,
 )
 from qbcbound.sampling import random_channel
-from qbcbound.squash import _measure_kernel
+from qbcbound.measures import _measure_kernel
 
 FAST_SQUASH = SquashConfig(restarts=2)
 
@@ -327,6 +327,12 @@ def test_repeated_partition_rejected(monkeypatch):
         evaluate_bounds(copy_channel(), [part("R", "B", "C"), part("C", "B", "R")])
 
 
+def test_evaluate_bounds_reads_a_generator_of_partitions_once():
+    parts = [part(("R",), ("B", "C")), part(("R", "B"), ("C",))]
+    once = evaluate_bounds(copy_channel(), (p for p in parts), FAST_SQUASH)
+    assert once == evaluate_bounds(copy_channel(), parts, FAST_SQUASH)
+
+
 def test_one_block_partition_rejected_before_the_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the input search ran before the partitions were checked")
@@ -389,13 +395,13 @@ def test_report_compiles_one_input_kernel(monkeypatch):
     # and search kernels (one purifier dimension): the guard's sums are read
     # off the input kernel's cuts, not a kernel of their own
     compiled = []
-    real = squash._pure_entropy_sums
+    real = measures._pure_entropy_sums
 
     def counting(*args):
         compiled.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(squash, "_pure_entropy_sums", counting)
+    monkeypatch.setattr(measures, "_pure_entropy_sums", counting)
     # any binding rates may hold of its own counts too
     monkeypatch.setattr(rates, "_pure_entropy_sums", counting, raising=False)
     two_receiver_report(SURROGATE_CHANNELS["seed0"]())

@@ -190,6 +190,14 @@ def test_cq_average():
     assert abs(esq_cq_average([(0.5, ghz), (0.5, prod)], p) - 0.75) < 1e-9
 
 
+def test_cq_average_reads_a_generator_once():
+    ghz = make_ghz(("A", "B", "C"), 2)
+    p = part(("A",), ("B",), ("C",))
+    value = esq_cq_average(((q, s) for q, s in [(1.0, ghz)]), p)
+    assert value == esq_cq_average([(1.0, ghz)], p)
+    assert abs(value - 1.5) < 1e-9
+
+
 def test_cq_average_two_bell_flags():
     bell = make_ghz(("A", "B"), 2)
     # phase-flipped Bell state
@@ -342,6 +350,25 @@ def test_one_block_partition_rejected_before_any_work(monkeypatch, run):
     for state in (mixed, make_ghz(("A", "B", "C"), 2)):
         with pytest.raises(SpecError, match=r"^partition A,B,C has one block"):
             run(state, part(("A", "B", "C")))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda state, p: Measure("x"),
+        lambda state, p: esq_upper_variational(state, p, "x"),
+        lambda state, p: esq_exact_pure(state, p, "x"),
+        lambda state, p: esq_cq_average([(1.0, state)], p, "x"),
+    ],
+    ids=["measure", "variational", "exact-pure", "cq-average"],
+)
+def test_unknown_measure_refused_before_any_work(monkeypatch, run):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the squash ran before the measure was checked")
+
+    monkeypatch.setattr(squash, "_reduced_purification", no_work)
+    with pytest.raises(SpecError, match=r"^unknown measure 'x'$"):
+        run(make_ghz(("A", "B"), 2), part(("A",), ("B",)))
 
 
 @pytest.mark.parametrize("noise", [0.0, 9e-10])

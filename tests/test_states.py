@@ -222,6 +222,11 @@ def test_tensor_ghz_with_pure():
     assert np.linalg.matrix_rank(t.matrix, tol=1e-10) == 1
 
 
+def test_tensor_reads_a_generator_once():
+    ghz = make_ghz(("A", "B"), 2)
+    assert np.array_equal(tensor(s for s in [ghz]).matrix, ghz.matrix)
+
+
 def test_tensor_rejects_duplicates():
     a = MultipartiteState(np.eye(2) / 2, ("A",), (2,))
     with pytest.raises(LabelCollision):
