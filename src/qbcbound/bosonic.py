@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DomainError, QbcError, RootError
 from .measures import Measure
+from .partitions import _read_once
 from .states import _check_real
 
 _BISECT_LO = 1e-9
@@ -52,7 +53,8 @@ class BosonicBroadcastSpec:
     mean_photon: float | None = None
 
     def __post_init__(self):
-        etas = tuple(_check_real("transmission coefficient", e) for e in self.etas)
+        etas = _read_once(self.etas, "transmission coefficients")
+        etas = tuple(_check_real("transmission coefficient", e) for e in etas)
         object.__setattr__(self, "etas", etas)
         if not etas:
             raise QbcError("at least one receiver required")
@@ -288,9 +290,16 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
 
     Every pair is validated, with the error ``BosonicBroadcastSpec`` raises
     for the first bad pair, before any bisection starts; an array of bools
-    or of anything but real numbers is refused first.
+    or of anything but real numbers is refused first, and arrays that do not
+    broadcast before that.
     """
-    pair = np.broadcast_arrays(eta_b, eta_c)
+    eta_b, eta_c = np.asarray(eta_b), np.asarray(eta_c)
+    try:
+        pair = np.broadcast_arrays(eta_b, eta_c)
+    except ValueError:
+        raise QbcError(
+            f"eta_b of shape {eta_b.shape} and eta_c of shape {eta_c.shape} do not broadcast"
+        ) from None
     for name, a in zip(("eta_b", "eta_c"), pair):
         if a.dtype.kind not in "iuf":
             raise QbcError(f"{name} must hold real numbers")

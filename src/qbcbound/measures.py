@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
-from .partitions import Partition
+from .partitions import Partition, _read_once
 from .states import RANK_TOL, MultipartiteState, _flat_positions, _marginal, partial_trace
 
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -32,7 +32,7 @@ _PURIFIER = object()
 
 def entropy(state: MultipartiteState, subset) -> float:
     """Von Neumann entropy of the reduction to ``subset``, in bits."""
-    subset = set(subset)
+    subset = set(_read_once(subset, "subset"))
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
     # partial_trace raises LabelNotFound for a label missing from the state
@@ -62,26 +62,30 @@ def _pure_entropy_sums(shape, labels, forms):
     sums ``pick[i]`` with respect to conj(psi), so a path psi_i(t) changes
     its sum at rate 2 Re <grad_i, dpsi_i/dt>.
 
-    Each cut of a problem is diagonalized once, from the Gram matrix
-    G = M M^dag of its smaller side (a marginal and its complement share
-    their spectrum); d H / d conj(M) = -(log2 G + 1/ln 2) M, eigenvalues under
-    the floor contributing 0.  A problem's cuts are grouped by the dimension
-    of their smaller side, and every problem carries, per side dimension, the
-    same number of cuts, padded with zero-coefficient cuts; so each side
-    dimension costs one stacked Gram product and one stacked ``eigh`` over
-    (rows, cuts), and each row is computed as it would be alone: one gather
-    of flat positions per cut reads M off psi and writes the gradient back.
+    A cut is keyed by its live axes, those of dimension > 1, as
+    ``states._flat_positions`` lays them out: subsets that differ only in
+    dimension-1 labels share one cut, whose coefficients add before they
+    multiply its entropy.  Each cut of a problem is diagonalized once, from
+    the Gram matrix G = M M^dag of its smaller side (a marginal and its
+    complement share their spectrum); d H / d conj(M) = -(log2 G + 1/ln 2) M,
+    eigenvalues under the floor contributing 0.  A problem's cuts are
+    grouped by the dimension of their smaller side, and every problem
+    carries, per side dimension, the same number of cuts, padded with
+    zero-coefficient cuts; so each side dimension costs one stacked Gram
+    product and one stacked ``eigh`` over (rows, cuts), and each row is
+    computed as it would be alone: one gather of flat positions per cut
+    reads M off psi and writes the gradient back.
     A side of dimension 1 has entropy 0 on a pure state and is skipped; the
     evaluated paths keep psi normalized, so its gradient drops out too.
     """
     axis = {lab: i for i, lab in enumerate(labels)}
-    every = frozenset(range(len(shape)))
+    every = frozenset(i for i, d in enumerate(shape) if d > 1)
     n = math.prod(shape)
 
     def cut_of(subset) -> tuple[tuple[int, ...], int]:
         """The smaller side of the cut between ``subset`` and the rest, and
         its dimension."""
-        keep = frozenset(axis[lab] for lab in subset)
+        keep = frozenset(axis[lab] for lab in subset) & every
         sides = [tuple(sorted(keep)), tuple(sorted(every - keep))]
         return min((math.prod(shape[i] for i in side), side) for side in sides)[::-1]
 
@@ -181,23 +185,23 @@ def _pure_entropy_sums(shape, labels, forms):
 
 def conditional_entropy(state: MultipartiteState, subset, given) -> float:
     """H(subset | given) = H(subset given) - H(given)."""
-    subset, given = set(subset), set(given)
+    subset, given = set(_read_once(subset, "subset")), set(_read_once(given, "given"))
     if not subset:
         raise EmptySubset("conditional entropy of an empty subset")
     if subset & given:
         raise LabelCollision("subset overlaps conditioning set")
-    _check_labels(state, sorted(subset | given))
+    _check_labels(state, sorted(subset | given, key=str))
     return _entropy_sum(state, {frozenset(subset | given): 1.0, frozenset(given): -1.0})
 
 
 def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     """Quantum conditional mutual information I(A;B|E) in bits."""
-    a, b, e = set(a), set(b), set(e)
+    a, b, e = (set(_read_once(x, name)) for x, name in ((a, "a"), (b, "b"), (e, "e")))
     if not a or not b:
         raise EmptySubset("QCMI needs non-empty A and B")
     if a & b or a & e or b & e:
         raise LabelCollision("A, B, E must be pairwise disjoint")
-    _check_labels(state, sorted(a | b | e))
+    _check_labels(state, sorted(a | b | e, key=str))
     return _entropy_sum(state, Measure.E_SQ.form((a, b), e))
 
 
@@ -257,10 +261,10 @@ def _conditioning(state: MultipartiteState, partition: Partition, conditioning) 
     """The conditioning set E of a measure over the blocks of ``partition``,
     checked before any entropy is taken: E must meet no block, and every
     label must be on the state (``LabelNotFound`` otherwise)."""
-    e = frozenset(conditioning)
+    e = frozenset(_read_once(conditioning, "conditioning"))
     if not e.isdisjoint(partition.ground):
         raise SpecError("conditioning set overlaps a block")
-    _check_labels(state, partition.ground + tuple(sorted(e)))
+    _check_labels(state, partition.ground + tuple(sorted(e, key=str)))
     return e
 
 

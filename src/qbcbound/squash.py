@@ -29,8 +29,8 @@ import numpy as np
 from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import Measure, _measure_kernel
 from .optimize import complex_point, minimize, real_point
-from .partitions import Partition
-from .states import MultipartiteState, _check_count, _marginal, _purification
+from .partitions import Partition, _read_once
+from .states import MultipartiteState, _check_count, _check_real, _marginal, _purification
 
 
 # largest state dim x purifier dim the variational squash takes on
@@ -95,17 +95,23 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     """Exact value for a flagged ensemble of pure states: the probability-
     weighted average of the per-component pure-state values;
     ``flagged_states`` may be any iterable of (probability, state) pairs,
-    read once."""
+    read once, each probability a real number and each state a
+    ``MultipartiteState``."""
     measure = Measure(measure)
-    flagged_states = tuple(flagged_states)
-    probs = [p for p, _ in flagged_states]
+    ensemble = []
+    for i, entry in enumerate(_read_once(flagged_states, "ensemble")):
+        pair = _read_once(entry, f"ensemble entry {i}")
+        if len(pair) != 2 or not isinstance(pair[1], MultipartiteState):
+            raise QbcError(f"ensemble entry {i} is not a (probability, state) pair")
+        ensemble.append((_check_real(f"probability of ensemble entry {i}", pair[0]), pair[1]))
+    probs = [p for p, _ in ensemble]
     # written so that NaN, for which every comparison is false, fails it
     if not all(p >= 0 for p in probs):
         raise QbcError("probabilities must be non-negative")
     if abs(sum(probs) - 1.0) > 1e-9:
         raise QbcError("probabilities must sum to 1")
     total = 0.0
-    for p, st in flagged_states:
+    for p, st in ensemble:
         total += p * esq_exact_pure(st, partition, measure)
     return total
 

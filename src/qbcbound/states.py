@@ -25,7 +25,7 @@ from .errors import (
     LabelNotFound,
     QbcError,
 )
-from .partitions import _check_label
+from .partitions import _check_label, _read_once
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -48,10 +48,14 @@ def _check_count(name: str, value, least: int | None = None) -> int:
 
 def _check_real(name: str, value) -> float:
     """``value``, a Python or numpy real number, as a float; a bool (which
-    would pass as 0 or 1), a string or any other value is refused."""
+    would pass as 0 or 1), a string, an integer beyond the float range or
+    any other value is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise QbcError(f"{name} must be a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise QbcError(f"{name} is beyond the float range") from None
 
 
 def _frozen_array(a, what: str) -> np.ndarray:
@@ -272,7 +276,7 @@ def _marginal(state: MultipartiteState, keep):
 def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     """Reduced state on ``keep`` labels, preserving their relative order: the
     ``_marginal``, validated once, as the public result, or the state itself."""
-    red, labels, dims = _marginal(state, keep)
+    red, labels, dims = _marginal(state, _read_once(keep, "keep"))
     return state if labels == state.labels else MultipartiteState(red, labels, dims)
 
 

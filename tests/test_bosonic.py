@@ -328,12 +328,30 @@ def test_non_finite_inputs_rejected(bad):
         (lambda: theorem3_columns("a", 0.1), QbcError, "eta_b must hold real numbers"),
         (lambda: theorem3_columns([0.1, 0.2], np.array([True, False])), QbcError,
          "eta_c must hold real numbers"),
+        (lambda: theorem3_columns([0.1, 0.2, 0.3], [0.1, 0.2]), QbcError,
+         "eta_b of shape (3,) and eta_c of shape (2,) do not broadcast"),
+        # a collection of coefficients, and integers within the float range
+        (lambda: BosonicBroadcastSpec(0.3), SpecError,
+         "transmission coefficients 0.3 is not a collection"),
+        (lambda: g(10**400), QbcError, "mean photon number is beyond the float range"),
+        (lambda: BosonicBroadcastSpec((10**400,)), QbcError,
+         "transmission coefficient is beyond the float range"),
+        (lambda: BosonicBroadcastSpec((0.3,), 10**400), QbcError,
+         "mean photon number is beyond the float range"),
+        (lambda: asymptotic_bound(BosonicBroadcastSpec((0.3,)), 10**400), QbcError,
+         "eta_eprime is beyond the float range"),
+        (lambda: finite_ns_bound(BosonicBroadcastSpec((0.3,), 1.0), 10**400), QbcError,
+         "eta_eprime is beyond the float range"),
+        (lambda: theorem3_report(10**400, 0.0), QbcError,
+         "transmission coefficient is beyond the float range"),
     ],
     ids=["no-receivers", "unknown-measure", "finite-ns-without-photons",
          "finite-ns-eta-above-1", "asymptotic-eta-below-0", "finite-ns-unknown-measure",
          "asymptotic-unknown-measure", "spec-string-eta", "spec-string-photons",
          "spec-bool-photons", "g-string", "finite-ns-string-eta", "asymptotic-string-eta",
-         "report-bool-photons", "report-string-eta", "columns-string", "columns-bool"],
+         "report-bool-photons", "report-string-eta", "columns-string", "columns-bool",
+         "columns-no-broadcast", "spec-scalar-etas", "g-huge-int", "spec-huge-eta",
+         "spec-huge-photons", "asymptotic-huge-eta", "finite-ns-huge-eta", "report-huge-eta"],
 )
 def test_invalid_arguments_refused(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):

@@ -290,13 +290,13 @@ def _per_cut_entropy_sums(shape, labels, forms):
     coefficients, with one transpose, Gram product and ``eigh`` per cut, the
     cuts ordered by the dimension of their smaller side."""
     axis = {lab: i for i, lab in enumerate(labels)}
-    every = frozenset(range(len(shape)))
+    every = frozenset(i for i, d in enumerate(shape) if d > 1)
 
     def size(side):
         return math.prod(shape[i] for i in side)
 
     def cut_of(subset):
-        keep = frozenset(axis[lab] for lab in subset)
+        keep = frozenset(axis[lab] for lab in subset) & every
         return min(tuple(sorted(keep)), tuple(sorted(every - keep)), key=lambda s: (size(s), s))
 
     cuts, entries = {}, []
@@ -309,7 +309,7 @@ def _per_cut_entropy_sums(shape, labels, forms):
     coeff = np.zeros((len(forms), len(cuts)))
     for k, j, c in entries:
         coeff[k, order.index(list(cuts)[j])] += c
-    perms = [cut + tuple(sorted(every - set(cut))) for cut in order]
+    perms = [cut + tuple(sorted(set(range(len(shape))) - set(cut))) for cut in order]
     inverses = [tuple(np.argsort(perm)) for perm in perms]
     moved = [tuple(shape[i] for i in perm) for perm in perms]
     sides = [size(cut) for cut in order]
@@ -426,6 +426,22 @@ def test_kernel_keeps_every_bit_among_70_dimension_one_labels(seed):
     assert np.array_equal(padded_values, values)
     for pick in (np.zeros(len(rows), dtype=int), rng.integers(0, 2, len(rows))):
         assert np.array_equal(padded_grad(pick), grad(pick))
+    # subsets that also name some of the 70 labels key the cuts they key
+    # without them; a cut named twice adds its coefficients (here exactly)
+    # before they multiply its entropy
+    named = [
+        {s | {"X0", "X41"}: c for s, c in total.items()},
+        {frozenset({"A", "X3"}): 1.0, frozenset("A"): 0.5, frozenset({"B", "X69"}): -2.0,
+         frozenset({"C", "X1", "X2"}): 0.25},
+    ]
+    bare = [total, {frozenset("A"): 1.5, frozenset("B"): -2.0, frozenset("C"): 0.25}]
+    rows = [2, 0, 2]
+    values, grad = _pure_entropy_sums(shape + trailing, labels, problems + [bare])(psi[:3], rows)
+    padded = _pure_entropy_sums(shape + (1,) * 70 + trailing, labels + pad, problems + [named])
+    padded_values, padded_grad = padded(psi[:3], rows)
+    assert np.array_equal(padded_values, values)
+    for pick in (np.zeros(len(rows), dtype=int), rng.integers(0, 2, len(rows))):
+        assert np.array_equal(padded_grad(pick), grad(pick))
 
 
 @pytest.mark.parametrize(
@@ -457,3 +473,35 @@ def test_qcmi_checks_labels_before_any_entropy(monkeypatch, call):
         conditional_entropy(ghz, set(), {"Z"})
     with pytest.raises(LabelCollision):
         conditional_entropy(ghz, {"Z"}, {"Z"})
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda st: qcmi(st, "A", 5), "b 5 is not a collection"),
+        (lambda st: conditional_entropy(st, 5, "A"), "subset 5 is not a collection"),
+        (lambda st: entropy(st, 5), "subset 5 is not a collection"),
+        (lambda st: cmi_total(st, blocks("A", "B"), 5), "conditioning 5 is not a collection"),
+        (lambda st: partial_trace(st, 5), "keep 5 is not a collection"),
+    ],
+    ids=["qcmi", "conditional-entropy", "entropy", "cmi-total", "partial-trace"],
+)
+def test_label_set_that_is_not_a_collection_refused(call, fragment):
+    with pytest.raises(SpecError, match=f"^{fragment}$"):
+        call(make_ghz(("A", "B", "C"), 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda st: qcmi(st, [1], ["B"]),
+        lambda st: conditional_entropy(st, ["A"], [1, "B"]),
+        lambda st: cmi_total(st, blocks("A", "B"), [1, "C"]),
+        lambda st: entropy(st, [1]),
+    ],
+    ids=["qcmi", "conditional-entropy", "cmi-total", "entropy"],
+)
+def test_label_of_another_type_not_found(call):
+    # labels of mixed types are checked, not sorted into a bare TypeError
+    with pytest.raises(LabelNotFound, match=r"^label 1 not in \('A', 'B', 'C'\)$"):
+        call(make_ghz(("A", "B", "C"), 2))

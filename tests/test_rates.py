@@ -676,3 +676,21 @@ def test_bound_below_the_coherent_information_raises(monkeypatch):
     # a cut of three blocks has no guard
     (rc,) = evaluate_bounds(GUARD_CHANNELS["seed0"](), [part("R", "B", "C")])
     assert rc.bound_bits == 0.0
+
+
+@pytest.mark.parametrize(
+    "seed, idle", [(s, 2) for s in range(4)] + [(0, 3), (2, 3)], ids=lambda v: str(v)
+)
+def test_dimension_one_receivers_leave_no_negative_bound(seed, idle):
+    # receivers of dimension 1 carry nothing: a partition with R and B in one
+    # block cuts no entanglement, and its subsets that differ only in those
+    # receivers share one cut, whose coefficients cancel before they multiply
+    # an entropy
+    receivers = ("B",) + tuple(f"D{i}" for i in range(idle))
+    channel = random_channel(
+        np.random.default_rng(seed), 2, receivers, (2,) + (1,) * idle, env_dim=2
+    )
+    for c in evaluate_bounds(channel):
+        assert c.bound_bits >= 0.0, str(c.partition)
+        if any({"R", "B"} <= set(block) for block in c.partition.blocks):
+            assert c.bound_bits == 0.0, str(c.partition)

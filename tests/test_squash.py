@@ -406,6 +406,21 @@ def test_variational_exact_on_large_pure_state(monkeypatch, noise):
             [(0.5, make_ghz(("A", "B"), 2)), (0.25, make_ghz(("A", "B"), 2))],
             part(("A",), ("B",)),
         ), "probabilities must sum to 1"),
+        # an ensemble is a collection of (probability, state) pairs, each
+        # probability a real number that is not a bool
+        (lambda: esq_cq_average(5, part(("A",), ("B",))), "^ensemble 5 is not a collection$"),
+        (lambda: esq_cq_average([1.0], part(("A",), ("B",))),
+         "^ensemble entry 0 1.0 is not a collection$"),
+        (lambda: esq_cq_average([("x", make_ghz(("A", "B"), 2))], part(("A",), ("B",))),
+         "^probability of ensemble entry 0 must be a real number$"),
+        (lambda: esq_cq_average([(True, make_ghz(("A", "B"), 2))], part(("A",), ("B",))),
+         "^probability of ensemble entry 0 must be a real number$"),
+        (lambda: esq_cq_average([(1.0, 5)], part(("A",), ("B",))),
+         r"^ensemble entry 0 is not a \(probability, state\) pair$"),
+        (lambda: esq_cq_average(
+            [(0.5, make_ghz(("A", "B"), 2)), (0.5, make_ghz(("A", "B"), 2), 3)],
+            part(("A",), ("B",)),
+        ), r"^ensemble entry 1 is not a \(probability, state\) pair$"),
     ],
     ids=[
         "squash-seed-negative",
@@ -413,6 +428,12 @@ def test_variational_exact_on_large_pure_state(monkeypatch, noise):
         "cq-average-nan-weight",
         "cq-average-negative-weight",
         "cq-average-sum-below-1",
+        "cq-average-not-a-collection",
+        "cq-average-entry-not-a-pair",
+        "cq-average-string-weight",
+        "cq-average-bool-weight",
+        "cq-average-state-not-a-state",
+        "cq-average-entry-of-three",
     ],
 )
 def test_invalid_settings_rejected(make, fragment):
