@@ -290,13 +290,16 @@ def theorem3_columns(eta_b, eta_c) -> dict[str, np.ndarray]:
 
     Every pair is validated, with the error ``BosonicBroadcastSpec`` raises
     for the first bad pair, before any bisection starts; an array of bools
-    or of anything but real numbers is refused first, and arrays that do not
-    broadcast before that.
+    or of anything but real numbers is refused first, and ragged arrays or
+    arrays that do not broadcast before that.
     """
-    eta_b, eta_c = np.asarray(eta_b), np.asarray(eta_c)
     try:
+        eta_b, eta_c = np.asarray(eta_b), np.asarray(eta_c)
         pair = np.broadcast_arrays(eta_b, eta_c)
     except ValueError:
+        # a ragged nesting fails np.asarray, and then neither name is rebound
+        if not (isinstance(eta_b, np.ndarray) and isinstance(eta_c, np.ndarray)):
+            raise QbcError("eta_b and eta_c must be rectangular arrays, not ragged") from None
         raise QbcError(
             f"eta_b of shape {eta_b.shape} and eta_c of shape {eta_c.shape} do not broadcast"
         ) from None

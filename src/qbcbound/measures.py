@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
+from enum import Enum, EnumMeta
 
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
-from .partitions import Partition, _read_once
+from .partitions import Partition, _read_once, _shown
 from .states import RANK_TOL, MultipartiteState, _flat_positions, _marginal, partial_trace
 
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -205,17 +205,23 @@ def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     return _entropy_sum(state, Measure.E_SQ.form((a, b), e))
 
 
-class Measure(str, Enum):
+class _MeasureLookup(EnumMeta):
+    # Enum formats a refused name with %r even when _missing_ raises, and
+    # repr refuses an int past Python's 4300-digit limit
+    def __call__(cls, value, *args, **kwargs):
+        try:
+            return super().__call__(value, *args, **kwargs)
+        except ValueError:
+            raise SpecError(f"unknown measure {_shown(value)}") from None
+
+
+class Measure(str, Enum, metaclass=_MeasureLookup):
     """E_sq and E~_sq, the two multipartite squashed entanglements (Yang et
     al., IEEE Trans. Inf. Theory 55, 3375 (2009)); any other name raises
     ``SpecError``."""
 
     E_SQ = "esq"
     E_SQ_TILDE = "esq-tilde"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise SpecError(f"unknown measure {value!r}")
 
     def form(self, blocks, e) -> dict[frozenset, float]:
         """Subset -> entropy coefficient of sum_i H(A_i|E) - H(A_1...A_m|E) (E_SQ)

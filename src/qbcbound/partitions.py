@@ -14,8 +14,11 @@ takes at most ``MAX_PARTIES`` parties (``rates.evaluate_bounds`` checks).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SpecError
 
@@ -29,10 +32,20 @@ def _canon(labels) -> LabelSet:
     return tuple(sorted(labels))
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or the type's name in angle
+    brackets when ``repr`` refuses, as it does for an int past Python's
+    4300-digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
+
+
 def _check_label(label) -> str:
     """``label`` if a partition string such as "R|B,C" can name it."""
     if not isinstance(label, str):
-        raise SpecError(f"label {label!r} is not a string")
+        raise SpecError(f"label {_shown(label)} is not a string")
     if not label or "," in label or "|" in label or label != label.strip():
         raise SpecError(
             f"label {label!r} cannot appear in a partition string: it is empty, "
@@ -47,7 +60,7 @@ def _read_once(value, what: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise SpecError(f"{what} {value!r} is not a collection") from None
+        raise SpecError(f"{what} {_shown(value)} is not a collection") from None
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,15 @@ def a_of(m, partition: Partition) -> list[LabelSet]:
     return sorted(met, key=lambda s: (len(s), s))
 
 
+@functools.lru_cache
+def _subset_masks(ground: LabelSet) -> tuple[tuple[LabelSet, ...], dict[str, int], np.ndarray]:
+    """``subsets_geq2(ground)``, built once per ground set, with each label's
+    bit and each subset's bitmask of its labels."""
+    bit = {lab: 1 << i for i, lab in enumerate(ground)}
+    subsets = tuple(subsets_geq2(ground))
+    return subsets, bit, np.array([sum(bit[lab] for lab in m) for m in subsets], dtype=np.uint64)
+
+
 def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
     """M -> |A(M, G)| for every M in C(G), in ``c_of`` order.
 
@@ -152,6 +174,7 @@ def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
     """
     if not partition.nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
-    block = {lab: i for i, b in enumerate(partition.blocks) for lab in b}
-    met = ((m, len({block[lab] for lab in m})) for m in subsets_geq2(partition.ground))
-    return {m: k for m, k in met if k > 1}
+    subsets, bit, masks = _subset_masks(partition.ground)
+    blocks = np.array([sum(bit[lab] for lab in b) for b in partition.blocks], dtype=np.uint64)
+    met = np.count_nonzero(masks[:, None] & blocks, axis=1).tolist()
+    return {m: k for m, k in zip(subsets, met) if k > 1}

@@ -246,8 +246,9 @@ def evaluate_bounds(
     # the guard's sums at each best input, on the search's own cuts
     sums = evaluate(outputs.reshape(len(partitions), -1), np.arange(len(partitions)))[0]
     achievable = (np.maximum(sums[:, 2], sums[:, 3]) - sums[:, 4]).tolist()
+    svs = np.linalg.svd(phis, compute_uv=False).tolist()
     out = []
-    for phi, psi, gap, partition, rate in zip(phis, psis, gaps.tolist(), partitions, achievable):
+    for sv, psi, gap, partition, rate in zip(svs, psis, gaps.tolist(), partitions, achievable):
         measures = _measures(partition)
         bound = min(value[partition, m] for m in measures)
         rate = rate if len(partition.blocks) == 2 else None
@@ -265,7 +266,7 @@ def evaluate_bounds(
                 input_gap_bits=gap if gap <= GAP_TOL else math.inf,
                 achievable_bits=rate,
                 metadata={
-                    "schmidt": [float(s) ** 2 for s in np.linalg.svd(phi, compute_uv=False)],
+                    "schmidt": [x**2 for x in sv],
                     "seed": squash_cfg.seed,
                     "estimate_only": psi.shape[1] > 1,
                 },

@@ -82,7 +82,8 @@ def _reduced_purification(state: MultipartiteState, partition: Partition):
 
 def esq_exact_pure(state: MultipartiteState, partition: Partition, measure=Measure.E_SQ) -> float:
     """Exact squashed entanglement for the given grouping of a state that is
-    pure (as ``is_pure`` judges it) on the partition's labels."""
+    pure on the partition's labels, by ``is_pure``'s rule: its purification
+    through ``_purification`` has one column."""
     measure = Measure(measure)
     labels, dims, psi = _reduced_purification(state, partition)
     if psi.shape[1] > 1:

@@ -25,7 +25,7 @@ from .errors import (
     LabelNotFound,
     QbcError,
 )
-from .partitions import _check_label, _read_once
+from .partitions import _check_label, _read_once, _shown
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -126,10 +126,11 @@ class MultipartiteState:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise LabelNotFound(f"label {label!r} not in {self.labels}") from None
+            raise LabelNotFound(f"label {_shown(label)} not in {self.labels}") from None
 
     def is_pure(self) -> bool:
-        return bool(np.linalg.eigvalsh(self.matrix)[-1] >= 1.0 - PURE_TOL)
+        """Whether ``_purification``, the one purity rule, gives one column."""
+        return _purification(self.matrix).shape[1] == 1
 
 
 @dataclass(frozen=True)
@@ -280,34 +281,28 @@ def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     return state if labels == state.labels else MultipartiteState(red, labels, dims)
 
 
-def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a density matrix on its numerical support."""
+def _purification(matrix: np.ndarray) -> np.ndarray:
+    """The one purity rule and purifier of a density matrix: one ``eigh``
+    gives amplitudes psi[i, k] ~ sqrt(w_k) v[i, k], normalised, over its
+    numerical support (eigenvalues above ``RANK_TOL``), or over its top
+    eigenvector alone when that eigenvalue is within ``PURE_TOL`` of 1.  The
+    matrix counts as pure exactly when psi has one column."""
     w, v = np.linalg.eigh(matrix)
     w = np.clip(w, 0.0, None)
-    sel = w > RANK_TOL
-    return w[sel], v[:, sel]
-
-
-def _purifying_amplitudes(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Standard purification psi[i, k] ~ sqrt(w_k) v[i, k] of a support (w, v)."""
-    psi = v * np.sqrt(w)
+    keep = slice(-1, None) if w[-1] >= 1.0 - PURE_TOL else w > RANK_TOL
+    psi = v[:, keep] * np.sqrt(w[keep])
     return psi / np.linalg.norm(psi)
 
 
-def _purification(matrix: np.ndarray) -> np.ndarray:
-    """Purification amplitudes over the numerical support of a density
-    matrix, or of its top eigenvector alone when ``is_pure`` would accept it."""
-    w, v = _support(matrix)
-    if w[-1] >= 1.0 - PURE_TOL:
-        w, v = w[-1:], v[:, -1:]
-    return _purifying_amplitudes(w, v)
-
-
 def purify(state: MultipartiteState, purifier_label: str) -> MultipartiteState:
-    """Standard purification; purifier dimension equals the numerical rank."""
+    """Standard purification through ``_purification``: the purifier's
+    dimension is the state's numerical rank, or 1 when ``is_pure`` accepts
+    the state; a state of higher rank that it accepts is then purified by
+    its top eigenvector, whose marginal lies within trace distance
+    ``PURE_TOL`` of the state."""
     if purifier_label in state.labels:
         raise LabelCollision(f"purifier label {purifier_label!r} already present")
-    psi = _purifying_amplitudes(*_support(state.matrix))
+    psi = _purification(state.matrix)
     mat = np.outer(psi, psi.conj())
     return MultipartiteState(
         mat, state.labels + (purifier_label,), state.dims + (psi.shape[1],)
@@ -393,11 +388,11 @@ def check_private_state(
 ) -> tuple[bool, float]:
     """Evaluate the defining secret-key condition of a private state.
 
-    Purifies the state, dephases every key system, traces the shields and
-    measures the trace distance to the ideal perfectly-correlated key that
-    is product with the purifying system.  Every system that is not a key is
-    traced as shield; ``shield_labels`` may name them or be empty.  Returns
-    (deviation <= PRIVATE_TOL, deviation).
+    Purifies the state with ``_purification``, dephases every key system,
+    traces the shields and measures the trace distance to the ideal
+    perfectly-correlated key that is product with the purifying system.
+    Every system that is not a key is traced as shield; ``shield_labels``
+    may name them or be empty.  Returns (deviation <= PRIVATE_TOL, deviation).
     """
     d = _check_count("key dimension", d, 2)
     key_labels = tuple(key_labels)
@@ -410,12 +405,12 @@ def check_private_state(
             raise DimMismatch(f"key system {lab!r} does not have dimension {d}")
     for lab in shield_labels:
         if lab not in state.labels:
-            raise LabelNotFound(f"shield label {lab!r} not in {state.labels}")
+            raise LabelNotFound(f"shield label {_shown(lab)} not in {state.labels}")
         if lab in key_labels:
             raise LabelCollision(f"shield label {lab!r} is also a key label")
     m = len(key_labels)
     keys = [state.index_of(lab) for lab in key_labels]
-    psi = _purifying_amplitudes(*_support(_reordered(state, keys)))
+    psi = _purification(_reordered(state, keys))
     de = psi.shape[1]
     t = psi.reshape(d**m, -1, de)
     # dephasing the keys and tracing the shields leaves one purifier block per
@@ -469,11 +464,16 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 def _json_doc(text: str):
     """``json.loads(text)``; a document nested deeper than the decoder's
-    recursion limit raises QbcError like any other malformed one."""
+    recursion limit, or with an integer longer than Python's digit limit
+    for int conversion, raises QbcError like any other malformed one."""
     try:
         return json.loads(text)
     except RecursionError:
         raise QbcError("JSON document is nested too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise QbcError(f"JSON document cannot be decoded: {exc}") from None
 
 
 def _field(doc, key: str, parse):
@@ -482,7 +482,7 @@ def _field(doc, key: str, parse):
         raise QbcError(f"expected a JSON object with a {key!r} field")
     try:
         return parse(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise QbcError(f"JSON field {key!r} is malformed: {exc}") from None
 
 

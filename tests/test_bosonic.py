@@ -358,6 +358,17 @@ def test_invalid_arguments_refused(build, error, fragment):
         build()
 
 
+@pytest.mark.parametrize(
+    "eta_b, eta_c",
+    [([[0.1, 0.2], [0.3]], 0.1), (0.1, [[0.1, 0.2], [0.3]]), (np.array([0.1, 0.2]), [[0.1], []])],
+    ids=["ragged-eta-b", "ragged-eta-c", "array-and-ragged"],
+)
+def test_ragged_eta_arrays_refused_before_any_bisection(monkeypatch, eta_b, eta_c):
+    monkeypatch.setattr(bosonic, "_bisect", lambda *args: pytest.fail("bisection ran"))
+    with pytest.raises(QbcError, match="^eta_b and eta_c must be rectangular arrays, not ragged$"):
+        theorem3_columns(eta_b, eta_c)
+
+
 def test_finite_ns_vacuum_is_zero():
     spec = BosonicBroadcastSpec((0.25, 0.25), mean_photon=0.0)
     assert finite_ns_bound(spec, 0.5) == 0.0

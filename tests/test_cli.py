@@ -12,11 +12,15 @@ import pytest
 
 import qbcbound
 from qbcbound import (
+    MultipartiteState,
+    NotPure,
+    Partition,
     PrivateStateSpec,
     QbcError,
     QuantumChannel,
     channel_output_state,
     entropy,
+    esq_exact_pure,
     make_ghz,
     make_private_state,
     state_to_json,
@@ -575,6 +579,67 @@ def test_undecodable_input_exits_2(capsys, tmp_path, command, data, named):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert named in err
+
+
+# a 5000-digit integer is past Python's default 4300-digit limit for
+# int-to-string conversion, which json.loads applies while reading
+_LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["qinfo"], '{"labels": ["A"], "dims": [%s], "matrix": [[[1, 0]]]}' % _LONG_INT),
+        (["esq", "--partition", "A|B"],
+         '{"labels": ["A", "B"], "dims": [1, %s], "matrix": [[[1, 0]]]}' % _LONG_INT),
+        (["bounds-finite"],
+         '{"input_dim": %s, "output_labels": ["B"], "output_dims": [1], "kraus": [[[[1, 0]]]]}'
+         % _LONG_INT),
+        # within the digit limit, but beyond the float range
+        (["qinfo"], '{"labels": ["A"], "dims": [1], "matrix": [[[%s, 0]]]}' % ("1" * 400)),
+    ],
+    ids=["qinfo-dims", "esq-dims", "bounds-finite-input-dim", "qinfo-matrix-entry"],
+)
+@pytest.mark.parametrize("lift_limit", [False, True], ids=["default-limit", "no-limit"])
+def test_integer_past_the_digit_limit_exits_2(capsys, request, tmp_path, argv, text, lift_limit):
+    bad = tmp_path / "long.json"
+    bad.write_text(text)
+    if lift_limit:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit to lift")
+        limit = sys.get_int_max_str_digits()
+        request.addfinalizer(lambda: sys.set_int_max_str_digits(limit))
+        sys.set_int_max_str_digits(0)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def _boundary_state(seed):
+    # top eigenvalue 1 - 1e-9, on the is_pure boundary, where eigvalsh and
+    # eigh can round to different sides
+    u = random_unitary(np.random.default_rng(seed), 4)
+    m = u @ np.diag([1e-9, 0, 0, 1 - 1e-9]) @ u.conj().T
+    return MultipartiteState((m + m.conj().T) / 2, ("A", "B"), (2, 2))
+
+
+@pytest.mark.parametrize("seed", [4, 12])
+def test_one_purity_rule_at_the_boundary(capsys, tmp_path, seed):
+    state = _boundary_state(seed)
+    path = tmp_path / "boundary.json"
+    path.write_text(state_to_json(state))
+    code, out, _ = run(capsys, "qinfo", str(path))
+    assert code == 0
+    pure = json.loads(out)["pure"]
+    code, out, _ = run(capsys, "esq", str(path), "--partition", "A|B")
+    assert code == 0
+    exact = json.loads(out)["exact"]
+    try:
+        esq_exact_pure(state, Partition((("A",), ("B",))))
+        accepted = True
+    except NotPure:
+        accepted = False
+    assert state.is_pure() == pure == exact == accepted
 
 
 def test_non_finite_state_exits_2(capsys, tmp_path):

@@ -4,13 +4,20 @@ import re
 import pytest
 
 from qbcbound import (
+    BosonicBroadcastSpec,
+    LabelNotFound,
+    Measure,
     Partition,
     SpecError,
     a_of,
     c_of,
+    check_private_state,
     constraint_coefficients,
+    entropy,
+    make_ghz,
     nontrivial_partitions,
     parse_partition,
+    purify,
     subsets_geq2,
 )
 
@@ -59,6 +66,32 @@ def test_partition_validation():
 def test_partition_refuses_what_a_partition_string_cannot_name(blocks, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):
         Partition(blocks)
+
+
+# an int past Python's 4300-digit limit for int-to-string conversion, which
+# repr refuses with a bare ValueError
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BosonicBroadcastSpec(_HUGE), SpecError,
+         "transmission coefficients <int> is not a collection"),
+        (lambda: Partition(((_HUGE,), ("B",))), SpecError, "label <int> is not a string"),
+        (lambda: Measure(_HUGE), SpecError, "unknown measure <int>"),
+        (lambda: entropy(make_ghz(("A", "B", "C"), 2), [_HUGE]), LabelNotFound,
+         "label <int> not in ('A', 'B', 'C')"),
+        (lambda: purify(make_ghz(("A", "B", "C"), 2), _HUGE), SpecError,
+         "label <int> is not a string"),
+        (lambda: check_private_state(make_ghz(("A", "B", "C"), 2), ("A", "B"), (_HUGE,), 2),
+         LabelNotFound, "shield label <int> not in ('A', 'B', 'C')"),
+    ],
+    ids=["bosonic-spec", "partition", "measure", "entropy", "purify", "shield-label"],
+)
+def test_a_value_repr_refuses_is_named_by_its_type(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_partition_reads_a_generator_of_blocks_once():

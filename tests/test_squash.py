@@ -36,7 +36,7 @@ from qbcbound.squash import (
     _measure_kernel,
     _squash_value_and_grad,
 )
-from qbcbound.states import _purification, _purifying_amplitudes, _support, partial_trace
+from qbcbound.states import _purification, partial_trace
 
 
 def part(*bs):
@@ -457,7 +457,7 @@ def test_vector_objective_matches_density_reference(n_qubits, rank_fraction, cho
     state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
     partitions = nontrivial_partitions(labels)
     partition = partitions[choice % len(partitions)]
-    psi = _purifying_amplitudes(*_support(state.matrix))
+    psi = _purification(state.matrix)
     d_e = psi.shape[1]
     params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
     value = squash_objective(psi, state.dims, state.labels, partition, measure)(params)[0]
@@ -515,7 +515,7 @@ def test_squash_gradient_matches_central_differences(n_qubits, rank_fraction, ch
     state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
     partitions = nontrivial_partitions(labels)
     partition = partitions[choice % len(partitions)]
-    psi = _purifying_amplitudes(*_support(state.matrix))
+    psi = _purification(state.matrix)
     d_e = psi.shape[1]
     params = rng.uniform(-np.pi, np.pi, (2 * d_e) ** 2)
     value_and_grad = squash_objective(psi, state.dims, state.labels, partition, measure)
@@ -544,7 +544,7 @@ def test_identity_squashing_is_stationary(n_qubits, rank_fraction, measure, seed
     labels = ("A", "B", "C")[:n_qubits]
     rank = 2 + int(rank_fraction * (2**n_qubits - 2))
     state = random_state(rng, labels, (2,) * n_qubits, rank=rank)
-    psi = _purifying_amplitudes(*_support(state.matrix))
+    psi = _purification(state.matrix)
     d_e = psi.shape[1]
     shape = state.dims + (d_e,)
     for partition in nontrivial_partitions(labels):

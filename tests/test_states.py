@@ -29,7 +29,7 @@ from qbcbound import (
     trace_distance,
 )
 from qbcbound.sampling import random_channel, random_state, random_unitary
-from qbcbound.states import PRIVATE_TOL
+from qbcbound.states import PRIVATE_TOL, PURE_TOL
 
 
 def qubit(vec):
@@ -266,6 +266,15 @@ def test_purify_pure_state_trivial_purifier():
     psi = MultipartiteState(qubit([1, 1]), ("A",), (2,))
     phi = purify(psi, "E")
     assert phi.dims == (2, 1)
+
+
+def test_purify_a_state_is_pure_accepts_by_its_top_eigenvector():
+    # rank 2, but within PURE_TOL of pure: purify applies the one purity rule
+    rho = MultipartiteState(np.diag([1 - 5e-10, 5e-10]), ("A",), (2,))
+    phi = purify(rho, "E")
+    assert rho.is_pure()
+    assert phi.dims == (2, 1)
+    assert trace_distance(partial_trace(phi, {"A"}), rho) <= PURE_TOL
 
 
 def test_purify_schmidt_coefficients():
