@@ -39,6 +39,13 @@ def entropy(state: MultipartiteState, subset) -> float:
     return _matrix_entropy(partial_trace(state, subset).matrix)
 
 
+def _nonnegative(value: float) -> float:
+    """``value``, a measure that is never negative, with rounding below 0 and
+    -0.0 (which ``max(-0.0, 0.0)`` returns) read as 0.0; NaN passes, so that
+    it is not hidden."""
+    return 0.0 if value <= 0.0 else value
+
+
 def _matrix_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
     ev = np.linalg.eigvalsh(matrix)
@@ -195,14 +202,15 @@ def conditional_entropy(state: MultipartiteState, subset, given) -> float:
 
 
 def qcmi(state: MultipartiteState, a, b, e=()) -> float:
-    """Quantum conditional mutual information I(A;B|E) in bits."""
+    """Quantum conditional mutual information I(A;B|E) in bits, floored at 0
+    by ``_nonnegative`` like ``cmi_total`` and ``cmi_dual_measure``."""
     a, b, e = (set(_read_once(x, name)) for x, name in ((a, "a"), (b, "b"), (e, "e")))
     if not a or not b:
         raise EmptySubset("QCMI needs non-empty A and B")
     if a & b or a & e or b & e:
         raise LabelCollision("A, B, E must be pairwise disjoint")
     _check_labels(state, sorted(a | b | e, key=str))
-    return _entropy_sum(state, Measure.E_SQ.form((a, b), e))
+    return _nonnegative(_entropy_sum(state, Measure.E_SQ.form((a, b), e)))
 
 
 class _MeasureLookup(EnumMeta):
@@ -278,7 +286,7 @@ def cmi_total(state: MultipartiteState, partition: Partition, conditioning=()) -
     """Conditional total correlation: sum_i H(A_i|E) - H(A_1...A_m|E) over the
     blocks A_i of ``partition``, E = ``conditioning``."""
     e = _conditioning(state, partition, conditioning)
-    return _entropy_sum(state, Measure.E_SQ.form(partition.blocks, e))
+    return _nonnegative(_entropy_sum(state, Measure.E_SQ.form(partition.blocks, e)))
 
 
 def cmi_dual_measure(state: MultipartiteState, partition: Partition, conditioning=()) -> float:
@@ -286,4 +294,4 @@ def cmi_dual_measure(state: MultipartiteState, partition: Partition, conditionin
     sum_i H(A_[m]\\{i}|E) - (m-1) H(A_1...A_m|E) over the blocks A_i of
     ``partition``, E = ``conditioning``."""
     e = _conditioning(state, partition, conditioning)
-    return _entropy_sum(state, Measure.E_SQ_TILDE.form(partition.blocks, e))
+    return _nonnegative(_entropy_sum(state, Measure.E_SQ_TILDE.form(partition.blocks, e)))

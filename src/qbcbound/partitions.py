@@ -55,8 +55,11 @@ def _check_label(label) -> str:
 
 
 def _read_once(value, what: str) -> tuple:
-    """``value``, any iterable, read once into a tuple; anything else raises
+    """``value``, any iterable but a string, read once into a tuple; a string,
+    which would split into one-character labels, or anything else raises
     ``SpecError`` naming it as ``what``."""
+    if isinstance(value, str):
+        raise SpecError(f"{what} {value!r} is a string, not a collection")
     try:
         return tuple(value)
     except TypeError:
@@ -66,17 +69,12 @@ def _read_once(value, what: str) -> tuple:
 @dataclass(frozen=True)
 class Partition:
     """A partition of a ground set into disjoint non-empty blocks, each a
-    collection of labels (a ``str`` block is refused, not split into
-    characters); the blocks may be any iterable, read once."""
+    collection of labels; the blocks may be any iterable, read once."""
 
     blocks: tuple[LabelSet, ...]
 
     def __post_init__(self):
-        blocks = _read_once(self.blocks, "partition")
-        for b in blocks:
-            if isinstance(b, str):
-                raise SpecError(f"block {b!r} is a string: give a block as a tuple of labels")
-        blocks = [_read_once(b, "block") for b in blocks]
+        blocks = [_read_once(b, "block") for b in _read_once(self.blocks, "partition")]
         blocks = tuple(sorted(_canon(_check_label(lab) for lab in b) for b in blocks))
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):

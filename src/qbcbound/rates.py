@@ -46,7 +46,13 @@ import numpy as np
 
 from .errors import DimMismatch, QbcError, SpecError, TooLarge
 from .measures import _PURIFIER, Measure, _measure_kernel
-from .partitions import MAX_PARTIES, Partition, constraint_coefficients, nontrivial_partitions
+from .partitions import (
+    MAX_PARTIES,
+    Partition,
+    _read_once,
+    constraint_coefficients,
+    nontrivial_partitions,
+)
 from .optimize import complex_point, minimize, real_point
 from .squash import SquashConfig, _check_size, _squash_purified
 from .states import MultipartiteState, QuantumChannel, _purification, apply_channel
@@ -209,7 +215,9 @@ def evaluate_bounds(
     d = channel.input_dim
     # the squash's worst case: the output state's rank is at most #Kraus
     _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))
-    partitions = nontrivial_partitions(ground) if partitions is None else list(partitions)
+    if partitions is None:
+        partitions = nontrivial_partitions(ground)
+    partitions = _read_once(partitions, "partitions")
     seen = set()
     for partition in partitions:
         if set(partition.ground) != set(ground):

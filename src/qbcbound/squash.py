@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPure, QbcError, SpecError, TooLarge
-from .measures import Measure, _measure_kernel
+from .measures import Measure, _measure_kernel, _nonnegative
 from .optimize import complex_point, minimize, real_point
 from .partitions import Partition, _read_once
 from .states import MultipartiteState, _check_count, _check_real, _marginal, _purification
@@ -187,7 +187,8 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
     ``default_rng(config.seed)``.  Every restart of every problem with the
     same purifier dimension is one row of one ``minimize`` batch, or, past
     ``_BATCH_ROWS`` rows, of one of a run of batches over successive slices
-    of the restarts.  Exact when e has one value."""
+    of the restarts.  Exact when e has one value.  The reported value is
+    floored at 0 by ``measures._nonnegative``; the searches compare raw ones."""
     out: list = [None] * len(problems)
     by_dim: dict[int, list[int]] = {}
     for i, (psi, _, _) in enumerate(problems):
@@ -226,7 +227,7 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
         for j, i in enumerate(members):
             best_val, params, converged = best[j]
             kind = {"trivial": True} if d_e == 1 else {"params": params}
-            out[i] = SquashResult(best_val, kinds[j][1][0], converged, kind)
+            out[i] = SquashResult(_nonnegative(best_val), kinds[j][1][0], converged, kind)
     return out
 
 

@@ -97,8 +97,9 @@ class MultipartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, "matrix"))
-        object.__setattr__(self, "labels", tuple(_check_label(lab) for lab in self.labels))
-        dims = tuple(_check_count("subsystem dimension", d) for d in self.dims)
+        labels = tuple(_check_label(lab) for lab in _read_once(self.labels, "labels"))
+        object.__setattr__(self, "labels", labels)
+        dims = tuple(_check_count("subsystem dimension", d) for d in _read_once(self.dims, "dims"))
         object.__setattr__(self, "dims", dims)
         m = self.matrix
         if len(self.labels) != len(set(self.labels)):
@@ -143,13 +144,15 @@ class QuantumChannel:
     output_dims: tuple[int, ...]
 
     def __post_init__(self):
+        kraus = _read_once(self.kraus_ops, "kraus_ops")
         object.__setattr__(
-            self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in self.kraus_ops)
+            self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in kraus)
         )
         object.__setattr__(self, "input_dim", _check_count("input dimension", self.input_dim))
-        labels = tuple(_check_label(lab) for lab in self.output_labels)
-        object.__setattr__(self, "output_labels", labels)
-        dims = tuple(_check_count("channel output dimension", d) for d in self.output_dims)
+        labels = _read_once(self.output_labels, "output_labels")
+        object.__setattr__(self, "output_labels", tuple(_check_label(lab) for lab in labels))
+        dims = _read_once(self.output_dims, "output_dims")
+        dims = tuple(_check_count("channel output dimension", d) for d in dims)
         object.__setattr__(self, "output_dims", dims)
         if len(self.output_labels) != len(set(self.output_labels)):
             raise LabelCollision(f"duplicate output labels {self.output_labels}")
@@ -194,13 +197,15 @@ class PrivateStateSpec:
         if self.num_parties < 2:
             raise QbcError("private states need at least 2 parties")
         object.__setattr__(self, "key_dim", _check_count("key dimension", self.key_dim, 2))
-        dims = tuple(_check_count("shield dimension", d) for d in self.shield_dims)
+        dims = _read_once(self.shield_dims, "shield_dims")
+        dims = tuple(_check_count("shield dimension", d) for d in dims)
         object.__setattr__(self, "shield_dims", dims)
         if len(self.shield_dims) != self.num_parties or any(d < 1 for d in self.shield_dims):
             raise DimMismatch("one positive shield dimension per party required")
         ds = math.prod(self.shield_dims)
         if self.twist_unitaries is not None:
-            tw = tuple(_frozen_array(u, "twist unitary") for u in self.twist_unitaries)
+            tw = _read_once(self.twist_unitaries, "twist_unitaries")
+            tw = tuple(_frozen_array(u, "twist unitary") for u in tw)
             object.__setattr__(self, "twist_unitaries", tw)
             if len(tw) != self.key_dim**self.num_parties:
                 raise DimMismatch("need one twist unitary per key basis tuple")
@@ -220,7 +225,7 @@ class PrivateStateSpec:
 def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
     """Kronecker product of states in the given order; ``parts`` may be any
     iterable, read once."""
-    parts = tuple(parts)
+    parts = _read_once(parts, "parts")
     if not parts:
         raise QbcError("tensor of zero states is undefined")
     labels: list[str] = []
@@ -343,7 +348,7 @@ def _ghz_matrix(m: int, d: int) -> np.ndarray:
 
 def make_ghz(labels, d: int) -> MultipartiteState:
     """GHZ state (1/sqrt(d)) sum_i |i...i> on the given labels."""
-    labels = tuple(labels)
+    labels = _read_once(labels, "labels")
     m = len(labels)
     if m < 2:
         raise QbcError("GHZ needs at least 2 parties")
@@ -359,8 +364,8 @@ def make_private_state(
     Labels are ordered key systems first, then shield systems.  The shield
     state defaults to maximally mixed.  Only the result is validated.
     """
-    key_labels = tuple(key_labels)
-    shield_labels = tuple(shield_labels)
+    key_labels = _read_once(key_labels, "key_labels")
+    shield_labels = _read_once(shield_labels, "shield_labels")
     m, d = spec.num_parties, spec.key_dim
     if len(key_labels) != m or len(shield_labels) != m:
         raise DimMismatch("one key label and one shield label per party required")
@@ -395,7 +400,8 @@ def check_private_state(
     may name them or be empty.  Returns (deviation <= PRIVATE_TOL, deviation).
     """
     d = _check_count("key dimension", d, 2)
-    key_labels = tuple(key_labels)
+    key_labels = _read_once(key_labels, "key_labels")
+    shield_labels = _read_once(shield_labels, "shield_labels")
     if not key_labels:
         raise QbcError("a private state needs at least one key label")
     if len(set(key_labels)) != len(key_labels):

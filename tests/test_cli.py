@@ -12,18 +12,27 @@ import pytest
 
 import qbcbound
 from qbcbound import (
+    Measure,
     MultipartiteState,
     NotPure,
     Partition,
     PrivateStateSpec,
     QbcError,
     QuantumChannel,
+    SquashConfig,
     channel_output_state,
+    cmi_dual_measure,
+    cmi_total,
     entropy,
     esq_exact_pure,
+    esq_upper_variational,
+    evaluate_bounds,
     make_ghz,
     make_private_state,
+    parse_partition,
+    qcmi,
     state_to_json,
+    tensor,
     theorem3_report,
 )
 from qbcbound import bosonic, cli, rates, squash
@@ -841,6 +850,62 @@ def test_noisy_cut_bounds_lie_above_hashing_rates(capsys, tmp_path):
         hashing = max(entropy(omega, x), entropy(omega, y)) - h_all
         assert hashing > 0.5  # not a vacuous check
         assert report[name]["bound_bits"] >= hashing, name
+
+
+def _negative(values):
+    """The values below 0 or equal to -0.0; 0.0 itself is fine."""
+    return [v for v in values if not (v >= 0 and math.copysign(1.0, v) > 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_state_measures_never_report_below_zero(capsys, tmp_path, seed):
+    # every measure of a product state is 0, and its rounding falls on both
+    # sides: at the seeds here E_sq, E~_sq and both informations fell below it
+    rng = np.random.default_rng(seed)
+    state = tensor([random_state(rng, (lab,), (2,)) for lab in "ABC"])
+    path = tmp_path / "product.json"
+    path.write_text(state_to_json(state))
+    values = [qcmi(state, ("A",), ("B",), ("C",)), qcmi(state, ("A",), ("B", "C"))]
+    for text in ("A|B", "A|B|C", "A|B,C"):
+        partition = parse_partition(text)
+        values += [cmi_total(state, partition), cmi_dual_measure(state, partition)]
+        for m in Measure:
+            res = esq_upper_variational(state, partition, m, SquashConfig(restarts=3))
+            values.append(res.value_bits)
+        code, out, _ = run(capsys, "esq", str(path), "--partition", text, "--measure", "min",
+                           "--restarts", "3")
+        assert code == 0
+        doc = json.loads(out)
+        values += [doc["min_bits"]] + [r["value_bits"] for r in doc["results"].values()]
+        code, out, _ = run(capsys, "qinfo", str(path), "--partition", text)
+        assert code == 0
+        doc = json.loads(out)
+        values += [doc["cmi_total"], doc["cmi_dual"]]
+    assert _negative(values) == []
+
+
+def test_product_receiver_bounds_never_report_below_zero(capsys, tmp_path):
+    # a live receiver C that always gets |0>: its cuts' entropies cancel only
+    # to rounding, which put 7 of these 32 bounds below 0; and a channel of
+    # input dimension 1, whose four bounds printed as -0.0
+    channels = []
+    for seed in range(8):
+        base = random_channel(np.random.default_rng(seed), 2, ("B",), (2,), env_dim=2)
+        kraus = tuple(np.kron(k, [[1], [0]]) for k in base.kraus_ops)
+        channels.append(QuantumChannel(kraus, 2, ("B", "C"), (2, 2)))
+    channels.append(QuantumChannel((np.ones((4, 1)) / 2,), 1, ("B", "C"), (2, 2)))
+    values = []
+    for i, channel in enumerate(channels):
+        values += [rc.bound_bits for rc in evaluate_bounds(channel)]
+        path = tmp_path / f"channel{i}.json"
+        path.write_text(channel_to_json(channel))
+        code, out, _ = run(capsys, "bounds-finite", str(path))
+        assert code == 0
+        values += [c["bound_bits"] for c in json.loads(out)["report"].values()]
+    assert len(values) == 72
+    assert _negative(values) == []
+    # the last output is the input-dimension-1 channel's
+    assert '"bound_bits": 0.0' in out and "-0.0" not in out
 
 
 @pytest.fixture

@@ -478,7 +478,7 @@ def test_qcmi_checks_labels_before_any_entropy(monkeypatch, call):
 @pytest.mark.parametrize(
     "call, fragment",
     [
-        (lambda st: qcmi(st, "A", 5), "b 5 is not a collection"),
+        (lambda st: qcmi(st, ("A",), 5), "b 5 is not a collection"),
         (lambda st: conditional_entropy(st, 5, "A"), "subset 5 is not a collection"),
         (lambda st: entropy(st, 5), "subset 5 is not a collection"),
         (lambda st: cmi_total(st, blocks("A", "B"), 5), "conditioning 5 is not a collection"),

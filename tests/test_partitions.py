@@ -1,24 +1,35 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from qbcbound import (
     BosonicBroadcastSpec,
     LabelNotFound,
     Measure,
+    MultipartiteState,
     Partition,
+    PrivateStateSpec,
+    QuantumChannel,
     SpecError,
     a_of,
     c_of,
     check_private_state,
+    cmi_total,
+    conditional_entropy,
     constraint_coefficients,
     entropy,
+    evaluate_bounds,
     make_ghz,
+    make_private_state,
     nontrivial_partitions,
     parse_partition,
+    partial_trace,
     purify,
+    qcmi,
     subsets_geq2,
+    tensor,
 )
 
 
@@ -49,7 +60,7 @@ def test_partition_validation():
     "blocks, fragment",
     [
         # a string block is refused, not split into its characters
-        (("AB", "C"), "block 'AB' is a string: give a block as a tuple of labels"),
+        (("AB", "C"), "block 'AB' is a string, not a collection"),
         (("kA", "kB"), "block 'kA' is a string"),
         ((("A",), ("B,C",)), "label 'B,C' cannot appear in a partition string"),
         ((("A|B",), ("C",)), "label 'A|B' cannot appear in a partition string"),
@@ -66,6 +77,84 @@ def test_partition_validation():
 def test_partition_refuses_what_a_partition_string_cannot_name(blocks, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):
         Partition(blocks)
+
+
+_G2 = make_ghz(("A", "B"), 2)
+_GK = make_ghz(("kA", "kB"), 2)
+_SPEC = PrivateStateSpec(2, 2, (1, 1))
+_COPY = QuantumChannel((np.eye(4)[:, [0, 3]],), 2, ("B", "C"), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a string is refused, not split into one-character labels
+        (lambda: entropy(_G2, "AB"), "subset 'AB' is a string, not a collection"),
+        (lambda: entropy(_GK, "kA"), "subset 'kA' is a string, not a collection"),
+        (lambda: partial_trace(_GK, "kA"), "keep 'kA' is a string, not a collection"),
+        (lambda: qcmi(_GK, "kA", "kB"), "a 'kA' is a string, not a collection"),
+        (lambda: conditional_entropy(_G2, ("A",), "B"), "given 'B' is a string, not a collection"),
+        (lambda: cmi_total(make_ghz(("A", "B", "C"), 2), parse_partition("A|B"), "C"),
+         "conditioning 'C' is a string, not a collection"),
+        (lambda: Partition("AB"), "partition 'AB' is a string, not a collection"),
+        (lambda: MultipartiteState(np.eye(4) / 4, "AB", (2, 2)),
+         "labels 'AB' is a string, not a collection"),
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A",), "2"),
+         "dims '2' is a string, not a collection"),
+        (lambda: QuantumChannel("K", 1, ("B",), (1,)),
+         "kraus_ops 'K' is a string, not a collection"),
+        (lambda: QuantumChannel((np.eye(4),), 4, "BC", (2, 2)),
+         "output_labels 'BC' is a string, not a collection"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B",), "2"),
+         "output_dims '2' is a string, not a collection"),
+        (lambda: PrivateStateSpec(2, 2, "11"), "shield_dims '11' is a string, not a collection"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), "U"),
+         "twist_unitaries 'U' is a string, not a collection"),
+        (lambda: tensor("ab"), "parts 'ab' is a string, not a collection"),
+        (lambda: make_ghz("ABC", 2), "labels 'ABC' is a string, not a collection"),
+        (lambda: make_private_state(_SPEC, "AB", ("C", "D")),
+         "key_labels 'AB' is a string, not a collection"),
+        (lambda: make_private_state(_SPEC, ("A", "B"), "CD"),
+         "shield_labels 'CD' is a string, not a collection"),
+        (lambda: check_private_state(_GK, "kA", (), 2),
+         "key_labels 'kA' is a string, not a collection"),
+        (lambda: check_private_state(_GK, ("kA", "kB"), "kA", 2),
+         "shield_labels 'kA' is a string, not a collection"),
+        (lambda: evaluate_bounds(_COPY, "R|B,C"),
+         "partitions 'R|B,C' is a string, not a collection"),
+        # and so is a value that is no collection at all
+        (lambda: MultipartiteState(np.eye(2) / 2, 5, (2,)), "labels 5 is not a collection"),
+        (lambda: MultipartiteState(np.eye(2) / 2, ("A",), 2), "dims 2 is not a collection"),
+        (lambda: QuantumChannel(5, 2, ("B",), (2,)), "kraus_ops 5 is not a collection"),
+        (lambda: QuantumChannel((np.eye(2),), 2, 5, (2,)), "output_labels 5 is not a collection"),
+        (lambda: QuantumChannel((np.eye(2),), 2, ("B",), 2), "output_dims 2 is not a collection"),
+        (lambda: PrivateStateSpec(2, 2, 2), "shield_dims 2 is not a collection"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), 5), "twist_unitaries 5 is not a collection"),
+        (lambda: tensor(5), "parts 5 is not a collection"),
+        (lambda: make_ghz(5, 2), "labels 5 is not a collection"),
+        (lambda: make_private_state(_SPEC, 5, ("C", "D")), "key_labels 5 is not a collection"),
+        (lambda: make_private_state(_SPEC, ("A", "B"), 5), "shield_labels 5 is not a collection"),
+        (lambda: check_private_state(_GK, 5, (), 2), "key_labels 5 is not a collection"),
+        (lambda: check_private_state(_GK, ("kA", "kB"), 5, 2),
+         "shield_labels 5 is not a collection"),
+        (lambda: evaluate_bounds(_COPY, 5), "partitions 5 is not a collection"),
+    ],
+    ids=[
+        "entropy-AB", "entropy-kA", "partial-trace", "qcmi", "conditional-entropy", "cmi-total",
+        "partition", "state-labels", "state-dims", "kraus", "channel-labels", "channel-dims",
+        "shield-dims", "twists", "tensor", "ghz", "private-keys", "private-shields", "check-keys",
+        "check-shields", "evaluate-bounds",
+        "int-state-labels", "int-state-dims", "int-kraus", "int-channel-labels",
+        "int-channel-dims", "int-shield-dims", "int-twists", "int-tensor", "int-ghz",
+        "int-private-keys", "int-private-shields", "int-check-keys", "int-check-shields",
+        "int-evaluate-bounds",
+    ],
+)
+def test_one_collection_rule(call, message):
+    """Every collection argument is read by ``partitions._read_once``: a bare
+    string or a non-collection raises ``SpecError`` naming the argument."""
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # an int past Python's 4300-digit limit for int-to-string conversion, which
