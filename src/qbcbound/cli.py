@@ -142,7 +142,7 @@ def _cmd_qinfo(args) -> int:
         "labels": list(state.labels),
         "dims": list(state.dims),
         "pure": state.is_pure(),
-        "entropy_total": entropy(state, set(state.labels)),
+        "entropy_total": entropy(state, state.labels),
         "entropy_by_label": {lab: entropy(state, {lab}) for lab in state.labels},
     }
     if args.partition:

@@ -23,7 +23,7 @@ from enum import Enum, EnumMeta
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
-from .partitions import Partition, _read_once, _shown
+from .partitions import Partition, _label_set, _partition, _shown
 from .states import RANK_TOL, MultipartiteState, _flat_positions, _marginal, partial_trace
 
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -32,7 +32,7 @@ _PURIFIER = object()
 
 def entropy(state: MultipartiteState, subset) -> float:
     """Von Neumann entropy of the reduction to ``subset``, in bits."""
-    subset = set(_read_once(subset, "subset"))
+    subset = _label_set(subset, "subset")
     if not subset:
         raise EmptySubset("entropy of an empty subset is not exposed")
     # partial_trace raises LabelNotFound for a label missing from the state
@@ -192,19 +192,19 @@ def _pure_entropy_sums(shape, labels, forms):
 
 def conditional_entropy(state: MultipartiteState, subset, given) -> float:
     """H(subset | given) = H(subset given) - H(given)."""
-    subset, given = set(_read_once(subset, "subset")), set(_read_once(given, "given"))
+    subset, given = _label_set(subset, "subset"), _label_set(given, "given")
     if not subset:
         raise EmptySubset("conditional entropy of an empty subset")
     if subset & given:
         raise LabelCollision("subset overlaps conditioning set")
     _check_labels(state, sorted(subset | given, key=str))
-    return _entropy_sum(state, {frozenset(subset | given): 1.0, frozenset(given): -1.0})
+    return _entropy_sum(state, {subset | given: 1.0, given: -1.0})
 
 
 def qcmi(state: MultipartiteState, a, b, e=()) -> float:
     """Quantum conditional mutual information I(A;B|E) in bits, floored at 0
     by ``_nonnegative`` like ``cmi_total`` and ``cmi_dual_measure``."""
-    a, b, e = (set(_read_once(x, name)) for x, name in ((a, "a"), (b, "b"), (e, "e")))
+    a, b, e = (_label_set(x, name) for x, name in ((a, "a"), (b, "b"), (e, "e")))
     if not a or not b:
         raise EmptySubset("QCMI needs non-empty A and B")
     if a & b or a & e or b & e:
@@ -275,8 +275,8 @@ def _conditioning(state: MultipartiteState, partition: Partition, conditioning) 
     """The conditioning set E of a measure over the blocks of ``partition``,
     checked before any entropy is taken: E must meet no block, and every
     label must be on the state (``LabelNotFound`` otherwise)."""
-    e = frozenset(_read_once(conditioning, "conditioning"))
-    if not e.isdisjoint(partition.ground):
+    e = _label_set(conditioning, "conditioning")
+    if not e.isdisjoint(_partition(partition).ground):
         raise SpecError("conditioning set overlaps a block")
     _check_labels(state, partition.ground + tuple(sorted(e, key=str)))
     return e

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,30 @@ def _check_label(label) -> str:
     return label
 
 
-def _read_once(value, what: str) -> tuple:
-    """``value``, any iterable but a string, read once into a tuple; a string,
-    which would split into one-character labels, or anything else raises
+def _read_once(value, what: str, kind=None) -> tuple:
+    """``value``, any iterable but a string or a mapping, read once into a
+    tuple, each entry an instance of ``kind`` when one is given; a string,
+    which would split into one-character labels, a mapping, which would read
+    as its keys, a wrong entry (named by its index) or anything else raises
     ``SpecError`` naming it as ``what``."""
-    if isinstance(value, str):
-        raise SpecError(f"{what} {value!r} is a string, not a collection")
+    if isinstance(value, (str, Mapping)):
+        noun = "a string" if isinstance(value, str) else "a mapping"
+        raise SpecError(f"{what} {_shown(value)} is {noun}, not a collection")
     try:
-        return tuple(value)
+        entries = tuple(value)
     except TypeError:
         raise SpecError(f"{what} {_shown(value)} is not a collection") from None
+    if kind is not None:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, kind):
+                raise SpecError(f"{what} entry {i} {_shown(entry)} is not a {kind.__name__}")
+    return entries
+
+
+def _label_set(value, what: str) -> frozenset:
+    """The set of labels ``value`` names, read by ``_read_once``; an entry
+    that no set can hold, and so no label can equal, is refused by index."""
+    return frozenset(_read_once(value, what, Hashable))
 
 
 @dataclass(frozen=True)
@@ -106,9 +121,19 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(blocks))
 
 
+def _partition(value) -> Partition:
+    """``value`` if it is a ``Partition``; anything else, such as the CLI's
+    string syntax, raises ``SpecError``."""
+    if not isinstance(value, Partition):
+        raise SpecError(
+            f"partition {_shown(value)} is not a Partition: parse a string with parse_partition"
+        )
+    return value
+
+
 def subsets_geq2(ground) -> list[LabelSet]:
     """All subsets of size >= 2, canonically ordered: by size, then lexicographically."""
-    ground = _canon(set(ground))
+    ground = _canon(_label_set(ground, "ground"))
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
     return [c for r in range(2, len(ground) + 1) for c in itertools.combinations(ground, r)]
@@ -116,7 +141,7 @@ def subsets_geq2(ground) -> list[LabelSet]:
 
 def nontrivial_partitions(ground) -> list[Partition]:
     """All partitions with at least 2 blocks (Bell(n) - 1 of them)."""
-    ground = _canon(set(ground))
+    ground = _canon(_label_set(ground, "ground"))
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
 
@@ -140,16 +165,16 @@ def nontrivial_partitions(ground) -> list[Partition]:
 def c_of(partition: Partition) -> list[LabelSet]:
     """The collection C(G): the subsets of the ground set that meet at least
     two blocks."""
-    if not partition.nontrivial:
+    if not _partition(partition).nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
     return list(constraint_coefficients(partition))
 
 
 def a_of(m, partition: Partition) -> list[LabelSet]:
     """A(M, G) = { X intersect M | X in G } minus the empty set."""
-    if not partition.nontrivial:
+    if not _partition(partition).nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
-    m = set(m)
+    m = _label_set(m, "m")
     met = [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
     if not m <= set(partition.ground) or len(met) < 2:
         raise SpecError(f"{_canon(m)} is not an element of C(G)")
@@ -170,7 +195,7 @@ def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
 
     The rate constraint reads (1/2) sum_M |A(M, G)| (K_M + E_M) <= bound.
     """
-    if not partition.nontrivial:
+    if not _partition(partition).nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
     subsets, bit, masks = _subset_masks(partition.ground)
     blocks = np.array([sum(bit[lab] for lab in b) for b in partition.blocks], dtype=np.uint64)

@@ -217,7 +217,7 @@ def evaluate_bounds(
     _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))
     if partitions is None:
         partitions = nontrivial_partitions(ground)
-    partitions = _read_once(partitions, "partitions")
+    partitions = _read_once(partitions, "partitions", Partition)
     seen = set()
     for partition in partitions:
         if set(partition.ground) != set(ground):

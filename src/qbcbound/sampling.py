@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .partitions import _read_once
 from .states import MultipartiteState, QuantumChannel
 
 
@@ -27,15 +28,17 @@ def random_density(rng: np.random.Generator, d: int, rank: int | None = None) ->
 def random_state(
     rng: np.random.Generator, labels, dims, rank: int | None = None
 ) -> MultipartiteState:
+    labels, dims = _read_once(labels, "labels"), _read_once(dims, "dims")
     d = int(np.prod(dims))
-    return MultipartiteState(random_density(rng, d, rank), tuple(labels), tuple(dims))
+    return MultipartiteState(random_density(rng, d, rank), labels, dims)
 
 
 def random_pure_state(rng: np.random.Generator, labels, dims) -> MultipartiteState:
+    labels, dims = _read_once(labels, "labels"), _read_once(dims, "dims")
     d = int(np.prod(dims))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
-    return MultipartiteState(np.outer(v, v.conj()), tuple(labels), tuple(dims))
+    return MultipartiteState(np.outer(v, v.conj()), labels, dims)
 
 
 def random_channel(
@@ -46,9 +49,11 @@ def random_channel(
     env_dim: int | None = None,
 ) -> QuantumChannel:
     """Random CPTP map from a Haar-random Stinespring isometry."""
+    output_labels = _read_once(output_labels, "output_labels")
+    output_dims = _read_once(output_dims, "output_dims")
     dout = int(np.prod(output_dims))
     env = env_dim or input_dim
     u = random_unitary(rng, dout * env)
     iso = u[:, :input_dim]
     kraus = [iso.reshape(dout, env, input_dim)[:, a, :] for a in range(env)]
-    return QuantumChannel(tuple(kraus), input_dim, tuple(output_labels), tuple(output_dims))
+    return QuantumChannel(tuple(kraus), input_dim, output_labels, output_dims)

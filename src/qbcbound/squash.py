@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import Measure, _measure_kernel, _nonnegative
 from .optimize import complex_point, minimize, real_point
-from .partitions import Partition, _read_once
+from .partitions import Partition, _partition, _read_once
 from .states import MultipartiteState, _check_count, _check_real, _marginal, _purification
 
 
@@ -74,7 +74,7 @@ def _reduced_purification(state: MultipartiteState, partition: Partition):
     one is missing) and the purification amplitudes of its marginal there:
     the other labels join the purifier.  A one-block partition, whose
     measure is identically 0, is refused before any work."""
-    if not partition.nontrivial:
+    if not _partition(partition).nontrivial:
         raise SpecError(f"partition {partition} has one block: it measures no entanglement")
     matrix, labels, dims = _marginal(state, partition.ground)
     return labels, dims, _purification(matrix)

@@ -25,7 +25,7 @@ from .errors import (
     LabelNotFound,
     QbcError,
 )
-from .partitions import _check_label, _read_once, _shown
+from .partitions import _check_label, _label_set, _read_once, _shown
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -59,7 +59,10 @@ def _check_real(name: str, value) -> float:
 
 
 def _frozen_array(a, what: str) -> np.ndarray:
-    arr = np.array(a, dtype=complex)
+    try:
+        arr = np.array(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise QbcError(f"{what} is not a rectangular array of complex numbers") from None
     # every comparison with NaN is false, so the tolerance checks would pass it
     if not np.all(np.isfinite(arr)):
         raise QbcError(f"{what} has non-finite entries")
@@ -225,7 +228,7 @@ class PrivateStateSpec:
 def tensor(parts: list[MultipartiteState]) -> MultipartiteState:
     """Kronecker product of states in the given order; ``parts`` may be any
     iterable, read once."""
-    parts = _read_once(parts, "parts")
+    parts = _read_once(parts, "parts", MultipartiteState)
     if not parts:
         raise QbcError("tensor of zero states is undefined")
     labels: list[str] = []
@@ -260,10 +263,9 @@ def _reordered(state: MultipartiteState, first) -> np.ndarray:
 
 
 def _marginal(state: MultipartiteState, keep):
-    """Unvalidated ``(matrix, labels, dims)`` of the reduced state on ``keep``
-    labels in their relative order (``LabelNotFound`` names a label the state
-    lacks); keeping every label returns the state's own."""
-    keep = set(keep)
+    """Unvalidated ``(matrix, labels, dims)`` of the reduced state on ``keep``,
+    distinct labels, in their relative order (``LabelNotFound`` names a label
+    the state lacks); keeping every label returns the state's own."""
     if not keep:
         raise QbcError("cannot keep an empty label set")
     keep_idx = sorted(state.index_of(lab) for lab in keep)
@@ -282,7 +284,7 @@ def _marginal(state: MultipartiteState, keep):
 def partial_trace(state: MultipartiteState, keep) -> MultipartiteState:
     """Reduced state on ``keep`` labels, preserving their relative order: the
     ``_marginal``, validated once, as the public result, or the state itself."""
-    red, labels, dims = _marginal(state, _read_once(keep, "keep"))
+    red, labels, dims = _marginal(state, _label_set(keep, "keep"))
     return state if labels == state.labels else MultipartiteState(red, labels, dims)
 
 
@@ -404,7 +406,7 @@ def check_private_state(
     shield_labels = _read_once(shield_labels, "shield_labels")
     if not key_labels:
         raise QbcError("a private state needs at least one key label")
-    if len(set(key_labels)) != len(key_labels):
+    if len(_label_set(key_labels, "key_labels")) != len(key_labels):
         raise LabelCollision(f"duplicate key labels {key_labels}")
     for lab in key_labels:
         if state.dim_of(lab) != d:

@@ -11,15 +11,19 @@ from qbcbound import (
     MultipartiteState,
     Partition,
     PrivateStateSpec,
+    QbcError,
     QuantumChannel,
     SpecError,
     a_of,
     c_of,
     check_private_state,
+    cmi_dual_measure,
     cmi_total,
     conditional_entropy,
     constraint_coefficients,
     entropy,
+    esq_exact_pure,
+    esq_upper_variational,
     evaluate_bounds,
     make_ghz,
     make_private_state,
@@ -31,6 +35,7 @@ from qbcbound import (
     subsets_geq2,
     tensor,
 )
+from qbcbound.sampling import random_channel, random_pure_state, random_state
 
 
 def part(*bs):
@@ -155,6 +160,100 @@ def test_one_collection_rule(call, message):
     string or a non-collection raises ``SpecError`` naming the argument."""
     with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_AB = Partition((("A",), ("B",)))
+_NOT_A_PARTITION = "partition 'A|B' is not a Partition: parse a string with parse_partition"
+_NOT_COMPLEX = "is not a rectangular array of complex numbers"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # the set helpers refuse a string as every other reader does
+        (lambda: nontrivial_partitions("AB"), SpecError, "ground 'AB' is a string, not a collection"),
+        (lambda: subsets_geq2("kAB"), SpecError, "ground 'kAB' is a string, not a collection"),
+        (lambda: a_of("AB", _AB), SpecError, "m 'AB' is a string, not a collection"),
+        # and so do the samplers, before any constructor sees the labels
+        (lambda: random_state(np.random.default_rng(0), "AB", (2, 2)), SpecError,
+         "labels 'AB' is a string, not a collection"),
+        (lambda: random_pure_state(np.random.default_rng(0), "AB", (2, 2)), SpecError,
+         "labels 'AB' is a string, not a collection"),
+        (lambda: random_channel(np.random.default_rng(0), 2, "BC", (2, 2)), SpecError,
+         "output_labels 'BC' is a string, not a collection"),
+        # a mapping would read as its keys
+        (lambda: MultipartiteState(np.eye(4) / 4, {"A": 0, "B": 1}, (2, 2)), SpecError,
+         "labels {'A': 0, 'B': 1} is a mapping, not a collection"),
+        (lambda: QuantumChannel((np.eye(2),), 2, {"B": 2}, (2,)), SpecError,
+         "output_labels {'B': 2} is a mapping, not a collection"),
+        (lambda: evaluate_bounds(_COPY, {parse_partition("R|B,C"): 1}), SpecError,
+         "partitions {Partition(blocks=(('B', 'C'), ('R',))): 1} is a mapping, not a collection"),
+        # an entry of the wrong type is named by its index
+        (lambda: evaluate_bounds(_COPY, [parse_partition("R|B,C"), "R|B,C"]), SpecError,
+         "partitions entry 1 'R|B,C' is not a Partition"),
+        (lambda: tensor([_G2, 5]), SpecError, "parts entry 1 5 is not a MultipartiteState"),
+        # and so is a label-set entry that no set can hold
+        (lambda: entropy(_G2, [["A"]]), SpecError, "subset entry 0 ['A'] is not a Hashable"),
+        (lambda: entropy(_G2, ["B", {"A"}]), SpecError, "subset entry 1 {'A'} is not a Hashable"),
+        (lambda: qcmi(_G2, [["A"]], ["B"]), SpecError, "a entry 0 ['A'] is not a Hashable"),
+        (lambda: conditional_entropy(_G2, [["A"]], []), SpecError,
+         "subset entry 0 ['A'] is not a Hashable"),
+        (lambda: partial_trace(_G2, [["A"]]), SpecError, "keep entry 0 ['A'] is not a Hashable"),
+        (lambda: cmi_total(_G2, _AB, [["E"]]), SpecError,
+         "conditioning entry 0 ['E'] is not a Hashable"),
+        (lambda: check_private_state(_G2, [["A"]], (), 2), SpecError,
+         "key_labels entry 0 ['A'] is not a Hashable"),
+        # a matrix that numpy cannot read as complex numbers names its field
+        (lambda: MultipartiteState([["a"]], ("A",), (1,)), QbcError, f"matrix {_NOT_COMPLEX}"),
+        (lambda: MultipartiteState([[1, 0], [0]], ("A",), (2,)), QbcError,
+         f"matrix {_NOT_COMPLEX}"),
+        (lambda: MultipartiteState({"a": 1}, ("A",), (1,)), QbcError, f"matrix {_NOT_COMPLEX}"),
+        (lambda: MultipartiteState([[10**400]], ("A",), (1,)), QbcError,
+         f"matrix {_NOT_COMPLEX}"),
+        (lambda: QuantumChannel(("ab",), 2, ("B",), (2,)), QbcError,
+         f"Kraus operator {_NOT_COMPLEX}"),
+        (lambda: QuantumChannel(([[1, 0], [0]],), 2, ("B",), (2,)), QbcError,
+         f"Kraus operator {_NOT_COMPLEX}"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), (["u"],) * 4), QbcError,
+         f"twist unitary {_NOT_COMPLEX}"),
+        (lambda: PrivateStateSpec(2, 2, (1, 1), shield_state=[["x"]]), QbcError,
+         f"shield state {_NOT_COMPLEX}"),
+        # a partition string is not a Partition
+        (lambda: cmi_total(_G2, "A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: cmi_dual_measure(_G2, "A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: esq_exact_pure(_G2, "A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: esq_upper_variational(_G2, "A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: c_of("A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: a_of(("A", "B"), "A|B"), SpecError, _NOT_A_PARTITION),
+        (lambda: constraint_coefficients("A|B"), SpecError, _NOT_A_PARTITION),
+    ],
+    ids=[
+        "nontrivial-partitions", "subsets-geq2", "a-of", "random-state", "random-pure-state",
+        "random-channel", "map-state-labels", "map-channel-labels", "map-partitions",
+        "entry-partitions", "entry-tensor", "entry-entropy-list", "entry-entropy-set",
+        "entry-qcmi", "entry-conditional-entropy", "entry-partial-trace", "entry-cmi-total",
+        "entry-check-keys", "matrix-string", "matrix-ragged", "matrix-mapping", "matrix-huge-int",
+        "kraus-string", "kraus-ragged", "twist-string", "shield-string", "string-cmi-total",
+        "string-cmi-dual", "string-esq-exact", "string-esq-variational", "string-c-of",
+        "string-a-of", "string-coefficients",
+    ],
+)
+def test_one_reading_rule(call, error, message):
+    """A set helper, a sampler, a mapping, a wrong entry, a matrix numpy cannot
+    read and a partition string each raise a ``QbcError`` subclass naming the
+    argument; every row raised a bare Python error or was read silently
+    before the rule covered it."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_set_helpers_read_any_collection_of_labels():
+    for ground in (("A", "B", "C"), ["C", "A", "B"], {"B", "C", "A"}, iter("CBA")):
+        assert subsets_geq2(ground) == [("A", "B"), ("A", "C"), ("B", "C"), ("A", "B", "C")]
+    for ground in (("A", "B"), ["B", "A"], {"A", "B"}):
+        assert nontrivial_partitions(ground) == [_AB]
+    for m in (("A", "B"), ["B", "A"], {"A", "B"}):
+        assert a_of(m, _AB) == [("A",), ("B",)]
 
 
 # an int past Python's 4300-digit limit for int-to-string conversion, which
@@ -317,7 +416,7 @@ def _brute_force(partition):
     return collection, {m: _by_size(b & set(m) for b in blocks if b & set(m)) for m in collection}
 
 
-_SMALL_PARTITIONS = [g for n in range(2, 7) for g in nontrivial_partitions("ABCDEF"[:n])]
+_SMALL_PARTITIONS = [g for n in range(2, 7) for g in nontrivial_partitions(tuple("ABCDEF"[:n]))]
 
 
 @pytest.mark.parametrize("g", _SMALL_PARTITIONS, ids=str)
