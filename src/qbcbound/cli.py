@@ -63,11 +63,11 @@ SWEEP_COLUMNS = (
     "tripartite_bound_as_printed",
     "eta_star",
 )
-# CSV rows are converted to Python floats and text this many at a time, so a
+# sweep rows are converted to Python floats and text this many at a time, so a
 # whole sweep never exists in both forms at once
-_CSV_CHUNK_ROWS = 1024
-# the most sweep steps: at this cap a CSV sweep, written in chunks, peaks near
-# 250 MB, while a JSON one, built whole in memory, already peaks near 3 GB
+_CHUNK_ROWS = 1024
+# the most sweep steps: at this cap a sweep, written in chunks, peaks near
+# 250 MB as CSV and near 200 MB as JSON
 MAX_SWEEP_STEPS = 10**6
 
 
@@ -102,13 +102,24 @@ def _emit(text: str | Iterable[str], output: str | None):
 def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | None = None):
     """Emit each row of a (rows, SWEEP_COLUMNS) float table as a CSV line or
     as a JSON object, to which ``extra`` adds its keys."""
-    if fmt == "json":
-        rows = [{**dict(zip(SWEEP_COLUMNS, r)), **(extra or {})} for r in table.tolist()]
-        doc = {"version": __version__, "rows": [_fmt(r) for r in rows]}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", output)
-        return
     if np.isnan(table).any():
         raise QbcError("NaN is never emitted")
+    if fmt == "json":
+        # each chunk of rows is dumped as a list, its brackets cut off and its
+        # lines moved one level in, between the lines of the document around
+        # them: the text that json.dumps gives the whole document
+        doc = json.dumps({"rows": [None], "version": __version__}, sort_keys=True, indent=2)
+        head, tail = doc.split("    null")
+
+        def rows(k):
+            chunk = table[k : k + _CHUNK_ROWS].tolist()
+            dicts = [_fmt({**dict(zip(SWEEP_COLUMNS, r)), **(extra or {})}) for r in chunk]
+            text = json.dumps(dicts, sort_keys=True, indent=2)[2:-2].replace("\n", "\n  ")
+            return (",\n  " if k else "  ") + text
+
+        chunks = (rows(k) for k in range(0, len(table), _CHUNK_ROWS))
+        _emit(itertools.chain([head], chunks, [tail + "\n"]), output)
+        return
     # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent
     # bound.  A column whose bits never change (a sweep's eta_c) is printed
     # once, into the row template; the first column is always filled in per
@@ -120,8 +131,8 @@ def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | No
     row += "\n"
     live = table[:, ~fixed]
     chunks = (
-        "".join([row % r for r in zip(*live[k : k + _CSV_CHUNK_ROWS].T.tolist())])
-        for k in range(0, len(table), _CSV_CHUNK_ROWS)
+        "".join([row % r for r in zip(*live[k : k + _CHUNK_ROWS].T.tolist())])
+        for k in range(0, len(table), _CHUNK_ROWS)
     )
     _emit(itertools.chain([",".join(SWEEP_COLUMNS) + "\n"], chunks), output)
 

@@ -16,6 +16,7 @@ The multipartite informations take their grouping of labels as a
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from enum import Enum, EnumMeta
@@ -77,11 +78,12 @@ def _pure_entropy_sums(shape, labels, forms):
     complement share their spectrum); d H / d conj(M) = -(log2 G + 1/ln 2) M,
     eigenvalues under the floor contributing 0.  A problem's cuts are
     grouped by the dimension of their smaller side, and every problem
-    carries, per side dimension, the same number of cuts, padded with
-    zero-coefficient cuts; so each side dimension costs one stacked Gram
-    product and one stacked ``eigh`` over (rows, cuts), and each row is
-    computed as it would be alone: one gather of flat positions per cut
-    reads M off psi and writes the gradient back.
+    carries, per side dimension, the same number of slots, its own cuts
+    padded with zero-coefficient slots that gather psi's first amplitude
+    throughout; so each side dimension costs one stacked Gram product and
+    one stacked ``eigh`` over (rows, slots), and each row is computed as it
+    would be alone: one gather of flat positions per cut reads M off psi and
+    writes the gradient back.
     A side of dimension 1 has entropy 0 on a pure state and is skipped; the
     evaluated paths keep psi normalized, so its gradient drops out too.
     """
@@ -98,8 +100,8 @@ def _pure_entropy_sums(shape, labels, forms):
 
     # each distinct subset resolved once: the forms of problems share most
     cut_at = {s: cut_of(s) for s in {s for sums in forms for form in sums for s in form}}
-    # per problem, side dimension -> its cuts in order of first appearance
-    # (dict keys), and (form, cut, coefficient) entries
+    # per problem, side dimension -> each cut's slot within that side, in
+    # order of first appearance, and (form, side, slot, coefficient) entries
     problems = []
     for sums in forms:
         by_side: dict[int, dict] = {}
@@ -108,8 +110,8 @@ def _pure_entropy_sums(shape, labels, forms):
             for subset, c in form.items():
                 cut, side = cut_at[subset]
                 if side > 1:
-                    by_side.setdefault(side, {})[cut] = None
-                    entries.append((k, cut, c))
+                    slots = by_side.setdefault(side, {})
+                    entries.append((k, side, slots.setdefault(cut, len(slots)), c))
         problems.append((by_side, entries))
     sides = sorted({side for by_side, _ in problems for side in by_side})
     # side dimension -> padded width and first slot in a problem's row
@@ -119,31 +121,18 @@ def _pure_entropy_sums(shape, labels, forms):
     n_sums = len(forms[0]) if forms else 0
     # per cut, the flat positions of psi that lay it out as a (side, rest)
     # matrix with the side's axes first
-    layouts = {}
-
-    def layout(cut, side):
-        if cut not in layouts:
-            layouts[cut] = _flat_positions(shape, cut).reshape(side, -1)
-        return layouts[cut]
-
+    layout = functools.cache(lambda cut, side: _flat_positions(shape, cut).reshape(side, -1))
     coeff = np.zeros((len(forms), n_sums, n_cuts))
+    # a padding slot keeps its zero gather and its zero coefficients
     gathers = {
         side: np.zeros((len(forms), width[side], side, n // side), dtype=np.intp) for side in sides
     }
     for p, (by_side, entries) in enumerate(problems):
-        slot = {}
-        for side in sides:
-            cuts = list(by_side.get(side, ()))
-            # a padding slot repeats a cut of the same side dimension; its
-            # coefficients stay 0
-            pad = cuts[0] if cuts else next(c for b, _ in problems for c in b.get(side, ()))
-            for w in range(width[side]):
-                cut = cuts[w] if w < len(cuts) else pad
-                if w < len(cuts):
-                    slot[cut] = offset[side] + w
+        for side, slots in by_side.items():
+            for cut, w in slots.items():
                 gathers[side][p, w] = layout(cut, side)
-        for k, cut, c in entries:
-            coeff[p, k, slot[cut]] += c
+        for k, side, w, c in entries:
+            coeff[p, k, offset[side] + w] += c
     gathers = [gathers[side] for side in sides]
     spans = [(offset[side], offset[side] + width[side]) for side in sides]
 
@@ -174,8 +163,9 @@ def _pure_entropy_sums(shape, labels, forms):
 
         def grad(pick) -> np.ndarray:
             # per side dimension, the stacked -c (v dlog)(v^dag M), written
-            # back through the gather that read M: each slot's positions are
-            # distinct, so every slot holds its whole gradient in psi's order
+            # back through the gather that read M: a real slot's positions are
+            # distinct, so it holds its whole gradient in psi's order, and a
+            # padding slot, whose scale is 0, writes zeros
             scale = -c[at, pick]
             g = np.zeros((count, n_cuts, n), dtype=complex)
             for (m, v, dlog, index), (lo, hi) in zip(spectra, spans):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Hashable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +78,19 @@ def _read_once(value, what: str, kind=None) -> tuple:
 def _label_set(value, what: str) -> frozenset:
     """The set of labels ``value`` names, read by ``_read_once``; an entry
     that no set can hold, and so no label can equal, is refused by index."""
-    return frozenset(_read_once(value, what, Hashable))
+    entries = _read_once(value, what)
+    for i, entry in enumerate(entries):
+        try:
+            hash(entry)
+        except TypeError:
+            raise SpecError(f"{what} entry {i} {_shown(entry)} is not a Hashable") from None
+    return frozenset(entries)
+
+
+def _labels(value, what: str) -> LabelSet:
+    """The labels ``value`` names, read by ``_read_once`` and each checked,
+    in the order given, by ``Partition``'s rule before they are sorted."""
+    return _canon(set(map(_check_label, _read_once(value, what))))
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,7 @@ def _partition(value) -> Partition:
 
 def subsets_geq2(ground) -> list[LabelSet]:
     """All subsets of size >= 2, canonically ordered: by size, then lexicographically."""
-    ground = _canon(_label_set(ground, "ground"))
+    ground = _labels(ground, "ground")
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
     return [c for r in range(2, len(ground) + 1) for c in itertools.combinations(ground, r)]
@@ -141,7 +153,7 @@ def subsets_geq2(ground) -> list[LabelSet]:
 
 def nontrivial_partitions(ground) -> list[Partition]:
     """All partitions with at least 2 blocks (Bell(n) - 1 of them)."""
-    ground = _canon(_label_set(ground, "ground"))
+    ground = _labels(ground, "ground")
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
 
@@ -174,7 +186,7 @@ def a_of(m, partition: Partition) -> list[LabelSet]:
     """A(M, G) = { X intersect M | X in G } minus the empty set."""
     if not _partition(partition).nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
-    m = _label_set(m, "m")
+    m = frozenset(_labels(m, "m"))
     met = [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
     if not m <= set(partition.ground) or len(met) < 2:
         raise SpecError(f"{_canon(m)} is not an element of C(G)")

@@ -285,6 +285,52 @@ def test_emit_rows_nan_raises_before_writing(capsys, tmp_path):
     assert not path.exists()
 
 
+# --format json is written a chunk of rows at a time: the text must still be
+# json.dumps of the whole document, at and across the chunk boundary
+
+
+def _json_reference(table, extra):
+    rows = [{**dict(zip(cli.SWEEP_COLUMNS, r)), **(extra or {})} for r in table.tolist()]
+    doc = {"version": qbcbound.__version__, "rows": [cli._fmt(r) for r in rows]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --eta-b 0.87 --eta-c 0.05 --sweep-steps 1",
+        "sweep --eta-b 0.87 --eta-c 0.05 --sweep-steps 1024",
+        "sweep --eta-b 0.87 --eta-c 0.05 --sweep-steps 1025",
+        "sweep --eta-b 0.87 --eta-c 0.05 --sweep-steps 2500",
+        "bounds-bosonic --eta-b 0.4 --eta-c 0.3 --ns 10",
+    ],
+)
+def test_json_rows_match_whole_document(capsys, monkeypatch, argv):
+    calls = []
+    emit_rows = cli._emit_rows
+
+    def recorded(table, fmt, output, extra=None):
+        calls.append((table, extra))
+        return emit_rows(table, fmt, output, extra)
+
+    monkeypatch.setattr(cli, "_emit_rows", recorded)
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    (table, extra), = calls
+    assert out == _json_reference(table, extra)
+
+
+def test_emit_rows_json_nan_raises_before_writing(capsys, tmp_path):
+    table = np.zeros((2000, len(cli.SWEEP_COLUMNS)))
+    table[1500, 6] = math.nan
+    path = tmp_path / "rows.json"
+    for output in (None, str(path)):
+        with pytest.raises(QbcError, match="NaN"):
+            cli._emit_rows(table, "json", output)
+    assert capsys.readouterr().out == ""
+    assert not path.exists()
+
+
 def test_esq_ghz_both_measures(capsys, ghz_path):
     code, out, _ = run(
         capsys, "esq", ghz_path, "--partition", "A|B|C", "--measure", "both",

@@ -203,6 +203,15 @@ _NOT_COMPLEX = "is not a rectangular array of complex numbers"
          "conditioning entry 0 ['E'] is not a Hashable"),
         (lambda: check_private_state(_G2, [["A"]], (), 2), SpecError,
          "key_labels entry 0 ['A'] is not a Hashable"),
+        # a hashable-looking entry that holds an unhashable one
+        (lambda: entropy(_G2, [("A", ["B"])]), SpecError,
+         "subset entry 0 ('A', ['B']) is not a Hashable"),
+        (lambda: qcmi(_G2, [("A", {"x"})], ["B"]), SpecError,
+         "a entry 0 ('A', {'x'}) is not a Hashable"),
+        # the set helpers check each label before they sort
+        (lambda: subsets_geq2(["A", 1]), SpecError, "label 1 is not a string"),
+        (lambda: nontrivial_partitions(["A", 1]), SpecError, "label 1 is not a string"),
+        (lambda: a_of(["A", 1], _AB), SpecError, "label 1 is not a string"),
         # a matrix that numpy cannot read as complex numbers names its field
         (lambda: MultipartiteState([["a"]], ("A",), (1,)), QbcError, f"matrix {_NOT_COMPLEX}"),
         (lambda: MultipartiteState([[1, 0], [0]], ("A",), (2,)), QbcError,
@@ -232,7 +241,8 @@ _NOT_COMPLEX = "is not a rectangular array of complex numbers"
         "random-channel", "map-state-labels", "map-channel-labels", "map-partitions",
         "entry-partitions", "entry-tensor", "entry-entropy-list", "entry-entropy-set",
         "entry-qcmi", "entry-conditional-entropy", "entry-partial-trace", "entry-cmi-total",
-        "entry-check-keys", "matrix-string", "matrix-ragged", "matrix-mapping", "matrix-huge-int",
+        "entry-check-keys", "entry-entropy-nested", "entry-qcmi-nested", "label-subsets-geq2",
+        "label-nontrivial-partitions", "label-a-of", "matrix-string", "matrix-ragged", "matrix-mapping", "matrix-huge-int",
         "kraus-string", "kraus-ragged", "twist-string", "shield-string", "string-cmi-total",
         "string-cmi-dual", "string-esq-exact", "string-esq-variational", "string-c-of",
         "string-a-of", "string-coefficients",
