@@ -67,7 +67,7 @@ SWEEP_COLUMNS = (
 # whole sweep never exists in both forms at once
 _CHUNK_ROWS = 1024
 # the most sweep steps: at this cap a sweep, written in chunks, peaks near
-# 250 MB as CSV and near 200 MB as JSON
+# 200 MB in either format, most of it the grid's columns
 MAX_SWEEP_STEPS = 10**6
 
 
@@ -111,30 +111,28 @@ def _emit_rows(table: np.ndarray, fmt: str, output: str | None, extra: dict | No
         doc = json.dumps({"rows": [None], "version": __version__}, sort_keys=True, indent=2)
         head, tail = doc.split("    null")
 
-        def rows(k):
-            chunk = table[k : k + _CHUNK_ROWS].tolist()
-            dicts = [_fmt({**dict(zip(SWEEP_COLUMNS, r)), **(extra or {})}) for r in chunk]
+        def render(k, chunk):
+            dicts = [_fmt({**dict(zip(SWEEP_COLUMNS, r)), **(extra or {})}) for r in chunk.tolist()]
             text = json.dumps(dicts, sort_keys=True, indent=2)[2:-2].replace("\n", "\n  ")
             return (",\n  " if k else "  ") + text
 
-        chunks = (rows(k) for k in range(0, len(table), _CHUNK_ROWS))
-        _emit(itertools.chain([head], chunks, [tail + "\n"]), output)
-        return
-    # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent
-    # bound.  A column whose bits never change (a sweep's eta_c) is printed
-    # once, into the row template; the first column is always filled in per
-    # row, so that every row has a value to format
-    bits = table.view(np.int64)
-    fixed = (bits == bits[0]).all(axis=0)
-    fixed[0] = False
-    row = ",".join(["%.12g" % v if f else "%.12g" for v, f in zip(table[0].tolist(), fixed)])
-    row += "\n"
-    live = table[:, ~fixed]
-    chunks = (
-        "".join([row % r for r in zip(*live[k : k + _CHUNK_ROWS].T.tolist())])
-        for k in range(0, len(table), _CHUNK_ROWS)
-    )
-    _emit(itertools.chain([",".join(SWEEP_COLUMNS) + "\n"], chunks), output)
+        first, last = head, tail + "\n"
+    else:
+        # "%.12g" prints what _fmt does: 12 digits, and "inf" for a divergent
+        # bound.  A column whose bits never change (a sweep's eta_c) is printed
+        # once, into the row template, and a chunk is the template repeated
+        # once per row, filled in by one % from its other columns
+        bits = table.view(np.int64)
+        fixed = (bits == bits[0]).all(axis=0)
+        row = ",".join(["%.12g" % v if f else "%.12g" for v, f in zip(table[0].tolist(), fixed)])
+        row += "\n"
+
+        def render(k, chunk):
+            return row * len(chunk) % tuple(chunk[:, ~fixed].ravel().tolist())
+
+        first, last = ",".join(SWEEP_COLUMNS) + "\n", ""
+    chunks = (render(k, table[k : k + _CHUNK_ROWS]) for k in range(0, len(table), _CHUNK_ROWS))
+    _emit(itertools.chain([first], chunks, [last]), output)
 
 
 def _read_text(path: str) -> str:
@@ -223,9 +221,7 @@ def _cmd_bounds_bosonic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    steps = _check_count("--sweep-steps", args.sweep_steps, 1)
-    if steps > MAX_SWEEP_STEPS:
-        raise QbcError(f"--sweep-steps must be at most {MAX_SWEEP_STEPS}")
+    steps = _check_count("--sweep-steps", args.sweep_steps, 1, MAX_SWEEP_STEPS)
     # overflow to inf stays quiet, as in Python floats; validation rejects it
     with np.errstate(over="ignore"):
         eta_b = args.eta_b * np.arange(1, steps + 1) / steps

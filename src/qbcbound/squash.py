@@ -39,9 +39,13 @@ DIM_CAP = 64
 _FTOL = 1e-8
 # the squash's iteration cap per restart; no search has come near it
 _MAX_ITERS = 2000
-# most rows in one squash batch: larger restart counts run in slices, so
-# memory does not grow with the number of restarts
+# rows per squash batch: the restarts run in slices of as many as fit, but
+# at least one restart of every problem, so memory grows with the number of
+# problems but not with the number of restarts
 _BATCH_ROWS = 256
+# the most restarts: at the size cap (n * d_e = 64) one costs 64-80 ms on a
+# 2-core VM, so a squash takes at most about a minute per measure
+MAX_RESTARTS = 1000
 
 
 def _check_size(n: int, d_e: int) -> None:
@@ -57,7 +61,8 @@ class SquashConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "restarts", _check_count("restarts", self.restarts, 1))
+        restarts = _check_count("restarts", self.restarts, 1, MAX_RESTARTS)
+        object.__setattr__(self, "restarts", restarts)
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
 
 
@@ -185,10 +190,11 @@ def _squash_purified(problems, dims, labels, config) -> list[SquashResult]:
     point, a stationary point scored without a search; restarts 1, 2, ...
     start from the same random Kraus matrices for every problem, drawn from
     ``default_rng(config.seed)``.  Every restart of every problem with the
-    same purifier dimension is one row of one ``minimize`` batch, or, past
-    ``_BATCH_ROWS`` rows, of one of a run of batches over successive slices
-    of the restarts.  Exact when e has one value.  The reported value is
-    floored at 0 by ``measures._nonnegative``; the searches compare raw ones."""
+    same purifier dimension is one row of a ``minimize`` batch: the restarts
+    run in successive slices of as many as fit ``_BATCH_ROWS`` rows, but at
+    least one, so memory grows with the number of problems but not with the
+    restarts.  Exact when e has one value.  The reported value is floored
+    at 0 by ``measures._nonnegative``; the searches compare raw ones."""
     out: list = [None] * len(problems)
     by_dim: dict[int, list[int]] = {}
     for i, (psi, _, _) in enumerate(problems):
@@ -246,7 +252,8 @@ def esq_upper_variational(
     Kraus matrix K, maps the d_e-dimensional purifier into a space of its own
     dimension and a traced-out qubit ancilla.  Restart 0 is the identity
     squashing point, scored without a search, and ``config.restarts`` counts
-    it; the other restarts run as one batch (in slices of ``_BATCH_ROWS``).
+    it; the other restarts run as one batch, or past ``_BATCH_ROWS`` as a
+    run of batches of that many, so memory does not grow with them.
     Labels the partition leaves out join the purifier.  A state pure on the
     partition's labels (as ``is_pure`` judges it), of any size, gets its
     exact value, with no search and no size cap, described as

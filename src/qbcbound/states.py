@@ -36,13 +36,16 @@ PURE_TOL = 1e-9
 PRIVATE_TOL = 1e-8
 
 
-def _check_count(name: str, value, least: int | None = None) -> int:
+def _check_count(name: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value``, a Python or numpy integer, as an int; a bool (which would
-    pass as 0 or 1), a float or a value below ``least`` is refused."""
+    pass as 0 or 1), a float or a value below ``least`` or above ``most`` is
+    refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise QbcError(f"{name} must be an integer")
     if least is not None and value < least:
         raise QbcError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise QbcError(f"{name} must be at most {most}")
     return int(value)
 
 

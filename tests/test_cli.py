@@ -215,8 +215,22 @@ def test_sweep_steps_cap(capsys, monkeypatch):
     assert str(MAX_SWEEP_STEPS) in err
 
 
+def test_esq_restarts_cap(capsys, monkeypatch, tmp_path):
+    def no_search(*args, **kwargs):
+        raise AssertionError("squash started past the restart cap")
+
+    monkeypatch.setattr(squash, "minimize", no_search)
+    path = tmp_path / "mixed.json"
+    path.write_text(state_to_json(random_state(np.random.default_rng(0), ("A", "B"), (2, 2))))
+    argv = ["esq", str(path), "--partition", "A|B", "--restarts", str(squash.MAX_RESTARTS + 1)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: restarts must be at most {squash.MAX_RESTARTS}\n"
+
+
 # _emit_rows prints a column whose bits never change once, into the row
-# template: the CSV must still be the per-row "%.12g" rendering
+# template, and fills a chunk's repeated templates with one %: the CSV must
+# still be the per-row "%.12g" rendering, also when every column is constant
 
 
 def _csv_reference(table):

@@ -694,3 +694,19 @@ def test_dimension_one_receivers_leave_no_negative_bound(seed, idle):
         assert c.bound_bits >= 0.0, str(c.partition)
         if any({"R", "B"} <= set(block) for block in c.partition.blocks):
             assert c.bound_bits == 0.0, str(c.partition)
+
+
+def test_input_dimension_one_leaves_receiver_cuts_live():
+    # R of dimension 1 is dead, so the cut that holds R alone measures
+    # nothing; but omega_BC = sum_k K_k K_k^dag is NPT, so the cuts between
+    # the receivers still bound an entangled output: only a cut whose live
+    # partition has one block is 0
+    channel = random_channel(np.random.default_rng(0), 1, ("B", "C"), (2, 2), env_dim=2)
+    omega = sum(k @ k.conj().T for k in channel.kraus_ops)
+    transposed = omega.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    assert np.linalg.eigvalsh(transposed)[0] < -0.18
+    bounds = {str(c.partition): c for c in evaluate_bounds(channel)}
+    assert bounds["B,C|R"].bound_bits == 0.0
+    assert bounds["B|C|R"].bound_bits > 0.0
+    for cut in ("B|C,R", "B,R|C"):
+        assert bounds[cut].bound_bits >= bounds[cut].achievable_bits > 0.0, cut

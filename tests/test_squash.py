@@ -32,6 +32,7 @@ from qbcbound import measures, squash
 from qbcbound.optimize import complex_point, real_point
 from qbcbound.sampling import random_pure_state, random_state
 from qbcbound.squash import (
+    MAX_RESTARTS,
     _isometry_and_pullback,
     _measure_kernel,
     _squash_value_and_grad,
@@ -395,6 +396,7 @@ def test_variational_exact_on_large_pure_state(monkeypatch, noise):
     [
         (lambda: SquashConfig(seed=-1), "seed must be at least 0"),
         (lambda: SquashConfig(seed=True), "seed must be an integer"),
+        (lambda: SquashConfig(restarts=MAX_RESTARTS + 1), f"^restarts must be at most {MAX_RESTARTS}$"),
         (lambda: esq_cq_average(
             [(float("nan"), make_ghz(("A", "B"), 2))], part(("A",), ("B",))
         ), "probabilities must be non-negative"),
@@ -425,6 +427,7 @@ def test_variational_exact_on_large_pure_state(monkeypatch, noise):
     ids=[
         "squash-seed-negative",
         "squash-seed-bool",
+        "squash-restarts-over-cap",
         "cq-average-nan-weight",
         "cq-average-negative-weight",
         "cq-average-sum-below-1",
