@@ -147,6 +147,8 @@ def _read_text(path: str) -> str:
 
 def _cmd_qinfo(args) -> int:
     state = state_from_json(_read_text(args.state))
+    # an empty string is a partition string too, and refused as one
+    partition = None if args.partition is None else parse_partition(args.partition)
     doc = {
         "labels": list(state.labels),
         "dims": list(state.dims),
@@ -154,8 +156,7 @@ def _cmd_qinfo(args) -> int:
         "entropy_total": entropy(state, state.labels),
         "entropy_by_label": {lab: entropy(state, {lab}) for lab in state.labels},
     }
-    if args.partition:
-        partition = parse_partition(args.partition)
+    if partition is not None:
         doc["partition"] = str(partition)
         doc["cmi_total"] = cmi_total(state, partition)
         doc["cmi_dual"] = cmi_dual_measure(state, partition)

@@ -24,7 +24,7 @@ from enum import Enum, EnumMeta
 import numpy as np
 
 from .errors import EmptySubset, LabelCollision, SpecError
-from .partitions import Partition, _label_set, _partition, _shown
+from .partitions import Partition, _instance, _label_set, _shown
 from .states import RANK_TOL, MultipartiteState, _flat_positions, _marginal, partial_trace
 
 # label of a purifying system in _pure_entropy_sums; equal to no subsystem label
@@ -266,7 +266,7 @@ def _conditioning(state: MultipartiteState, partition: Partition, conditioning) 
     checked before any entropy is taken: E must meet no block, and every
     label must be on the state (``LabelNotFound`` otherwise)."""
     e = _label_set(conditioning, "conditioning")
-    if not e.isdisjoint(_partition(partition).ground):
+    if not e.isdisjoint(_instance(partition, Partition, "partition").ground):
         raise SpecError("conditioning set overlaps a block")
     _check_labels(state, partition.ground + tuple(sorted(e, key=str)))
     return e

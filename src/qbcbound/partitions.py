@@ -8,8 +8,10 @@ whose size is the coefficient of (E_M + K_M) in the rate constraint; the
 coefficients are a plain M -> |A(M, G)| dict.
 
 Sets are represented as sorted label tuples for canonical equality and
-deterministic ordering.  Enumeration is brute force, so a rate constraint
-takes at most ``MAX_PARTIES`` parties (``rates.evaluate_bounds`` checks).
+deterministic ordering.  Enumeration is brute force, so a ground set takes
+at most ``MAX_PARTIES`` labels: ``_labels``, the set helpers' one reader,
+refuses more before any enumeration, and ``rates.evaluate_bounds`` refuses
+a channel of more parties even when its partitions are given.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, TooLarge
 
 LabelSet = tuple[str, ...]
 # most parties, sender included: 8 give 4139 nontrivial partitions, each with up
@@ -55,9 +57,20 @@ def _check_label(label) -> str:
     return label
 
 
+def _instance(value, kind, what: str):
+    """``value`` if it is an instance of ``kind``, a class or a tuple of
+    classes; anything else raises ``SpecError`` naming it as ``what``, with
+    a pointer to ``parse_partition`` where a ``Partition`` is expected."""
+    if isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    hint = ": parse a string with parse_partition" if kind is Partition else ""
+    raise SpecError(f"{what} {_shown(value)} is not a {names}{hint}")
+
+
 def _read_once(value, what: str, kind=None) -> tuple:
     """``value``, any iterable but a string or a mapping, read once into a
-    tuple, each entry an instance of ``kind`` when one is given; a string,
+    tuple, each entry read by ``_instance`` when ``kind`` is given; a string,
     which would split into one-character labels, a mapping, which would read
     as its keys, a wrong entry (named by its index) or anything else raises
     ``SpecError`` naming it as ``what``."""
@@ -70,8 +83,7 @@ def _read_once(value, what: str, kind=None) -> tuple:
         raise SpecError(f"{what} {_shown(value)} is not a collection") from None
     if kind is not None:
         for i, entry in enumerate(entries):
-            if not isinstance(entry, kind):
-                raise SpecError(f"{what} entry {i} {_shown(entry)} is not a {kind.__name__}")
+            _instance(entry, kind, f"{what} entry {i}")
     return entries
 
 
@@ -87,10 +99,20 @@ def _label_set(value, what: str) -> frozenset:
     return frozenset(entries)
 
 
+def _label_list(value, what: str) -> LabelSet:
+    """The one reader of ordered labels: ``value`` read by ``_read_once``,
+    each entry checked, in the order given, by ``_check_label``."""
+    return tuple(map(_check_label, _read_once(value, what)))
+
+
 def _labels(value, what: str) -> LabelSet:
-    """The labels ``value`` names, read by ``_read_once`` and each checked,
-    in the order given, by ``Partition``'s rule before they are sorted."""
-    return _canon(set(map(_check_label, _read_once(value, what))))
+    """The set helpers' one reader: the labels ``value`` names, read by
+    ``_label_list`` and sorted; more than ``MAX_PARTIES`` of them, which the
+    helpers would enumerate for seconds or more, raise ``TooLarge``."""
+    labels = _canon(set(_label_list(value, what)))
+    if len(labels) > MAX_PARTIES:
+        raise TooLarge(f"{what} holds {len(labels)} labels, past the cap of {MAX_PARTIES}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -101,8 +123,8 @@ class Partition:
     blocks: tuple[LabelSet, ...]
 
     def __post_init__(self):
-        blocks = [_read_once(b, "block") for b in _read_once(self.blocks, "partition")]
-        blocks = tuple(sorted(_canon(_check_label(lab) for lab in b) for b in blocks))
+        blocks = [_label_list(b, "block") for b in _read_once(self.blocks, "partition")]
+        blocks = tuple(sorted(map(_canon, blocks)))
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(not b for b in blocks):
             raise SpecError("blocks must be non-empty")
@@ -125,22 +147,12 @@ class Partition:
 def parse_partition(text: str) -> Partition:
     """Parse the CLI syntax "R|B,C" into a Partition."""
     blocks = []
-    for part in text.split("|"):
+    for part in _instance(text, str, "partition string").split("|"):
         labs = [x.strip() for x in part.split(",") if x.strip()]
         if not labs:
             raise SpecError(f"empty block in partition string {text!r}")
         blocks.append(tuple(labs))
     return Partition(tuple(blocks))
-
-
-def _partition(value) -> Partition:
-    """``value`` if it is a ``Partition``; anything else, such as the CLI's
-    string syntax, raises ``SpecError``."""
-    if not isinstance(value, Partition):
-        raise SpecError(
-            f"partition {_shown(value)} is not a Partition: parse a string with parse_partition"
-        )
-    return value
 
 
 def subsets_geq2(ground) -> list[LabelSet]:
@@ -151,24 +163,26 @@ def subsets_geq2(ground) -> list[LabelSet]:
     return [c for r in range(2, len(ground) + 1) for c in itertools.combinations(ground, r)]
 
 
+def _set_partitions(items):
+    """Every partition of ``items`` as a list of blocks, each a list."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        for i in range(len(sub)):
+            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+        yield [[first]] + sub
+
+
 def nontrivial_partitions(ground) -> list[Partition]:
     """All partitions with at least 2 blocks (Bell(n) - 1 of them)."""
     ground = _labels(ground, "ground")
     if len(ground) < 2:
         raise SpecError("ground set needs at least 2 elements")
 
-    def gen(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in gen(rest):
-            for i in range(len(sub)):
-                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-            yield [[first]] + sub
-
     parts = []
-    for blocks in gen(list(ground)):
+    for blocks in _set_partitions(list(ground)):
         if len(blocks) > 1:
             parts.append(Partition(tuple(tuple(b) for b in blocks)))
     return sorted(parts, key=lambda p: (len(p.blocks), p.blocks))
@@ -177,14 +191,14 @@ def nontrivial_partitions(ground) -> list[Partition]:
 def c_of(partition: Partition) -> list[LabelSet]:
     """The collection C(G): the subsets of the ground set that meet at least
     two blocks."""
-    if not _partition(partition).nontrivial:
+    if not _instance(partition, Partition, "partition").nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
     return list(constraint_coefficients(partition))
 
 
 def a_of(m, partition: Partition) -> list[LabelSet]:
     """A(M, G) = { X intersect M | X in G } minus the empty set."""
-    if not _partition(partition).nontrivial:
+    if not _instance(partition, Partition, "partition").nontrivial:
         raise SpecError("C(G) requires a nontrivial partition")
     m = frozenset(_labels(m, "m"))
     met = [_canon(m.intersection(b)) for b in partition.blocks if not m.isdisjoint(b)]
@@ -207,7 +221,7 @@ def constraint_coefficients(partition: Partition) -> dict[LabelSet, int]:
 
     The rate constraint reads (1/2) sum_M |A(M, G)| (K_M + E_M) <= bound.
     """
-    if not _partition(partition).nontrivial:
+    if not _instance(partition, Partition, "partition").nontrivial:
         raise SpecError("coefficients require a nontrivial partition")
     subsets, bit, masks = _subset_masks(partition.ground)
     blocks = np.array([sum(bit[lab] for lab in b) for b in partition.blocks], dtype=np.uint64)

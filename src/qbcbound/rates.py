@@ -49,6 +49,7 @@ from .measures import _PURIFIER, Measure, _measure_kernel
 from .partitions import (
     MAX_PARTIES,
     Partition,
+    _instance,
     _read_once,
     constraint_coefficients,
     nontrivial_partitions,
@@ -152,8 +153,9 @@ def _stinespring(channel: QuantumChannel):
 
 def _ground(channel: QuantumChannel) -> tuple[str, ...]:
     """The parties (R, receivers...) of the channel's rate constraints; a
-    receiver named R, or more than ``MAX_PARTIES`` parties, is refused."""
-    if SENDER_LABEL in channel.output_labels:
+    value that is no ``QuantumChannel``, a receiver named R, or more than
+    ``MAX_PARTIES`` parties, is refused."""
+    if SENDER_LABEL in _instance(channel, QuantumChannel, "channel").output_labels:
         raise SpecError(f"{SENDER_LABEL!r} is reserved for the sender system")
     ground = (SENDER_LABEL,) + channel.output_labels
     if len(ground) > MAX_PARTIES:
@@ -201,9 +203,9 @@ def evaluate_bounds(
     squash_cfg: SquashConfig = FINAL_SQUASH,
 ) -> list[RateConstraint]:
     """One RateConstraint per partition, in the order of ``partitions``, any
-    iterable, read once (an empty one, a repeated partition, or more than
-    ``MAX_PARTIES`` parties, is refused before any work), maximizing over
-    pure inputs.
+    iterable, read once (an empty one, a repeated partition, more than
+    ``MAX_PARTIES`` parties, or a channel or config of the wrong type, is
+    refused before any work), maximizing over pure inputs.
 
     Every partition's input search runs as one row of one ``minimize`` batch,
     and then every (partition, measure, restart) squash as one row of one
@@ -212,6 +214,7 @@ def evaluate_bounds(
     information at the reported input, an achievable rate that every valid
     bound reaches; a bound below it raises ``QbcError``."""
     ground = _ground(channel)
+    _instance(squash_cfg, SquashConfig, "squash_cfg")
     d = channel.input_dim
     # the squash's worst case: the output state's rank is at most #Kraus
     _check_size(d * channel.output_dim, min(len(channel.kraus_ops), d * channel.output_dim))

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NotPure, QbcError, SpecError, TooLarge
 from .measures import Measure, _measure_kernel, _nonnegative
 from .optimize import complex_point, minimize, real_point
-from .partitions import Partition, _partition, _read_once
+from .partitions import Partition, _instance, _read_once
 from .states import MultipartiteState, _check_count, _check_real, _marginal, _purification
 
 
@@ -78,8 +78,10 @@ def _reduced_purification(state: MultipartiteState, partition: Partition):
     """The labels and dims of ``partition`` on the state (``LabelNotFound`` if
     one is missing) and the purification amplitudes of its marginal there:
     the other labels join the purifier.  A one-block partition, whose
-    measure is identically 0, is refused before any work."""
-    if not _partition(partition).nontrivial:
+    measure is identically 0, or an argument of the wrong type, is refused
+    before any work."""
+    _instance(state, MultipartiteState, "state")
+    if not _instance(partition, Partition, "partition").nontrivial:
         raise SpecError(f"partition {partition} has one block: it measures no entanglement")
     matrix, labels, dims = _marginal(state, partition.ground)
     return labels, dims, _purification(matrix)
@@ -107,9 +109,10 @@ def esq_cq_average(flagged_states, partition: Partition, measure=Measure.E_SQ) -
     ensemble = []
     for i, entry in enumerate(_read_once(flagged_states, "ensemble")):
         pair = _read_once(entry, f"ensemble entry {i}")
-        if len(pair) != 2 or not isinstance(pair[1], MultipartiteState):
+        if len(pair) != 2:
             raise QbcError(f"ensemble entry {i} is not a (probability, state) pair")
-        ensemble.append((_check_real(f"probability of ensemble entry {i}", pair[0]), pair[1]))
+        state = _instance(pair[1], MultipartiteState, f"state of ensemble entry {i}")
+        ensemble.append((_check_real(f"probability of ensemble entry {i}", pair[0]), state))
     probs = [p for p, _ in ensemble]
     # written so that NaN, for which every comparison is false, fails it
     if not all(p >= 0 for p in probs):
@@ -264,6 +267,7 @@ def esq_upper_variational(
     ``optimize.real_point(K)``, rows of K over (E', ancilla).
     """
     measure = Measure(measure)
+    _instance(config, SquashConfig, "config")
     labels, dims, psi = _reduced_purification(state, partition)
     n, d_e = psi.shape
     if d_e > 1:

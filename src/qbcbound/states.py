@@ -25,7 +25,7 @@ from .errors import (
     LabelNotFound,
     QbcError,
 )
-from .partitions import _check_label, _label_set, _read_once, _shown
+from .partitions import _instance, _label_list, _label_set, _read_once, _shown
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -47,6 +47,12 @@ def _check_count(name: str, value, least: int | None = None, most: int | None = 
     if most is not None and value > most:
         raise QbcError(f"{name} must be at most {most}")
     return int(value)
+
+
+def _count_list(value, what: str, name: str, least: int | None = None) -> tuple[int, ...]:
+    """The one reader of dimension and count lists: ``value`` read by
+    ``_read_once``, each entry read by ``_check_count`` as ``name``."""
+    return tuple(_check_count(name, d, least) for d in _read_once(value, what))
 
 
 def _check_real(name: str, value) -> float:
@@ -103,9 +109,8 @@ class MultipartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_array(self.matrix, "matrix"))
-        labels = tuple(_check_label(lab) for lab in _read_once(self.labels, "labels"))
-        object.__setattr__(self, "labels", labels)
-        dims = tuple(_check_count("subsystem dimension", d) for d in _read_once(self.dims, "dims"))
+        object.__setattr__(self, "labels", _label_list(self.labels, "labels"))
+        dims = _count_list(self.dims, "dims", "subsystem dimension")
         object.__setattr__(self, "dims", dims)
         m = self.matrix
         if len(self.labels) != len(set(self.labels)):
@@ -155,10 +160,8 @@ class QuantumChannel:
             self, "kraus_ops", tuple(_frozen_array(k, "Kraus operator") for k in kraus)
         )
         object.__setattr__(self, "input_dim", _check_count("input dimension", self.input_dim))
-        labels = _read_once(self.output_labels, "output_labels")
-        object.__setattr__(self, "output_labels", tuple(_check_label(lab) for lab in labels))
-        dims = _read_once(self.output_dims, "output_dims")
-        dims = tuple(_check_count("channel output dimension", d) for d in dims)
+        object.__setattr__(self, "output_labels", _label_list(self.output_labels, "output_labels"))
+        dims = _count_list(self.output_dims, "output_dims", "channel output dimension")
         object.__setattr__(self, "output_dims", dims)
         if len(self.output_labels) != len(set(self.output_labels)):
             raise LabelCollision(f"duplicate output labels {self.output_labels}")
@@ -203,8 +206,7 @@ class PrivateStateSpec:
         if self.num_parties < 2:
             raise QbcError("private states need at least 2 parties")
         object.__setattr__(self, "key_dim", _check_count("key dimension", self.key_dim, 2))
-        dims = _read_once(self.shield_dims, "shield_dims")
-        dims = tuple(_check_count("shield dimension", d) for d in dims)
+        dims = _count_list(self.shield_dims, "shield_dims", "shield dimension")
         object.__setattr__(self, "shield_dims", dims)
         if len(self.shield_dims) != self.num_parties or any(d < 1 for d in self.shield_dims):
             raise DimMismatch("one positive shield dimension per party required")
@@ -331,13 +333,13 @@ def apply_channel(
     for lab in channel.output_labels:
         if lab in state.labels and lab != target:
             raise LabelCollision(f"output label {lab!r} collides with spectator")
-    dl = int(np.prod(state.dims[:ti], dtype=int))
-    dr = int(np.prod(state.dims[ti + 1 :], dtype=int))
+    dl = math.prod(state.dims[:ti])
+    dr = math.prod(state.dims[ti + 1 :])
     t = state.matrix.reshape(dl, channel.input_dim, dr, dl, channel.input_dim, dr)
     ks = np.stack(channel.kraus_ops)
     out = np.einsum("kai,lirmjs,kbj->larmbs", ks, t, ks.conj(), optimize=True)
     dims = state.dims[:ti] + channel.output_dims + state.dims[ti + 1 :]
-    out = out.reshape(int(np.prod(dims)), -1)
+    out = out.reshape(math.prod(dims), -1)
     out = (out + out.conj().T) / 2
     labels = state.labels[:ti] + channel.output_labels + state.labels[ti + 1 :]
     return MultipartiteState(out, labels, dims)
@@ -438,6 +440,8 @@ def check_private_state(
 
 def trace_distance(a: MultipartiteState, b: MultipartiteState) -> float:
     """(1/2) ||a - b||_1, with ``b``'s subsystems matched to ``a``'s by label."""
+    _instance(a, MultipartiteState, "a")
+    _instance(b, MultipartiteState, "b")
     if set(a.labels) != set(b.labels):
         raise DimMismatch("states live on different label sets")
     perm = [b.index_of(lab) for lab in a.labels]
@@ -459,12 +463,13 @@ def _not_a_number(entry):
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    # complex() would read JSON true/false as 1/0
+    # complex() would read JSON true/false, which decode to the bool
+    # singletons, as 1/0
     return np.array(
         [
             [
                 complex(re, im)
-                if type(re) is not bool and type(im) is not bool
+                if re is not True and re is not False and im is not True and im is not False
                 else _not_a_number([re, im])
                 for re, im in row
             ]
@@ -474,9 +479,11 @@ def _matrix_from_json(rows) -> np.ndarray:
 
 
 def _json_doc(text: str):
-    """``json.loads(text)``; a document nested deeper than the decoder's
-    recursion limit, or with an integer longer than Python's digit limit
-    for int conversion, raises QbcError like any other malformed one."""
+    """``json.loads(text)``, ``text`` a str, bytes or bytearray; a document
+    nested deeper than the decoder's recursion limit, or with an integer
+    longer than Python's digit limit for int conversion, raises QbcError
+    like any other malformed one."""
+    _instance(text, (str, bytes, bytearray), "JSON text")
     try:
         return json.loads(text)
     except RecursionError:
@@ -488,33 +495,14 @@ def _json_doc(text: str):
 
 
 def _field(doc, key: str, parse):
-    """``parse(doc[key])``; a missing or malformed field raises QbcError naming it."""
+    """``parse(doc[key])``, ``parse`` one of the constructors' readers; a
+    missing or malformed field raises QbcError naming it."""
     if not isinstance(doc, dict) or key not in doc:
         raise QbcError(f"expected a JSON object with a {key!r} field")
     try:
         return parse(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise QbcError(f"JSON field {key!r} is malformed: {exc}") from None
-
-
-def _int(value) -> int:
-    # JSON integers only: bool is an int subclass and floats would be truncated
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _dims(values) -> tuple[int, ...]:
-    if type(values) is not list:
-        raise TypeError(f"expected an array of integers, got {values!r}")
-    return tuple(_int(d) for d in values)
-
-
-def _labels(values) -> tuple[str, ...]:
-    if type(values) is not list or not all(type(v) is str for v in values):
-        raise TypeError(f"expected an array of strings, got {values!r}")
-    # a SpecError is a ValueError, so _field names the field
-    return tuple(_check_label(v) for v in values)
 
 
 def state_to_json(state: MultipartiteState) -> str:
@@ -531,8 +519,8 @@ def state_from_json(text: str) -> MultipartiteState:
     doc = _json_doc(text)
     return MultipartiteState(
         _field(doc, "matrix", _matrix_from_json),
-        _field(doc, "labels", _labels),
-        _field(doc, "dims", _dims),
+        _field(doc, "labels", lambda v: _label_list(v, "labels")),
+        _field(doc, "dims", lambda v: _count_list(v, "dims", "subsystem dimension")),
     )
 
 
@@ -551,7 +539,8 @@ def channel_from_json(text: str) -> QuantumChannel:
     doc = _json_doc(text)
     return QuantumChannel(
         _field(doc, "kraus", lambda ks: tuple(_matrix_from_json(k) for k in ks)),
-        _field(doc, "input_dim", _int),
-        _field(doc, "output_labels", _labels),
-        _field(doc, "output_dims", _dims),
+        _field(doc, "input_dim", lambda v: _check_count("input dimension", v)),
+        _field(doc, "output_labels", lambda v: _label_list(v, "output_labels")),
+        _field(doc, "output_dims",
+               lambda v: _count_list(v, "output_dims", "channel output dimension")),
     )

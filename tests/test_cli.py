@@ -466,6 +466,22 @@ def test_partition_label_missing_from_state_exits_2(capsys, ghz_path, command):
     assert err == "error: label 'Z' not in ('A', 'B', 'C')\n"
 
 
+@pytest.mark.parametrize(
+    "command, path",
+    [("qinfo", "ghz_path"), ("esq", "ghz_path"), ("bounds-finite", "copy_channel_path")],
+)
+def test_empty_partition_string_exits_2(capsys, monkeypatch, request, command, path):
+    # qinfo used to drop an empty --partition and exit 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work began before the partition was parsed")
+
+    for module, name in [(cli, "entropy"), (rates, "minimize"), (squash, "minimize")]:
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, command, request.getfixturevalue(path), "--partition", "")
+    assert (code, out) == (2, "")
+    assert err == "error: empty block in partition string ''\n"
+
+
 def test_qinfo(capsys, ghz_path):
     code, out, _ = run(capsys, "qinfo", ghz_path, "--partition", "A|B,C")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from qbcbound import (
     BosonicBroadcastSpec,
+    DimMismatch,
     LabelNotFound,
     Measure,
     MultipartiteState,
@@ -14,8 +15,10 @@ from qbcbound import (
     QbcError,
     QuantumChannel,
     SpecError,
+    TooLarge,
     a_of,
     c_of,
+    channel_from_json,
     check_private_state,
     cmi_dual_measure,
     cmi_total,
@@ -32,9 +35,13 @@ from qbcbound import (
     partial_trace,
     purify,
     qcmi,
+    state_from_json,
     subsets_geq2,
     tensor,
+    trace_distance,
+    two_receiver_report,
 )
+from qbcbound import partitions, rates, squash
 from qbcbound.sampling import random_channel, random_pure_state, random_state
 
 
@@ -165,6 +172,26 @@ def test_one_collection_rule(call, message):
 _AB = Partition((("A",), ("B",)))
 _NOT_A_PARTITION = "partition 'A|B' is not a Partition: parse a string with parse_partition"
 _NOT_COMPLEX = "is not a rectangular array of complex numbers"
+# one label past the cap, and a partition of them into singletons
+_NINE = tuple("ABCDEFGHI")
+_NINE_SINGLETONS = Partition(tuple((lab,) for lab in _NINE))
+_MIXED_AB = MultipartiteState(np.eye(4) / 4, ("A", "B"), (2, 2))
+# 2**32 x 2**32 = 2**64, which numpy's int64 product wraps to 0
+_WRAPPING = (2**32, 2**32)
+
+
+class _Tripwire:
+    """Stands in for the work a refusal must come before (an enumeration, a
+    kernel compile, a search, a random draw): any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was reached before the refusal")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the work began before the refusal")
+
+
+_NO_DRAWS = _Tripwire()
 
 
 @pytest.mark.parametrize(
@@ -190,7 +217,7 @@ _NOT_COMPLEX = "is not a rectangular array of complex numbers"
          "partitions {Partition(blocks=(('B', 'C'), ('R',))): 1} is a mapping, not a collection"),
         # an entry of the wrong type is named by its index
         (lambda: evaluate_bounds(_COPY, [parse_partition("R|B,C"), "R|B,C"]), SpecError,
-         "partitions entry 1 'R|B,C' is not a Partition"),
+         "partitions entry 1 'R|B,C' is not a Partition: parse a string with parse_partition"),
         (lambda: tensor([_G2, 5]), SpecError, "parts entry 1 5 is not a MultipartiteState"),
         # and so is a label-set entry that no set can hold
         (lambda: entropy(_G2, [["A"]]), SpecError, "subset entry 0 ['A'] is not a Hashable"),
@@ -235,6 +262,64 @@ _NOT_COMPLEX = "is not a rectangular array of complex numbers"
         (lambda: c_of("A|B"), SpecError, _NOT_A_PARTITION),
         (lambda: a_of(("A", "B"), "A|B"), SpecError, _NOT_A_PARTITION),
         (lambda: constraint_coefficients("A|B"), SpecError, _NOT_A_PARTITION),
+        # the set helpers take at most MAX_PARTIES labels, refused before any
+        # enumeration
+        (lambda: subsets_geq2(_NINE), TooLarge, "ground holds 9 labels, past the cap of 8"),
+        (lambda: nontrivial_partitions(_NINE), TooLarge,
+         "ground holds 9 labels, past the cap of 8"),
+        (lambda: a_of(_NINE, _NINE_SINGLETONS), TooLarge, "m holds 9 labels, past the cap of 8"),
+        (lambda: c_of(_NINE_SINGLETONS), TooLarge, "ground holds 9 labels, past the cap of 8"),
+        (lambda: constraint_coefficients(Partition(((f"L{i}",) for i in range(40)))), TooLarge,
+         "ground holds 40 labels, past the cap of 8"),
+        # an object argument of the wrong type, before any search or compile
+        (lambda: evaluate_bounds(_COPY, None, 5), SpecError,
+         "squash_cfg 5 is not a SquashConfig"),
+        (lambda: two_receiver_report(_COPY, "x"), SpecError,
+         "squash_cfg 'x' is not a SquashConfig"),
+        (lambda: evaluate_bounds(5), SpecError, "channel 5 is not a QuantumChannel"),
+        (lambda: two_receiver_report(None), SpecError, "channel None is not a QuantumChannel"),
+        (lambda: esq_upper_variational(_MIXED_AB, _AB, "esq", 5), SpecError,
+         "config 5 is not a SquashConfig"),
+        (lambda: esq_upper_variational(5, _AB), SpecError, "state 5 is not a MultipartiteState"),
+        (lambda: esq_exact_pure(np.eye(4) / 4, _AB), SpecError,
+         f"state {np.eye(4) / 4!r} is not a MultipartiteState"),
+        (lambda: trace_distance(_G2, 5), SpecError, "b 5 is not a MultipartiteState"),
+        (lambda: trace_distance(None, _G2), SpecError, "a None is not a MultipartiteState"),
+        (lambda: parse_partition(5), SpecError, "partition string 5 is not a str"),
+        (lambda: state_from_json(5), SpecError, "JSON text 5 is not a str or bytes or bytearray"),
+        (lambda: channel_from_json(None), SpecError,
+         "JSON text None is not a str or bytes or bytearray"),
+        # the JSON loaders read each field with the constructors' readers
+        (lambda: state_from_json('{"matrix": [[[1, 0]]], "labels": ["A"], "dims": [1.0]}'),
+         QbcError, "JSON field 'dims' is malformed: subsystem dimension must be an integer"),
+        (lambda: state_from_json('{"matrix": [[[1, 0]]], "labels": {"A": 1}, "dims": [1]}'),
+         QbcError,
+         "JSON field 'labels' is malformed: labels {'A': 1} is a mapping, not a collection"),
+        (lambda: channel_from_json('{"kraus": [[[[1, 0]]]], "input_dim": true}'), QbcError,
+         "JSON field 'input_dim' is malformed: input dimension must be an integer"),
+        # a sampler reads every count before its first draw
+        (lambda: random_state(_NO_DRAWS, ("A",), (2,), rank=0), QbcError,
+         "rank must be at least 1"),
+        (lambda: random_state(_NO_DRAWS, ("A",), (2,), rank=-1), QbcError,
+         "rank must be at least 1"),
+        (lambda: random_state(_NO_DRAWS, ("A",), (2,), rank=1.5), QbcError,
+         "rank must be an integer"),
+        (lambda: random_state(_NO_DRAWS, ("A",), (2,), rank=2**63), TooLarge,
+         f"d and rank: a 2 x {2**63} matrix is past numpy's index range"),
+        (lambda: random_state(_NO_DRAWS, ("A", "B"), (-2, 2)), QbcError,
+         "subsystem dimension must be at least 1"),
+        (lambda: random_state(_NO_DRAWS, ("A", "B"), _WRAPPING), TooLarge,
+         f"dims: a {2**64} x {2**64} matrix is past numpy's index range"),
+        (lambda: random_pure_state(_NO_DRAWS, ("A", "B"), _WRAPPING), TooLarge,
+         f"dims: a {2**64} x {2**64} matrix is past numpy's index range"),
+        (lambda: random_channel(_NO_DRAWS, 2, ("B",), (2,), env_dim=0), QbcError,
+         "env_dim must be at least 1"),
+        (lambda: random_channel(_NO_DRAWS, 2.0, ("B",), (2,)), QbcError,
+         "input dimension must be an integer"),
+        (lambda: random_channel(_NO_DRAWS, 4, ("B",), (2,), env_dim=1), DimMismatch,
+         "output dim 2 x env_dim 1 is below input dimension 4: no isometry fits"),
+        (lambda: random_channel(_NO_DRAWS, 2, ("B", "C"), _WRAPPING), TooLarge,
+         f"output_dims and env_dim: a {2**65} x {2**65} matrix is past numpy's index range"),
     ],
     ids=[
         "nontrivial-partitions", "subsets-geq2", "a-of", "random-state", "random-pure-state",
@@ -246,13 +331,28 @@ _NOT_COMPLEX = "is not a rectangular array of complex numbers"
         "kraus-string", "kraus-ragged", "twist-string", "shield-string", "string-cmi-total",
         "string-cmi-dual", "string-esq-exact", "string-esq-variational", "string-c-of",
         "string-a-of", "string-coefficients",
+        "cap-subsets-geq2", "cap-nontrivial-partitions", "cap-a-of", "cap-c-of",
+        "cap-coefficients", "config-evaluate-bounds", "config-two-receiver",
+        "channel-evaluate-bounds", "channel-two-receiver", "config-esq-variational",
+        "state-esq-variational", "state-esq-exact", "trace-distance-b", "trace-distance-a",
+        "parse-partition-int", "state-from-json-int", "channel-from-json-none",
+        "json-float-dim", "json-mapping-labels", "json-bool-input-dim", "rank-zero",
+        "rank-negative", "rank-float", "rank-huge", "sampler-negative-dim", "sampler-wrapping-dims",
+        "pure-sampler-wrapping-dims", "env-dim-zero", "sampler-float-input-dim",
+        "env-dim-too-small", "channel-sampler-wrapping-dims",
     ],
 )
-def test_one_reading_rule(call, error, message):
+def test_one_reading_rule(monkeypatch, call, error, message):
     """A set helper, a sampler, a mapping, a wrong entry, a matrix numpy cannot
-    read and a partition string each raise a ``QbcError`` subclass naming the
-    argument; every row raised a bare Python error or was read silently
-    before the rule covered it."""
+    read, a partition string, an object of the wrong type and a set past the
+    party cap each raise a ``QbcError`` subclass naming the argument, before
+    any enumeration, kernel compile, search or draw; every row raised a bare
+    Python error, started that work, or was read silently before the rule
+    covered it."""
+    for module, name in [(partitions, "itertools"), (partitions, "_set_partitions"),
+                         (rates, "_measure_kernel"), (rates, "minimize"),
+                         (squash, "_measure_kernel"), (squash, "minimize")]:
+        monkeypatch.setattr(module, name, _Tripwire())
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 

@@ -418,7 +418,7 @@ def test_variational_exact_on_large_pure_state(monkeypatch, noise):
         (lambda: esq_cq_average([(True, make_ghz(("A", "B"), 2))], part(("A",), ("B",))),
          "^probability of ensemble entry 0 must be a real number$"),
         (lambda: esq_cq_average([(1.0, 5)], part(("A",), ("B",))),
-         r"^ensemble entry 0 is not a \(probability, state\) pair$"),
+         "^state of ensemble entry 0 5 is not a MultipartiteState$"),
         (lambda: esq_cq_average(
             [(0.5, make_ghz(("A", "B"), 2)), (0.5, make_ghz(("A", "B"), 2), 3)],
             part(("A",), ("B",)),

@@ -137,7 +137,7 @@ _GHZ_AB = make_ghz(("A", "B"), 2)
         (lambda: trace_distance(_GHZ_AB, make_ghz(("A", "B"), 3)), DimMismatch,
          "different subsystem dimensions"),
         (lambda: state_from_json('{"matrix": [[[1, 0]]], "labels": ["A"], "dims": 1}'),
-         QbcError, "JSON field 'dims' is malformed: expected an array of integers"),
+         QbcError, "JSON field 'dims' is malformed: dims 1 is not a collection"),
         # the label rule of the JSON loaders holds at the constructors too, so
         # every state and channel that builds also survives a JSON round trip
         (lambda: MultipartiteState(np.eye(2) / 2, ("A,B",), (2,)), SpecError,
